@@ -36,8 +36,8 @@ for level in range(schedule.num_levels):
     )
 print("\nthe mean error shrinks roughly linearly in eps (first-order rate)")
 
-# the exact transition law itself comes from the matrix exponential plus a
-# step-halved Simpson integral; at large t it lands on the stationary law
+# the exact transition law itself comes from one block matrix exponential
+# (Van Loan) and a few doublings; at large t it lands on the stationary law
 _, stat = bd.stationary_gaussian(np.array([[-1.0]]))
 _, cov_long = bd.exact_transition(np.array([[-1.0]]), [1.0], 20.0)
 print(f"covariance at t=20: {cov_long[0,0]:.8f}; stationary: {stat[0,0]:.8f}")

@@ -4,7 +4,7 @@ For A = alpha E + beta adjacency the answer is positive definiteness of
 -A.  Stars and paths have closed-form spectra, constant-degree graphs a
 sharp Gershgorin criterion for beta > 0; the examples below walk the
 verdict across its boundaries and cross-check the closed forms against the
-Jacobi eigensolver.
+numeric (LAPACK) eigensolver.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ for alpha in (-3.0 - 1e-6, -3.0, -3.0 + 1e-6):
     rep = bd.classify_pd(bd.star_graph(9), alpha, 1.0)
     print(f"  alpha={alpha:+.6f}: pd={rep.positive_definite} min_eig={rep.min_eigenvalue:+.2e}")
 
-print("\npath on 5 vertices: cosine spectrum vs numeric Jacobi")
+print("\npath on 5 vertices: cosine spectrum vs numeric eigensolver")
 closed = bd.path_spectrum(3, -3.0, 1.0)
 numeric = bd.eigen_sym(-bd.alpha_beta_matrix(bd.path_graph(5), -3.0, 1.0))
 print("  closed form:", np.round(closed.eigenvalues, 8))

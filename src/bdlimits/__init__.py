@@ -48,7 +48,6 @@ from .errors import (
     NotSymmetricError,
     NumericError,
     PatternViolationError,
-    QuadratureNotConvergedError,
     RateOverflowError,
     SingularSystemError,
     StateSpaceTooLargeError,

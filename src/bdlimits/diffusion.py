@@ -1,36 +1,31 @@
 """The linear additive-noise limit SDE du = A u dt + sqrt(2) dW.
 
 A is the net interaction matrix A_b - A_d.  The module provides the drift,
-an Euler-Maruyama integrator, the exact Gaussian transition law (matrix
-exponential mean, quadrature covariance), and the stationary Gaussian law
-for Hurwitz A.  When the diagonal of A is negative the components are
-interacting Ornstein-Uhlenbeck processes with unit-variance-rate noise.
+an Euler-Maruyama integrator, the exact Gaussian transition law (mean and
+covariance from one block matrix exponential), and the stationary Gaussian
+law for Hurwitz A (a Lyapunov solve).  When the diagonal of A is negative
+the components are interacting Ornstein-Uhlenbeck processes with
+unit-variance-rate noise.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AsymmetricMatrixError,
     DimensionMismatchError,
     NotHurwitzError,
-    QuadratureNotConvergedError,
+    NumericError,
     ValidationError,
 )
 from .paths import SamplePath
-from .spectral import is_hurwitz, matrix_exp
+from .spectral import as_square_matrix, is_hurwitz, matrix_exp
 
 DEFAULT_DT = 1e-3
-
-QUADRATURE_MAX_DEPTH = 15
-
-
-def _as_square(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def _as_state(a, u) -> np.ndarray:
@@ -39,12 +34,14 @@ def _as_state(a, u) -> np.ndarray:
         raise DimensionMismatchError(
             f"state length {v.shape[0]} does not match matrix dimension {a.shape[0]}"
         )
+    if not np.isfinite(v).all():
+        raise ValidationError("state has non-finite entries")
     return v
 
 
 def drift(a, u) -> np.ndarray:
     """A u; componentwise this is b(x, u) - d(x, u) for the source matrices."""
-    m = _as_square(a)
+    m = as_square_matrix(a)
     return m @ _as_state(m, u)
 
 
@@ -61,7 +58,7 @@ def euler_maruyama(
     u_{k+1} = u_k + A u_k dt + sqrt(2 dt) z_k with standard Gaussian z_k;
     with noise off this is plain explicit Euler for du/dt = A u.
     """
-    m = _as_square(a)
+    m = as_square_matrix(a)
     u = _as_state(m, u0).copy()
     if not 0 < dt <= t_end:
         raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
@@ -91,7 +88,7 @@ def euler_maruyama_terminal(
     One vectorized sweep over replicas; deterministic given the seed, with
     replicas filled in a fixed order.
     """
-    m = _as_square(a)
+    m = as_square_matrix(a)
     u = _as_state(m, u0)
     if not 0 < dt <= t_end:
         raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
@@ -110,91 +107,57 @@ def euler_maruyama_terminal(
 
 def exact_transition(a, u0, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian law of u(t): mean e^{At} u0 and covariance
-    2 * integral_0^t e^{As} e^{A's} ds.
+    C(t) = 2 * integral_0^t e^{As} e^{A's} ds.
 
-    The covariance integral uses composite Simpson quadrature with step
-    halving until the relative change drops below 1e-8; the nodes e^{As}
-    are powers of e^{Ah} on the uniform grid.
+    Van Loan's block exponential exp([[-A, 2I], [0, A']] s) holds e^{A's}
+    in its lower right block and e^{-As} C(s) in its upper right one.  It is
+    taken at s = t / 2^k, with k the smallest count giving ||A||_1 s <= 1,
+    and doubled k times by C(2s) = C(s) + e^{As} C(s) e^{A's}: the block
+    exponential taken at large t itself loses the covariance to the
+    e^{-At} growth of its upper left block.
     """
-    m = _as_square(a)
+    m = as_square_matrix(a)
     u = _as_state(m, u0)
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValidationError(f"t must be finite and nonnegative, got {t}")
     d = m.shape[0]
-    if t == 0.0:
-        return u.copy(), np.zeros((d, d))
-    mean = matrix_exp(m, t) @ u
-    cov = 2.0 * _simpson_gram_integral(m, t)
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
-
-
-def _simpson_gram_integral(m: np.ndarray, t: float) -> np.ndarray:
-    """integral_0^t e^{ms} e^{m's} ds by step-halved composite Simpson."""
-    d = m.shape[0]
-
-    def node_values(intervals: int) -> np.ndarray:
-        h = t / intervals
-        step = matrix_exp(m, h)
-        vals = np.empty((intervals + 1, d, d))
-        e = np.eye(d)
-        vals[0] = e
-        for i in range(1, intervals + 1):
-            e = e @ step
-            vals[i] = e @ e.T
-        return vals
-
-    def simpson(vals: np.ndarray, intervals: int) -> np.ndarray:
-        h = t / intervals
-        return (h / 3.0) * (
-            vals[0]
-            + vals[-1]
-            + 4.0 * vals[1:-1:2].sum(axis=0)
-            + 2.0 * vals[2:-1:2].sum(axis=0)
-        )
-
-    intervals = 8
-    prev = simpson(node_values(intervals), intervals)
-    for _ in range(QUADRATURE_MAX_DEPTH):
-        intervals *= 2
-        curr = simpson(node_values(intervals), intervals)
-        scale = max(float(np.abs(curr).max()), 1e-300)
-        if float(np.abs(curr - prev).max()) < 1e-8 * scale:
-            return curr
-        prev = curr
-    raise QuadratureNotConvergedError(
-        f"covariance quadrature did not stabilize after "
-        f"{QUADRATURE_MAX_DEPTH} halvings (t={t})"
-    )
+    scaled = float(np.abs(m).sum(axis=0).max(initial=0.0)) * t
+    doublings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
+    block = np.block([[-m, 2.0 * np.eye(d)], [np.zeros((d, d)), m.T]])
+    f = matrix_exp(block, t / 2.0**doublings)
+    e = f[d:, d:].T
+    cov = e @ f[:d, d:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(doublings):
+            cov = cov + e @ cov @ e.T
+            e = e @ e
+        mean = e @ u
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NumericError(f"transition law overflows at t={t}")
+    return mean, 0.5 * (cov + cov.T)
 
 
 def stationary_gaussian(a) -> tuple[np.ndarray, np.ndarray]:
     """Zero-mean stationary Gaussian law of the SDE for Hurwitz A.
 
-    For symmetric A the covariance is (-A)^{-1}.  Otherwise the covariance
-    solves A S + S A' = -2I, set up as a dense linear system over the d^2
-    matrix entries.
+    The covariance solves A S + S A' = -2I (Bartels-Stewart); for symmetric
+    A it equals (-A)^{-1}.
     """
-    m = _as_square(a)
+    m = as_square_matrix(a)
     if not is_hurwitz(m):
         raise NotHurwitzError(
             "A has an eigenvalue with nonnegative real part; the limit "
             "diffusion has no stationary law"
         )
     d = m.shape[0]
-    if np.abs(m - m.T).max(initial=0.0) <= 1e-12:
-        cov = np.linalg.inv(-m)
-    else:
-        eye = np.eye(d)
-        k = np.kron(m, eye) + np.kron(eye, m)
-        cov = np.linalg.solve(k, (-2.0 * eye).reshape(-1)).reshape(d, d)
+    cov = scipy.linalg.solve_continuous_lyapunov(m, -2.0 * np.eye(d))
     cov = 0.5 * (cov + cov.T)
     return np.zeros(d), cov
 
 
 def lyapunov_residual(a, cov) -> float:
     """Max-norm of A S + S A' + 2I; zero for the exact stationary covariance."""
-    m = _as_square(a)
+    m = as_square_matrix(a)
     s = np.asarray(cov, dtype=float)
     return float(np.abs(m @ s + s @ m.T + 2.0 * np.eye(m.shape[0])).max())
 
@@ -205,7 +168,7 @@ def stationary_log_density_unnormalized(a, u) -> float:
     Requires symmetric A; its gradient A u is exactly the drift, which is
     the Langevin/gradient-flow form of the SDE.
     """
-    m = _as_square(a)
+    m = as_square_matrix(a)
     v = _as_state(m, u)
     if np.abs(m - m.T).max(initial=0.0) > 1e-12:
         raise AsymmetricMatrixError("log-density form requires symmetric A")

@@ -90,10 +90,6 @@ class SingularSystemError(NumericError):
     """Balance equations were singular; the chain should be irreducible."""
 
 
-class QuadratureNotConvergedError(NumericError):
-    """Step-halving quadrature did not stabilize within the depth limit."""
-
-
 class NotHurwitzError(NumericError):
     """Drift matrix has a nonnegative real eigenvalue; no stationary law."""
 

@@ -19,7 +19,6 @@ from .chain import ChainSpec, Trajectory, enumerate_states
 from .errors import ConfigError
 from .experiments import ConvergenceTable
 from .graphs import Graph, alpha_beta_matrix, load_graph, validate_interaction
-from .paths import SamplePath
 from .spectral import SpectralReport
 
 SCHEMA_VERSION = 1
@@ -61,27 +60,6 @@ def write_distribution_csv(path, spec: ChainSpec, probabilities) -> None:
         )
         for i in range(states.shape[0]):
             w.writerow([_fmt(i)] + [_fmt(s) for s in states[i]] + [_fmt(probs[i])])
-
-
-def write_path_csv(path, sample_path: SamplePath) -> None:
-    """'t,x_0..x_{d-1}' rows, one per grid time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["t"] + [f"x_{j}" for j in range(sample_path.dimension)])
-        for t, row in zip(sample_path.times, sample_path.states):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in row])
-
-
-def write_gaussian_csv(path, mean, covariance) -> None:
-    """Mean then row-major covariance rows, tagged in the first column."""
-    m = np.asarray(mean, dtype=float)
-    c = np.asarray(covariance, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["component"] + [f"x_{j}" for j in range(m.shape[0])])
-        w.writerow(["mean"] + [_fmt(v) for v in m])
-        for i in range(c.shape[0]):
-            w.writerow([f"cov_{i}"] + [_fmt(v) for v in c[i]])
 
 
 def write_spectral_report_csv(path, report: SpectralReport) -> None:

@@ -1,4 +1,5 @@
-"""Symmetric eigenvalue machinery and positive-recurrence classifiers.
+"""Validated LAPACK eigenvalue and matrix-exponential wrappers, and
+positive-recurrence classifiers.
 
 For interaction matrices of the form A = alpha*E + beta*adjacency the
 positive definiteness of -A decides whether the limit diffusion has a
@@ -10,17 +11,16 @@ recorded sufficient bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
     InconclusiveSpectrumError,
     NotSymmetricError,
-    NumericError,
     ValidationError,
 )
 from .graphs import Graph, alpha_beta_matrix
@@ -33,121 +33,32 @@ SYMMETRY_TOLERANCE = 1e-12
 GENERAL_SPECTRUM_DIM_CAP = 500
 
 
-@functools.lru_cache(maxsize=None)
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 (or n) rounds of disjoint index pairs covering
-    every unordered pair exactly once."""
-    players = list(range(n))
-    if n % 2:
-        players.append(-1)  # bye
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        left = [players[i] for i in range(m // 2)]
-        right = [players[m - 1 - i] for i in range(m // 2)]
-        ps, qs = [], []
-        for p, q in zip(left, right):
-            if p < 0 or q < 0:
-                continue
-            ps.append(min(p, q))
-            qs.append(max(p, q))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def eigen_sym(matrix, tol: float = 1e-12, max_sweeps: int = 30) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, by Jacobi rotation sweeps.
-
-    One sweep visits every off-diagonal pair once, in round-robin order so
-    the disjoint rotations of a round apply as one vectorized orthogonal
-    transform; pivots too small to affect the off-diagonal norm are left
-    alone.  Sweeps stop once the off-diagonal Frobenius norm is below tol
-    times the matrix norm.
-    """
+def as_square_matrix(matrix) -> np.ndarray:
+    """matrix as a float array, checked to be square with finite entries."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
+    return m
+
+
+def eigen_sym(matrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending (LAPACK syevd)."""
+    m = as_square_matrix(matrix)
     if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
         raise NotSymmetricError(
             f"matrix is not symmetric within {SYMMETRY_TOLERANCE}"
         )
-    n = m.shape[0]
-    if n == 1:
-        return m.diagonal().copy()
-    a = 0.5 * (m + m.T)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    skip = tol * norm / (2.0 * n)
-    rounds = _round_robin_pairs(n)
-    with np.errstate(over="ignore"):
-        for sweep in range(max_sweeps):
-            strict = a.copy()
-            np.fill_diagonal(strict, 0.0)
-            off = float(np.linalg.norm(strict))
-            if off <= tol * norm:
-                return np.sort(a.diagonal().copy())
-            # generous threshold for early sweeps: rotating near-zero pivots
-            # before the large ones have been annihilated is wasted work
-            thresh = max(0.2 * off * off / (n * n), skip) if sweep < 3 else skip
-            for ps, qs in rounds:
-                apq = a[ps, qs]
-                live = np.abs(apq) > thresh
-                if not live.any():
-                    continue
-                app = a[ps, ps]
-                aqq = a[qs, qs]
-                theta = (aqq - app) / np.where(live, 2.0 * apq, 1.0)
-                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t[theta == 0.0] = 1.0
-                t[~live] = 0.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, ps]
-                col_q = a[:, qs]
-                a[:, ps] = c * col_p - s * col_q
-                a[:, qs] = s * col_p + c * col_q
-                row_p = a[ps, :]
-                row_q = a[qs, :]
-                a[ps, :] = c[:, None] * row_p - s[:, None] * row_q
-                a[qs, :] = s[:, None] * row_p + c[:, None] * row_q
-                # the 2x2 blocks transform exactly; pin them against roundoff
-                a[ps, ps] = app - t * apq
-                a[qs, qs] = aqq + t * apq
-                unrotated = np.where(live, 0.0, apq)
-                a[ps, qs] = unrotated
-                a[qs, ps] = unrotated
-    raise NumericError(f"jacobi sweeps did not converge in {max_sweeps} passes")
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
 def matrix_exp(matrix, t: float = 1.0) -> np.ndarray:
-    """e^{Mt} by scaling and squaring of the truncated power series.
-
-    The argument is halved until its 1-norm is at most 1/2, the series is
-    summed to machine-level tail size, and the result squared back up.
-    exp of the zero matrix is exactly the identity.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-    b = m * float(t)
-    n = b.shape[0]
-    norm1 = float(np.abs(b).sum(axis=0).max(initial=0.0))
-    squarings = 0 if norm1 <= 0.5 else int(math.ceil(math.log2(norm1 / 0.5)))
-    x = b / (2.0**squarings)
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ x / k
-        result = result + term
-        if float(np.abs(term).max()) <= 1e-18 * float(np.abs(result).max()):
-            break
-    else:
-        raise NumericError("matrix exponential series did not converge")
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    """e^{Mt} by scipy's Pade scaling and squaring; exp of zero is exactly I."""
+    m = as_square_matrix(matrix)
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t}")
+    return scipy.linalg.expm(m * float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,15 +177,13 @@ def numeric_report(matrix) -> SpectralReport:
 def is_hurwitz(a, tol: float = PD_TOLERANCE) -> bool:
     """True iff every eigenvalue of A has real part below -tol.
 
-    Symmetric matrices go through the Jacobi eigensolver.  Otherwise the
+    Symmetric matrices go through the symmetric eigensolver.  Otherwise the
     symmetric part provides a certified sufficient check (its largest
     eigenvalue bounds every real part from above); if that is inconclusive
     the full spectrum comes from the real Schur iteration, with a dimension
     cap past which no verdict is attempted.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    m = as_square_matrix(a)
     if np.abs(m - m.T).max(initial=0.0) <= SYMMETRY_TOLERANCE:
         return float(eigen_sym(m)[-1]) < -tol
     sym_part = 0.5 * (m + m.T)

@@ -63,6 +63,10 @@ def test_exact_transition_scalar_ou():
     assert cov[0, 0] == pytest.approx(1.0 - np.exp(-2.0), abs=1e-8)
     _, cov_long = bd.exact_transition(a, [1.0], 30.0)
     assert cov_long[0, 0] == pytest.approx(1.0, abs=1e-7)
+    # one block exponential taken at t = 1000 overflows to nan
+    _, cov_1000 = bd.exact_transition(a, [1.0], 1000.0)
+    assert np.isfinite(cov_1000).all()
+    assert cov_1000[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_transition_pure_brownian():
@@ -89,6 +93,22 @@ def test_exact_transition_converges_to_stationary():
     assert rel < 1e-6
 
 
+def test_exact_transition_matches_stationary_oracle():
+    # for Hurwitz A, C(t) = S - e^{At} S e^{A't} with S the stationary covariance
+    rng = np.random.default_rng(31)
+    drifts = [np.array([[-2.0, 1.0], [1.0, -2.0]])]
+    for d in (3, 20):
+        b = rng.normal(size=(d, d))
+        drifts.append(b - (np.linalg.eigvals(b).real.max() + 0.5) * np.eye(d))
+    for a in drifts:
+        _, stat = bd.stationary_gaussian(a)
+        for t in (0.3, 5.0, 50.0, 200.0):
+            _, cov = bd.exact_transition(a, np.zeros(a.shape[0]), t)
+            e = scipy.linalg.expm(a * t)
+            ref = stat - e @ stat @ e.T
+            assert np.abs(cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_stationary_gaussian_symmetric_cases():
     mean, cov = bd.stationary_gaussian(-np.eye(3))
     assert np.array_equal(mean, np.zeros(3))
@@ -100,14 +120,6 @@ def test_stationary_gaussian_symmetric_cases():
 def test_stationary_gaussian_not_hurwitz():
     with pytest.raises(bd.NotHurwitzError):
         bd.stationary_gaussian(np.array([[1.0]]))
-
-
-def test_quadrature_depth_guard(monkeypatch):
-    import bdlimits.diffusion as diffusion
-
-    monkeypatch.setattr(diffusion, "QUADRATURE_MAX_DEPTH", 0)
-    with pytest.raises(bd.QuadratureNotConvergedError):
-        diffusion.exact_transition(np.array([[-1.0]]), [1.0], 5.0)
 
 
 def test_stationary_gaussian_general_hurwitz_lyapunov():
@@ -194,3 +206,38 @@ def test_matrix_exp_agrees_with_scipy():
         ours = bd.matrix_exp(m, t)
         ref = scipy.linalg.expm(m * t)
         assert np.abs(ours - ref).max() / max(np.abs(ref).max(), 1.0) < 1e-10
+
+
+_NAN_A = np.array([[-1.0, np.nan], [np.nan, -1.0]])
+_INF_A = np.array([[-np.inf, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bd.eigen_sym(_NAN_A),
+        lambda: bd.eigen_sym(_INF_A),
+        lambda: bd.matrix_exp(_NAN_A),
+        lambda: bd.matrix_exp(_INF_A),
+        lambda: bd.matrix_exp(-np.eye(2), np.nan),
+        lambda: bd.is_hurwitz(_NAN_A),
+        lambda: bd.is_hurwitz(_INF_A),
+        lambda: bd.exact_transition(_NAN_A, [1.0, 0.0], 1.0),
+        lambda: bd.exact_transition(_INF_A, [1.0, 0.0], 1.0),
+        lambda: bd.exact_transition(-np.eye(2), [1.0, 0.0], np.nan),
+        lambda: bd.exact_transition(-np.eye(2), [1.0, 0.0], np.inf),
+        lambda: bd.exact_transition(-np.eye(2), [np.nan, 0.0], 1.0),
+        lambda: bd.stationary_gaussian(_NAN_A),
+        lambda: bd.stationary_gaussian(_INF_A),
+    ],
+    ids=[
+        "eigen_sym-nan", "eigen_sym-inf", "matrix_exp-nan", "matrix_exp-inf",
+        "matrix_exp-t-nan", "is_hurwitz-nan", "is_hurwitz-inf",
+        "exact_transition-nan", "exact_transition-inf", "exact_transition-t-nan",
+        "exact_transition-t-inf", "exact_transition-u0-nan", "stationary_gaussian-nan",
+        "stationary_gaussian-inf",
+    ],
+)
+def test_non_finite_input_rejected(call):
+    with pytest.raises(bd.ValidationError, match="finite"):
+        call()

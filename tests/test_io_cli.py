@@ -77,8 +77,8 @@ def test_parse_matrix_forms():
 
 
 def test_csv_float_formatting_is_repr(tmp_path):
-    out = tmp_path / "g.csv"
-    bio.write_gaussian_csv(out, [1 / 3], [[2 / 3]])
+    out = tmp_path / "s.csv"
+    bio.write_scalar_csv(out, "third", 1 / 3)
     text = out.read_text()
     assert repr(1 / 3) in text
     assert text.endswith("\n") and "\r" not in text
@@ -243,12 +243,6 @@ def test_trajectory_and_path_csv_formats(tmp_path):
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[0] == "t,vertex,sign"
     assert len(lines) == traj.num_events + 1
-
-    path = bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=0.25, t_end=1.0)
-    bio.write_path_csv(tmp_path / "p.csv", path)
-    lines = (tmp_path / "p.csv").read_text().splitlines()
-    assert lines[0] == "t,x_0"
-    assert len(lines) == 6
 
 
 def test_scalar_and_table_csv(tmp_path):

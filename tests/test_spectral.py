@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import bdlimits as bd
-from bdlimits.spectral import PD_TOLERANCE, _round_robin_pairs
+from bdlimits.spectral import PD_TOLERANCE
 
 
 def test_eigen_sym_examples():
@@ -32,17 +32,6 @@ def test_eigen_sym_off_diagonal_residual_contract():
     assert np.array_equal(bd.eigen_sym(np.zeros((4, 4))), np.zeros(4))
     ones = np.ones((6, 6))
     assert np.abs(bd.eigen_sym(ones) - np.linalg.eigvalsh(ones)).max() < 1e-11
-
-
-def test_round_robin_covers_all_pairs():
-    for n in (2, 3, 6, 9):
-        seen = set()
-        for ps, qs in _round_robin_pairs(n):
-            for p, q in zip(ps, qs):
-                assert p < q
-                assert (p, q) not in seen
-                seen.add((int(p), int(q)))
-        assert len(seen) == n * (n - 1) // 2
 
 
 def test_matrix_exp_zero_is_identity_exactly():
