@@ -12,7 +12,9 @@ for symmetric A_b - A_d, and the detailed-balance residual check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -145,15 +147,22 @@ class Trajectory:
     def num_events(self) -> int:
         return len(self.times)
 
-    def _cumulative_states(self) -> np.ndarray:
-        """(num_events + 1, n) states: row k = state after k events."""
+    def _vertex_walks(self):
+        """Events grouped by vertex, each group in time order.
+
+        Returns (order, values, bounds): order is the stable sort of event
+        indices by vertex, events bounds[v]:bounds[v+1] of order belong to
+        vertex v, and values[i] is that vertex's spin just after event
+        order[i].  Memory is linear in the number of events.
+        """
         n = len(self.initial)
-        out = np.empty((self.num_events + 1, n), dtype=np.int64)
-        out[0] = self.initial
-        for v in range(n):
-            hits = self.vertices == v
-            out[1:, v] = self.initial[v] + np.cumsum(np.where(hits, self.signs, 0))
-        return out
+        order = np.argsort(self.vertices, kind="stable")
+        counts = np.bincount(self.vertices, minlength=n)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        steps = np.cumsum(self.signs[order])
+        before = np.concatenate(([0], steps))[bounds[:-1]]
+        values = steps + np.repeat(self.initial - before, counts)
+        return order, values, bounds
 
     def final_state(self) -> np.ndarray:
         n = len(self.initial)
@@ -168,16 +177,19 @@ class Trajectory:
         if ts.size and (ts.min() < 0 or ts.max() > self.t_end):
             raise ValidationError("sample times must lie in [0, t_end]")
         idx = np.searchsorted(self.times, ts, side="right")
-        return self._cumulative_states()[idx]
+        order, values, bounds = self._vertex_walks()
+        out = np.empty((ts.size, len(self.initial)), dtype=np.int64)
+        for v, start in enumerate(self.initial):
+            lo, hi = bounds[v], bounds[v + 1]
+            # events of v among the first idx events of the path
+            seen = np.searchsorted(order[lo:hi], idx, side="left")
+            out[:, v] = np.concatenate(([start], values[lo:hi]))[seen]
+        return out
 
     def boundary_hits(self, l: int, r: int) -> int:
         """Number of events that land a spin exactly on -l or r."""
-        count = 0
-        for v in np.unique(self.vertices):
-            mask = self.vertices == v
-            vals = self.initial[v] + np.cumsum(self.signs[mask])
-            count += int(np.count_nonzero((vals == r) | (vals == -l)))
-        return count
+        _, values, _ = self._vertex_walks()
+        return int(np.count_nonzero((values == r) | (values == -l)))
 
 
 def simulate(
@@ -190,16 +202,21 @@ def simulate(
     """Statistically exact event-driven sample path on [0, t_end].
 
     Waiting times are exponential in the total rate and events are chosen
-    proportionally to their rates; after a jump at x only the exponents of
-    x and its neighbours change (a rank-one column update).  Deterministic
-    given (spec, initial, seed).
+    proportionally to their rates (Gillespie's direct method).  Rates are
+    updated locally: a jump at x changes only the exponents in column x of
+    A_b and A_d, which the adjacency pattern confines to x and its
+    neighbours, so an event costs O(deg x) updates plus one O(n) running
+    sum.  Each event consumes one exponential and one uniform, drawn in
+    blocks of 8192 of each.  Deterministic given (spec, initial, seed).
 
-    Raises RateOverflowError if any rate exponent can exceed magnitude 700
-    inside the box, and BudgetExceededError past max_events.
+    Raises ValidationError for a negative or non-finite t_end,
+    RateOverflowError if any rate exponent can exceed magnitude 700 inside
+    the box, and BudgetExceededError once max_events events happen before
+    t_end.
     """
     xi0 = spec.validate_configuration(initial)
-    if t_end < 0:
-        raise ValidationError(f"t_end must be nonnegative, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
     rng = np.random.default_rng(seed)
 
     n = spec.num_vertices
@@ -228,57 +245,68 @@ def _budget_hit(count: int, max_events) -> bool:
     return max_events is not None and count >= max_events
 
 
+def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
+    """(y, matrix[y, x]) for y = x and every y with a nonzero in column x."""
+    ys = sorted(set(np.flatnonzero(matrix[:, x]).tolist()) | {x})
+    return [(y, float(matrix[y, x])) for y in ys]
+
+
+def _worst_exponent(exponents: list[float], column) -> None:
+    w = max((y for y, _ in column), key=lambda y: abs(exponents[y]))
+    _checked_exponent(w, exponents[w])
+
+
 def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
+    # Rates sit in one list, the n births first and then the n deaths.  The
+    # total is the last running sum and the pick bisects the same sums, so
+    # the pick cannot run past the last index.  Only exponents touched by
+    # the jump can newly leave the safe range, so the guard checks those.
     n = spec.num_vertices
     l, r = spec.l, spec.r
     ab, ad = spec.birth_matrix, spec.death_matrix
-    spins = xi0.copy()
-    bexp = ab @ spins.astype(float)
-    dexp = ad @ spins.astype(float)
+    bcols = [_column_support(ab, x) for x in range(n)]
+    dcols = [_column_support(ad, x) for x in range(n)]
+    spins = xi0.tolist()
+    bexp = (ab @ xi0.astype(float)).tolist()
+    dexp = (ad @ xi0.astype(float)).tolist()
+    rates = [math.exp(e) if v < r else 0.0 for e, v in zip(bexp, spins)]
+    rates += [math.exp(e) if v > -l else 0.0 for e, v in zip(dexp, spins)]
+    exp = math.exp
 
     times: list[float] = []
     verts: list[int] = []
     signs: list[int] = []
     t = 0.0
-    ebuf = rng.standard_exponential(_RNG_BUFFER)
-    ubuf = rng.random(_RNG_BUFFER)
-    k = 0
+    k = _RNG_BUFFER
     while True:
-        birth = np.exp(bexp)
-        birth[spins >= r] = 0.0
-        death = np.exp(dexp)
-        death[spins <= -l] = 0.0
-        bsum = float(birth.sum())
-        total = bsum + float(death.sum())
+        cum = list(accumulate(rates))
+        total = cum[-1]
         if not total > 0.0:  # unreachable: every vertex always has a move
             raise SingularSystemError("total rate vanished; this is a bug")
         if k == _RNG_BUFFER:
-            ebuf = rng.standard_exponential(_RNG_BUFFER)
-            ubuf = rng.random(_RNG_BUFFER)
+            ebuf = rng.standard_exponential(_RNG_BUFFER).tolist()
+            ubuf = rng.random(_RNG_BUFFER).tolist()
             k = 0
         t_next = t + ebuf[k] / total
         if t_next > t_end:
             break
-        u = ubuf[k] * total
+        i = bisect_right(cum, ubuf[k] * total)
         k += 1
-        if u < bsum:
-            x = int(np.searchsorted(np.cumsum(birth), u, side="right"))
-            s = 1
-        else:
-            x = int(np.searchsorted(np.cumsum(death), u - bsum, side="right"))
-            s = -1
         t = t_next
+        x, s = (i, 1) if i < n else (i - n, -1)
         spins[x] += s
-        if s == 1:
-            bexp += ab[:, x]
-            dexp += ad[:, x]
-        else:
-            bexp -= ab[:, x]
-            dexp -= ad[:, x]
+        bcol, dcol = bcols[x], dcols[x]
+        for y, c in bcol:
+            bexp[y] += s * c
+        for y, c in dcol:
+            dexp[y] += s * c
         if guarded:
-            for e in (bexp, dexp):
-                w = int(np.abs(e).argmax())
-                _checked_exponent(w, float(e[w]))
+            _worst_exponent(bexp, bcol)
+            _worst_exponent(dexp, dcol)
+        for y, _ in bcol:
+            rates[y] = exp(bexp[y]) if spins[y] < r else 0.0
+        for y, _ in dcol:
+            rates[n + y] = exp(dexp[y]) if spins[y] > -l else 0.0
         times.append(t)
         verts.append(x)
         signs.append(s)

@@ -76,10 +76,20 @@ def rk4_integrate(
     global-existence claim is made for arbitrary matrices.
     """
     g0 = np.asarray(gamma0, dtype=float).reshape(-1)
-
-    def field(g, t):
-        return vector_field(birth_matrix, death_matrix, g, time=t)
-
     # validate dimensions once up front for a clean error
     vector_field(birth_matrix, death_matrix, g0, time=0.0)
+    n = g0.shape[0]
+    stacked = np.concatenate(
+        [np.asarray(birth_matrix, dtype=float), np.asarray(death_matrix, dtype=float)]
+    )
+
+    def field(g, t):
+        e = stacked @ g
+        if np.abs(e).max() > MAX_EXPONENT:
+            # births first, then deaths, as vector_field reports them
+            _check_exponents(e[:n], t)
+            _check_exponents(e[n:], t)
+        rates = np.exp(e)
+        return rates[:n] - rates[n:]
+
     return _rk4(field, g0, dt, t_end)

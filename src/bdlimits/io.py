@@ -11,6 +11,7 @@ keys may not repeat.  The documented schema lives in docs/config-schema.md.
 from __future__ import annotations
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -175,20 +176,26 @@ class ConfigView:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"field {key!r} must be a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
+        return value
 
     def get_vector(self, key, default=None, required=False) -> np.ndarray | None:
         raw = self._raw(key, None, required)
         if raw is None:
             return default
         try:
-            return np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
+            values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
         except ValueError as exc:
             raise ConfigError(
                 f"field {key!r} must be comma-separated numbers, got {raw!r}"
             ) from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
+        return values
 
     def get_path(self, key, default=None, required=False):
         raw = self._raw(key, default, required)

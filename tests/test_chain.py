@@ -61,6 +61,21 @@ def test_rate_overflow_guard():
         bd.simulate(spec, [1], 1.0, seed=0)
 
 
+def test_rate_overflow_guard_on_coupled_path():
+    # in the box only the birth exponent of 2 (360 xi_1) and the death
+    # exponent of 1 (-350 xi_0) can pass 700, at |xi_1| = 2 or |xi_0| = 3
+    g = bd.path_graph(3)
+    ab = np.array([[0.0, 300.0, 0.0], [0.0, 0.0, 0.0], [0.0, 360.0, 0.0]])
+    ad = np.array([[0.0, 0.0, 0.0], [-350.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    spec = bd.ChainSpec(g, ab, ad, l=3, r=3)
+    seen = set()
+    for seed in range(5):
+        with pytest.raises(bd.RateOverflowError) as exc:
+            bd.simulate(spec, [0, 0, 0], 100.0, seed=seed, max_events=10_000)
+        seen.add((exc.value.vertex, abs(exc.value.exponent)))
+    assert seen == {(2, 720.0), (1, 1050.0)}
+
+
 def test_configuration_validation():
     spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=1, r=3)
     assert np.array_equal(spec.validate_configuration([2]), [2])
@@ -159,3 +174,87 @@ def test_simulate_marginal_matches_generator_expm():
     freq = counts / reps
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / reps)
     assert np.all(np.abs(freq - exact) < 5 * se + 1e-9)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_non_finite_horizon_rejected(t_end):
+    # max_events bounds the run if the horizon check ever regresses
+    spec = bd.ChainSpec(bd.path_graph(2), np.zeros((2, 2)), np.zeros((2, 2)), l=0, r=1)
+    with pytest.raises(bd.ValidationError, match="t_end"):
+        bd.simulate(spec, [0, 0], t_end, seed=0, max_events=1000)
+
+
+def _dense_states(traj):
+    """(events + 1, n) states, row k = state after k events."""
+    n = len(traj.initial)
+    out = np.empty((traj.num_events + 1, n), dtype=np.int64)
+    out[0] = traj.initial
+    for v in range(n):
+        hits = traj.vertices == v
+        out[1:, v] = traj.initial[v] + np.cumsum(np.where(hits, traj.signs, 0))
+    return out
+
+
+def test_states_at_and_boundary_hits_match_dense_construction():
+    rng = np.random.default_rng(2024)
+    l, r = 2, 3
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, 60))
+        t_end = 10.0
+        trajectory = bd.Trajectory(
+            initial=rng.integers(-l, r + 1, size=n),
+            times=np.sort(rng.uniform(0.0, t_end, size=m)),
+            vertices=rng.integers(0, n, size=m),
+            signs=rng.choice([-1, 1], size=m),
+            t_end=t_end,
+        )
+        dense = _dense_states(trajectory)
+        grid = np.concatenate(
+            [[0.0, t_end], trajectory.times, rng.uniform(0.0, t_end, size=25)]
+        )
+        expected = dense[np.searchsorted(trajectory.times, grid, side="right")]
+        got = trajectory.states_at(grid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        after = dense[1:][np.arange(m), trajectory.vertices]
+        assert trajectory.boundary_hits(l, r) == np.count_nonzero(
+            (after == r) | (after == -l)
+        )
+
+
+def test_local_updates_replay_from_scratch_rates():
+    # A_b couples 0 <- 1 only (A_b[0, 1] != 0, A_b[1, 0] = 0) and A_d has
+    # only an off-diagonal entry, so a jump at 1 must refresh the birth rate
+    # of 0 and the death rate of 2; updating by rows instead of columns
+    # would leave stale rates and change the waiting times and picks.
+    g = bd.path_graph(3)
+    ab = np.array([[-0.3, 0.8, 0.0], [0.0, 0.2, 0.0], [0.0, -0.4, 0.1]])
+    ad = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.7, 0.0]])
+    spec = bd.ChainSpec(g, ab, ad, l=2, r=2)
+    xi0 = spec.validate_configuration([0, 1, -1])
+    seed = 314
+    traj = _simulate_vector(
+        spec, xi0, 40.0, np.random.default_rng(seed), False, None
+    )
+    assert traj.num_events > 100
+
+    rng = np.random.default_rng(seed)
+    ebuf = rng.standard_exponential(8192)
+    ubuf = rng.random(8192)
+    assert traj.num_events < 8192
+    state = xi0.copy()
+    t = 0.0
+    for k in range(traj.num_events):
+        rates = [bd.birth_rate(spec, state, x) for x in range(3)]
+        rates += [bd.death_rate(spec, state, x) for x in range(3)]
+        total = math.fsum(rates)
+        wait = traj.times[k] - t
+        assert wait == pytest.approx(ebuf[k] / total, rel=1e-12, abs=1e-12 * traj.times[k])
+        u = ubuf[k] * total
+        pick = int(np.searchsorted(np.cumsum(rates), u, side="right"))
+        x, s = (pick, 1) if pick < 3 else (pick - 3, -1)
+        assert (traj.vertices[k], traj.signs[k]) == (x, s), f"event {k}"
+        state[x] += s
+        t = traj.times[k]
+    assert np.array_equal(traj.final_state(), state)

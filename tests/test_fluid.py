@@ -93,3 +93,15 @@ def test_sample_path_validation():
     assert path.at([0.5])[0, 0] == pytest.approx(1.0)
     with pytest.raises(bd.ValidationError):
         path.at([2.0])
+
+
+def test_overflow_on_death_side_reports_its_vertex():
+    # gamma_1' = 1 - e^{-gamma_1} runs off to -inf from gamma_1 = -5, so the
+    # death exponent -gamma_1 at vertex 1 crosses 700 while every birth
+    # exponent stays 0
+    ad = np.array([[0.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(bd.ExponentOverflowError) as exc:
+        bd.rk4_integrate(np.zeros((2, 2)), ad, [0.0, -5.0], dt=1e-3, t_end=50.0)
+    assert exc.value.vertex == 1
+    assert exc.value.exponent > 700
+    assert exc.value.time is not None and exc.value.time > 0

@@ -53,6 +53,29 @@ def test_config_view_typing_and_unknown_fields():
         bad.get_int("n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_config_view_rejects_non_finite(raw):
+    view = bio.ConfigView({"x": raw, "v": f"1.0,{raw},2.0"})
+    with pytest.raises(bd.ConfigError, match="finite"):
+        view.get_float("x")
+    with pytest.raises(bd.ConfigError, match="finite"):
+        view.get_vector("v")
+
+
+def test_simulate_rejects_non_finite_horizon(tmp_path, capsys):
+    # max_events bounds the run if the horizon check ever regresses
+    for raw in ("nan", "inf"):
+        cfg = write(
+            tmp_path,
+            f"{raw}.cfg",
+            "schema=1\ngraph = s.g\nab = zero\nad = zero\nl = 0\nr = 1\n"
+            f"t_end = {raw}\nmax_events = 1000\n",
+        )
+        (tmp_path / "s.g").write_text("n 1\n")
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / raw]) == 1
+        assert "t_end" in capsys.readouterr().err
+
+
 def test_parse_matrix_forms():
     g = bd.path_graph(2)
     view = bio.ConfigView(
