@@ -2,7 +2,7 @@
 
 Builds the smallest interacting example (one edge, spins in {0,1}),
 simulates it, and compares three routes to the stationary distribution:
-long-run occupation frequencies, the dense-generator solve, and the
+long-run occupation frequencies, the sparse-generator solve, and the
 closed-form reversible measure.
 """
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import io as bio
 from .chain import (
+    DEFAULT_STATE_CAP,
     check_detailed_balance,
     gibbs_measure,
     simulate,
@@ -109,7 +110,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_stationary(args) -> int:
     view = _view(args)
     spec = bio.load_chain_spec(view)
-    cap = view.get_int("cap", 200_000)
+    cap = view.get_int("cap", DEFAULT_STATE_CAP)
     view.reject_unknown()
     pi = stationary_solve(spec, cap)
     out = _out_dir(args)
@@ -124,7 +125,7 @@ def _cmd_stationary(args) -> int:
 def _cmd_gibbs(args) -> int:
     view = _view(args)
     spec = bio.load_chain_spec(view)
-    cap = view.get_int("cap", 200_000)
+    cap = view.get_int("cap", DEFAULT_STATE_CAP)
     view.reject_unknown()
     dist = gibbs_measure(spec, cap)
     out = _out_dir(args)
@@ -144,7 +145,7 @@ def _cmd_gibbs(args) -> int:
 def _cmd_balance_check(args) -> int:
     view = _view(args)
     spec = bio.load_chain_spec(view)
-    cap = view.get_int("cap", 200_000)
+    cap = view.get_int("cap", DEFAULT_STATE_CAP)
     view.reject_unknown()
     residual = check_detailed_balance(spec, cap)
     out = _out_dir(args)

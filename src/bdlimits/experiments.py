@@ -55,6 +55,8 @@ class ScalingSchedule:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if eps.ndim != 1 or eps.size == 0:
             raise ValidationError("epsilons must be a nonempty 1-d sequence")
+        if not (np.isfinite(eps).all() and np.isfinite(u).all()):
+            raise ValidationError("epsilons and initial_point must be finite")
         if boxes.shape != eps.shape:
             raise ValidationError("box_sizes must match epsilons in length")
         if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):

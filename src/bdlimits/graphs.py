@@ -19,6 +19,7 @@ from .errors import (
     DisconnectedGraphError,
     InvalidEdgeError,
     PatternViolationError,
+    ValidationError,
 )
 
 
@@ -129,14 +130,19 @@ def incidence_matrix(g: Graph) -> np.ndarray:
 def validate_interaction(g: Graph, matrix) -> np.ndarray:
     """Check that a square matrix respects the adjacency pattern of g.
 
-    Off-diagonal entries must vanish at non-adjacent pairs; diagonal entries
-    are unrestricted.  Returns a read-only float copy.
+    Every entry must be finite, and off-diagonal entries must vanish at
+    non-adjacent pairs.  Returns a read-only float copy.
     """
     m = np.array(matrix, dtype=float)
     n = g.num_vertices
     if m.shape != (n, n):
         raise DimensionMismatchError(
             f"matrix shape {m.shape} does not match {n} vertices"
+        )
+    if not np.isfinite(m).all():
+        x, y = np.argwhere(~np.isfinite(m))[0]
+        raise ValidationError(
+            f"matrix entry {float(m[x, y])!r} at ({x}, {y}) is not finite"
         )
     adj = g.adjacency_matrix()
     allowed = adj + np.eye(n)

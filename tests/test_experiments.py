@@ -16,6 +16,16 @@ def test_schedule_validation():
     assert sched.num_levels == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schedule_rejects_non_finite(bad):
+    with pytest.raises(bd.ValidationError, match="finite"):
+        bd.ScalingSchedule([0.5, bad], [4, 16], [0.0], "diffusion")
+    with pytest.raises(bd.ValidationError, match="finite"):
+        bd.ScalingSchedule([bad], [4], [0.0], "diffusion")
+    with pytest.raises(bd.ValidationError, match="finite"):
+        bd.ScalingSchedule([0.5, 0.25], [4, 16], [0.0, bad], "diffusion")
+
+
 def test_geometric_schedule_defaults():
     sched = bd.geometric_schedule("diffusion", [1.0], 4)
     assert np.allclose(sched.epsilons, [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5])

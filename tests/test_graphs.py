@@ -77,6 +77,16 @@ def test_validate_interaction_zero_matrix_and_shape():
         bd.validate_interaction(g, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chain_spec_rejects_non_finite_interaction(bad):
+    g = bd.path_graph(2)
+    m = np.array([[0.0, 0.5], [0.5, 0.0]])
+    m[1, 1] = bad
+    for ab, ad in ((m, np.zeros((2, 2))), (np.zeros((2, 2)), m)):
+        with pytest.raises(bd.ValidationError, match=r"\(1, 1\) is not finite"):
+            bd.ChainSpec(g, ab, ad, l=1, r=1)
+
+
 def test_degrees():
     star = bd.star_graph(4)
     assert bd.degree(star, 0) == 4

@@ -160,6 +160,24 @@ def test_stationary_and_balance_subcommands(tmp_path, capsys):
     assert (tmp_path / "b" / "balance.csv").exists()
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_interaction_entry_exits_one(tmp_path, capsys, raw):
+    (tmp_path / "p2.g").write_text("n 2\ne 0 1\n")
+    cfg = write(
+        tmp_path, f"{raw}.cfg",
+        f"schema=1\ngraph = p2.g\nab = diag:{raw},0\nad = zero\nl = 0\nr = 1\n"
+        "t_end = 1.0\ninitial = 0,0\nseed = 0\nmax_events = 1000\n",
+    )
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "sim"]) == 1
+    assert "not finite" in capsys.readouterr().err
+    cfg = write(
+        tmp_path, f"{raw}_stationary.cfg",
+        f"schema=1\ngraph = p2.g\nab = diag:{raw},0\nad = zero\nl = 0\nr = 1\n",
+    )
+    assert run_cli(["stationary", "--config", cfg, "--out", tmp_path / "st"]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_missing_config_exits_one(capsys):
     assert run_cli(["gibbs", "--config", "/nonexistent/x.cfg"]) == 1
     assert "error:" in capsys.readouterr().err

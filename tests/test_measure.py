@@ -174,3 +174,35 @@ def test_pairwise_sum_equals_vector_form(seed):
     for x, y in spec.graph.edges:
         pairwise = pairwise + a[x, y] * states[:, x] * states[:, y]
     assert np.abs(pairwise - gibbs_exponent(spec, states)).max() < 1e-10
+
+
+def test_irreversible_stationary_matches_dense_null_vector():
+    # no closed form here: A_b - A_d is asymmetric and the death diagonal is
+    # nonzero, so the oracle is the null vector of the dense Q^T
+    import scipy.linalg
+
+    g = bd.cycle_graph(3)
+    rng = np.random.default_rng(11)
+    pattern = g.adjacency_matrix() + np.eye(3)
+    ab = rng.uniform(-0.4, 0.4, size=(3, 3)) * pattern
+    ad = rng.uniform(-0.4, 0.4, size=(3, 3)) * pattern
+    spec = bd.ChainSpec(g, ab, ad, l=4, r=5)
+    a = spec.drift_matrix
+    assert np.abs(a - a.T).max() > 0.1 and np.abs(np.diag(ad)).min() > 0.0
+    assert spec.num_states() == 1000
+    null = scipy.linalg.null_space(bd.build_generator(spec).toarray().T)
+    assert null.shape == (1000, 1)
+    oracle = null[:, 0] / null[:, 0].sum()
+    assert np.abs(bd.stationary_solve(spec) - oracle).max() < 1e-12
+
+
+def test_singular_factor_is_a_typed_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=0, r=1)
+    with pytest.raises(bd.SingularSystemError, match="singular"):
+        bd.stationary_solve(spec)
