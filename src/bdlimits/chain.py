@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .errors import (
+    MAX_EXPONENT,
     AsymmetricMatrixError,
     BudgetExceededError,
     NumericError,
@@ -32,9 +33,6 @@ from .errors import (
 from .graphs import Graph, validate_interaction
 
 DEFAULT_STATE_CAP = 200_000
-
-# exp() is finite up to ~709.7; refuse anything past this well before that
-MAX_EXPONENT = 700.0
 
 _RNG_BUFFER = 8192
 
@@ -403,38 +401,42 @@ def state_index(spec: ChainSpec, spins) -> int:
     return int(((xi + spec.l) * weights).sum())
 
 
-def _transition_blocks(spec: ChainSpec, states: np.ndarray):
-    """Yield (x, up_rows, up_cols, up_rates, down_rows, down_cols, down_rates)."""
-    base = spec.num_spin_values
+def _rate_blocks(spec: ChainSpec, states: np.ndarray):
+    """Yield (x, up, up_rates, down, down_rates) for every vertex x.
+
+    states is any (N, n) integer array of configurations in the box.  up and
+    down index its rows whose spin at x can rise or fall, and the rates are
+    exp((A_b xi)_x) and exp((A_d xi)_x) at those rows.  Raises
+    RateOverflowError if an exponent at any row exceeds MAX_EXPONENT.
+    """
     for x in range(spec.num_vertices):
-        stride = base**x
         be = states @ spec.birth_matrix[x]
         de = states @ spec.death_matrix[x]
         for e in (be, de):
             w = int(np.abs(e).argmax())
-            if abs(e[w]) > MAX_EXPONENT:
-                raise RateOverflowError(x, float(e[w]))
+            _checked_exponent(x, float(e[w]))
         up = np.flatnonzero(states[:, x] < spec.r)
         down = np.flatnonzero(states[:, x] > -spec.l)
-        yield x, up, up + stride, np.exp(be[up]), down, down - stride, np.exp(de[down])
+        yield x, up, np.exp(be[up]), down, np.exp(de[down])
 
 
 def _generator_entries(spec: ChainSpec, cap: int):
     """COO entries (count, rows, cols, rates) of the generator Q.
 
     The off-diagonal jumps come first, then one diagonal entry per state,
-    minus its total out-rate, so every row sums to zero.
+    minus its total out-rate, so every row sums to zero.  A jump at vertex
+    x moves the canonical index by base**x.
     """
     states = enumerate_states(spec, cap)
     count = states.shape[0]
+    base = spec.num_spin_values
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
-    for _, up, up_to, up_rate, down, down_to, down_rate in _transition_blocks(
-        spec, states
-    ):
+    for x, up, up_rate, down, down_rate in _rate_blocks(spec, states):
+        stride = base**x
         rows += [up, down]
-        cols += [up_to, down_to]
+        cols += [up + stride, down - stride]
         data += [up_rate, down_rate]
     diag = np.arange(count)
     all_rows = np.concatenate(rows + [diag])

@@ -22,7 +22,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .paths import SamplePath
+from .paths import SamplePath, step_count
 from .spectral import as_square_matrix, is_hurwitz, matrix_exp
 
 DEFAULT_DT = 1e-3
@@ -60,9 +60,7 @@ def euler_maruyama(
     """
     m = as_square_matrix(a)
     u = _as_state(m, u0).copy()
-    if not 0 < dt <= t_end:
-        raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    steps = int(round(t_end / dt))
+    steps = step_count(dt, t_end)
     rng = np.random.default_rng(seed)
     states = np.empty((steps + 1, u.shape[0]))
     states[0] = u
@@ -90,11 +88,9 @@ def euler_maruyama_terminal(
     """
     m = as_square_matrix(a)
     u = _as_state(m, u0)
-    if not 0 < dt <= t_end:
-        raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    steps = step_count(dt, t_end)
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
-    steps = int(round(t_end / dt))
     rng = np.random.default_rng(seed)
     states = np.tile(u, (n_paths, 1))
     amp = np.sqrt(2.0 * dt)

@@ -5,6 +5,10 @@ for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.
 """
 
+# exp() is finite up to ~709.7; the chain's jump rates and the fluid field
+# refuse any exponent past this magnitude well before that
+MAX_EXPONENT = 700.0
+
 
 class BdlimitsError(Exception):
     """Base class for all library errors."""
@@ -69,7 +73,8 @@ class RateOverflowError(NumericError):
         self.vertex = vertex
         self.exponent = exponent
         super().__init__(
-            f"rate exponent {exponent!r} at vertex {vertex} exceeds safe magnitude 700"
+            f"rate exponent {exponent!r} at vertex {vertex} "
+            f"exceeds safe magnitude {MAX_EXPONENT:g}"
         )
 
 
@@ -82,7 +87,8 @@ class ExponentOverflowError(NumericError):
         self.time = time
         at = "" if time is None else f" at t={time!r}"
         super().__init__(
-            f"field exponent {exponent!r} at vertex {vertex}{at} exceeds safe magnitude 700"
+            f"field exponent {exponent!r} at vertex {vertex}{at} "
+            f"exceeds safe magnitude {MAX_EXPONENT:g}"
         )
 
 

@@ -1,6 +1,7 @@
 """Reproducible scaling-limit experiments at desk scale.
 
-Three drivers share the same schedule machinery:
+Three drivers share the same schedule machinery and take each level's
+chain and jump rates from bdlimits.chain:
 
 * diffusion scaling: rates from eps^2-scaled matrices, time sped up by
   eps^-2, space shrunk by eps; the rescaled marginal is compared against
@@ -12,8 +13,9 @@ Three drivers share the same schedule machinery:
   compactly-supported bump, compared pointwise against the limit
   second-order operator; the sup error is first order in eps.
 
-Every replica draws its own generator seeded by (seed, level, replica), so
-results are independent of execution order and reproducible bit-for-bit.
+The two Monte-Carlo drivers share one replica loop.  Every replica draws
+its own generator seeded by (seed, level, replica), so results are
+independent of execution order and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, birth_rate, death_rate, simulate
+from .chain import ChainSpec, _rate_blocks, simulate
 from .diffusion import exact_transition
 from .errors import BudgetExceededError, SupportNotCoveredError, ValidationError
 from .fluid import rk4_integrate
@@ -127,6 +129,26 @@ class ConvergenceTable:
         return np.array([row.abs_error for row in rows], dtype=float)
 
 
+def _time_scale(regime: str, eps: float) -> float:
+    """eps^2 (diffusion) or eps (fluid): the factor on the interaction
+    matrices at one level, and the inverse of its time speed-up."""
+    return eps**2 if regime == "diffusion" else eps
+
+
+def _check_schedule(graph: Graph, schedule: ScalingSchedule, regime: str, **finite):
+    """The schedule's regime, its initial point against the graph, and the
+    named values being finite; shared by the three drivers' configs."""
+    if schedule.regime != regime:
+        raise ValidationError(f"schedule regime must be {regime!r}")
+    if schedule.initial_point.shape[0] != graph.num_vertices:
+        raise ValidationError(
+            "schedule initial point does not match the number of vertices"
+        )
+    for name, value in finite.items():
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def rescaled_chain_spec(
     graph: Graph,
     birth_matrix,
@@ -144,12 +166,9 @@ def rescaled_chain_spec(
         raise ValidationError(f"level {level} outside schedule of {schedule.num_levels}")
     ab = validate_interaction(graph, birth_matrix)
     ad = validate_interaction(graph, death_matrix)
-    if schedule.initial_point.shape[0] != graph.num_vertices:
-        raise ValidationError(
-            "schedule initial point does not match the number of vertices"
-        )
+    _check_schedule(graph, schedule, schedule.regime)
     eps = float(schedule.epsilons[level])
-    scale = eps**2 if schedule.regime == "diffusion" else eps
+    scale = _time_scale(schedule.regime, eps)
     box = int(schedule.box_sizes[level])
     spec = ChainSpec(
         graph=graph,
@@ -162,19 +181,14 @@ def rescaled_chain_spec(
     return spec, xi0
 
 
-def _initial_total_rate(spec: ChainSpec, xi0: np.ndarray) -> float:
-    return sum(
-        birth_rate(spec, xi0, x) + death_rate(spec, xi0, x)
-        for x in range(spec.num_vertices)
-    )
-
-
 def _check_projected_budget(
     spec: ChainSpec, xi0: np.ndarray, horizon: float, replicas: int, budget: int
 ) -> None:
     # crude projection from the initial total rate; mean-reverting benchmark
     # specs stay near this rate for their whole run
-    projected = _initial_total_rate(spec, xi0) * horizon * replicas
+    blocks = _rate_blocks(spec, xi0[None, :])
+    rate = sum(float(up.sum() + down.sum()) for _, _, up, _, down in blocks)
+    projected = rate * horizon * replicas
     if projected > budget:
         raise BudgetExceededError(
             f"projected {projected:.3g} events exceed the budget of {budget}"
@@ -183,6 +197,40 @@ def _check_projected_budget(
 
 def _replica_seed(seed: int, level: int, replica: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), int(level), int(replica)))
+
+
+def _replica_table(config, statistic, tabulate) -> ConvergenceTable:
+    """The per-level replica loop of the two Monte-Carlo drivers.
+
+    Each level runs `replicas` copies of the rescaled chain to t / eps^2 or
+    t / eps under what is left of the event budget, reduces each copy by
+    statistic(eps, trajectory), lets tabulate(table, level, eps, values)
+    add the driver's rows, and adds the boundary_hits and events rows.
+    """
+    schedule = config.schedule
+    table = ConvergenceTable()
+    events_used = 0
+    for level in range(schedule.num_levels):
+        eps = float(schedule.epsilons[level])
+        spec, xi0 = rescaled_chain_spec(
+            config.graph, config.birth_matrix, config.death_matrix, schedule, level
+        )
+        horizon = config.t / _time_scale(schedule.regime, eps)
+        left = config.event_budget - events_used
+        _check_projected_budget(spec, xi0, horizon, config.replicas, left)
+        values = []
+        hits = 0
+        for rep in range(config.replicas):
+            seed = _replica_seed(config.seed, level, rep)
+            budget = config.event_budget - events_used
+            traj = simulate(spec, xi0, horizon, seed=seed, max_events=budget)
+            events_used += traj.num_events
+            hits += traj.boundary_hits(spec.l, spec.r)
+            values.append(statistic(eps, traj))
+        tabulate(table, level, eps, np.array(values))
+        table.add(level, eps, "boundary_hits", float(hits), 0.0, float(hits), None)
+        table.add(level, eps, "events", float(events_used), None, None, None)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +245,7 @@ class DiffusionExperimentConfig:
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        if self.schedule.regime != "diffusion":
-            raise ValidationError("schedule regime must be 'diffusion'")
+        _check_schedule(self.graph, self.schedule, "diffusion", t=self.t)
         if self.t <= 0 or self.replicas < 1:
             raise ValidationError("need t > 0 and at least one replica")
 
@@ -216,66 +263,25 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
     u = config.schedule.initial_point
     exact_mean, exact_cov = exact_transition(a, u, config.t)
     d = config.graph.num_vertices
-    table = ConvergenceTable()
-    events_used = 0
-    for level in range(config.schedule.num_levels):
-        eps = float(config.schedule.epsilons[level])
-        spec, xi0 = rescaled_chain_spec(
-            config.graph,
-            config.birth_matrix,
-            config.death_matrix,
-            config.schedule,
-            level,
-        )
-        horizon = config.t / eps**2
-        _check_projected_budget(
-            spec, xi0, horizon, config.replicas, config.event_budget - events_used
-        )
-        samples = np.empty((config.replicas, d))
-        hits = 0
-        for rep in range(config.replicas):
-            traj = simulate(
-                spec,
-                xi0,
-                horizon,
-                seed=_replica_seed(config.seed, level, rep),
-                max_events=config.event_budget - events_used,
-            )
-            events_used += traj.num_events
-            hits += traj.boundary_hits(spec.l, spec.r)
-            samples[rep] = eps * traj.final_state()
+    n = config.replicas
+
+    def tabulate(table, level, eps, samples):
         emp_mean = samples.mean(axis=0)
         emp_cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
-        se_mean = samples.std(axis=0, ddof=1) / math.sqrt(config.replicas)
-        for x in range(d):
-            table.add(
-                level,
-                eps,
-                f"mean_{x}",
-                float(emp_mean[x]),
-                float(exact_mean[x]),
-                abs(float(emp_mean[x] - exact_mean[x])),
-                float(se_mean[x]),
-            )
+        se_mean = samples.std(axis=0, ddof=1) / math.sqrt(n)
+        rows = [(f"mean_{x}", emp_mean[x], exact_mean[x], se_mean[x]) for x in range(d)]
         for i in range(d):
             for j in range(i, d):
                 # gaussian standard error of a covariance entry
                 se = math.sqrt(
-                    (emp_cov[i, i] * emp_cov[j, j] + emp_cov[i, j] ** 2)
-                    / (config.replicas - 1)
+                    (emp_cov[i, i] * emp_cov[j, j] + emp_cov[i, j] ** 2) / (n - 1)
                 )
-                table.add(
-                    level,
-                    eps,
-                    f"cov_{i}_{j}",
-                    float(emp_cov[i, j]),
-                    float(exact_cov[i, j]),
-                    abs(float(emp_cov[i, j] - exact_cov[i, j])),
-                    se,
-                )
-        table.add(level, eps, "boundary_hits", float(hits), 0.0, float(hits), None)
-        table.add(level, eps, "events", float(events_used), None, None, None)
-    return table
+                rows.append((f"cov_{i}_{j}", emp_cov[i, j], exact_cov[i, j], se))
+        for name, emp, exact, se in rows:
+            emp, exact = float(emp), float(exact)
+            table.add(level, eps, name, emp, exact, abs(emp - exact), float(se))
+
+    return _replica_table(config, lambda eps, traj: eps * traj.final_state(), tabulate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,8 +298,7 @@ class FluidExperimentConfig:
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        if self.schedule.regime != "fluid":
-            raise ValidationError("schedule regime must be 'fluid'")
+        _check_schedule(self.graph, self.schedule, "fluid", t=self.t, ode_dt=self.ode_dt)
         if self.t <= 0 or self.replicas < 1 or self.grid_points < 2:
             raise ValidationError("need t > 0, replicas >= 1, grid_points >= 2")
 
@@ -314,65 +319,41 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
     )
     grid = np.linspace(0.0, config.t, config.grid_points)
     ref_states = reference.at(grid)
-    table = ConvergenceTable()
-    events_used = 0
-    for level in range(config.schedule.num_levels):
-        eps = float(config.schedule.epsilons[level])
-        spec, xi0 = rescaled_chain_spec(
-            config.graph,
-            config.birth_matrix,
-            config.death_matrix,
-            config.schedule,
-            level,
-        )
-        horizon = config.t / eps
-        _check_projected_budget(
-            spec, xi0, horizon, config.replicas, config.event_budget - events_used
-        )
-        sups = np.empty(config.replicas)
-        hits = 0
-        for rep in range(config.replicas):
-            traj = simulate(
-                spec,
-                xi0,
-                horizon,
-                seed=_replica_seed(config.seed, level, rep),
-                max_events=config.event_budget - events_used,
-            )
-            events_used += traj.num_events
-            hits += traj.boundary_hits(spec.l, spec.r)
-            rescaled = eps * traj.states_at(grid / eps)
-            sups[rep] = float(np.abs(rescaled - ref_states).max())
+
+    def sup_distance(eps, traj):
+        return float(np.abs(eps * traj.states_at(grid / eps) - ref_states).max())
+
+    def tabulate(table, level, eps, sups):
         d_level = float(sups.mean())
-        stderr = (
-            float(sups.std(ddof=1) / math.sqrt(config.replicas))
-            if config.replicas > 1
-            else None
-        )
+        n = len(sups)
+        stderr = float(sups.std(ddof=1) / math.sqrt(n)) if n > 1 else None
         table.add(level, eps, "sup_distance", d_level, 0.0, d_level, stderr)
-        table.add(level, eps, "boundary_hits", float(hits), 0.0, float(hits), None)
-        table.add(level, eps, "events", float(events_used), None, None, None)
-    return table
+
+    return _replica_table(config, sup_distance, tabulate)
+
+
+def _bump_frame(points, center, radius: float):
+    """(p, c, g, inside): points as rows, the center, g = 1 - |p - c|^2 / rho^2
+    and the points where the bump is not negligibly small."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    c = np.asarray(center, dtype=float).reshape(-1)
+    g = 1.0 - ((p - c) ** 2).sum(axis=1) / radius**2
+    inside = g > 1e-8  # exp(-1/g) underflows to 0 long before this floor
+    return p, c, g, inside
 
 
 def bump_value(points, center, radius: float) -> np.ndarray:
     """Smooth bump exp(-1/(1 - |u-c|^2/rho^2)) inside the ball, 0 outside."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    c = np.asarray(center, dtype=float).reshape(-1)
-    g = 1.0 - ((p - c) ** 2).sum(axis=1) / radius**2
+    p, _, g, inside = _bump_frame(points, center, radius)
     out = np.zeros(p.shape[0])
-    inside = g > 1e-8  # exp(-1/g) underflows to 0 long before this floor
     out[inside] = np.exp(-1.0 / g[inside])
     return out
 
 
 def bump_gradient(points, center, radius: float) -> np.ndarray:
     """Partial derivatives of the bump, shape (num_points, d)."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    c = np.asarray(center, dtype=float).reshape(-1)
-    g = 1.0 - ((p - c) ** 2).sum(axis=1) / radius**2
+    p, c, g, inside = _bump_frame(points, center, radius)
     out = np.zeros_like(p)
-    inside = g > 1e-8
     gi = g[inside]
     f = np.exp(-1.0 / gi)
     gprime = -2.0 * (p[inside] - c) / radius**2
@@ -382,11 +363,8 @@ def bump_gradient(points, center, radius: float) -> np.ndarray:
 
 def bump_second_diag(points, center, radius: float) -> np.ndarray:
     """Pure second partials d^2 f / du_x^2 of the bump, shape (num_points, d)."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    c = np.asarray(center, dtype=float).reshape(-1)
-    g = 1.0 - ((p - c) ** 2).sum(axis=1) / radius**2
+    p, c, g, inside = _bump_frame(points, center, radius)
     out = np.zeros_like(p)
-    inside = g > 1e-8
     gi = g[inside][:, None]
     f = np.exp(-1.0 / gi)
     gprime = -2.0 * (p[inside] - c) / radius**2
@@ -407,12 +385,13 @@ class GeneratorCheckConfig:
     grid_points: int = 41
 
     def __post_init__(self):
-        if self.schedule.regime != "diffusion":
-            raise ValidationError("generator check uses the diffusion regime")
         c = (
             np.zeros(self.graph.num_vertices)
             if self.center is None
             else np.atleast_1d(np.asarray(self.center, dtype=float))
+        )
+        _check_schedule(
+            self.graph, self.schedule, "diffusion", center=c, radius=self.radius
         )
         if c.shape[0] != self.graph.num_vertices:
             raise ValidationError("bump center does not match the number of vertices")
@@ -426,9 +405,12 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
 
     For each level: E_n = max over a grid of u in the bump's support of
     |L_n f(eps * round(u/eps)) - L f(u)| where L_n applies the jump-rate
-    finite differences of the eps^2-scaled chain and L is the limit
-    operator sum_x f''_xx + sum_x (A u)_x f'_x.  Also reports E_n / eps_n,
-    which stays bounded under the first-order error expansion.
+    finite differences of the eps^2-scaled chain (the rates of
+    rescaled_chain_spec, under the chain's exponent guard) and L is the
+    limit operator sum_x f''_xx + sum_x (A u)_x f'_x.  Also reports
+    E_n / eps_n, which stays bounded under the first-order error expansion.
+    Raises RateOverflowError if a rate exponent on the grid exceeds
+    MAX_EXPONENT.
     """
     graph = config.graph
     d = graph.num_vertices
@@ -446,11 +428,12 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
         (points @ a.T) * bump_gradient(points, c, rho)
     ).sum(axis=1)
 
+    unit = np.eye(d, dtype=np.int64)
     table = ConvergenceTable()
     for level in range(config.schedule.num_levels):
         eps = float(config.schedule.epsilons[level])
-        box = int(config.schedule.box_sizes[level])
-        half_width = eps * box
+        spec, _ = rescaled_chain_spec(graph, ab, ad, config.schedule, level)
+        half_width = eps * spec.r
         if np.any(c - rho < -half_width) or np.any(c + rho > half_width):
             raise SupportNotCoveredError(
                 f"bump support radius {rho} around {c.tolist()} exceeds the "
@@ -459,15 +442,11 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
         xi = np.rint(points / eps).astype(np.int64)
         f0 = bump_value(eps * xi, c, rho)
         ln = np.zeros(points.shape[0])
-        for x in range(d):
-            shift = np.zeros(d, dtype=np.int64)
-            shift[x] = 1
-            up_rate = np.exp(eps**2 * (xi @ ab[x]))
-            down_rate = np.exp(eps**2 * (xi @ ad[x]))
-            f_up = bump_value(eps * (xi + shift), c, rho)
-            f_down = bump_value(eps * (xi - shift), c, rho)
-            ln += (f_up - f0) * up_rate * (xi[:, x] < box)
-            ln += (f_down - f0) * down_rate * (xi[:, x] > -box)
+        for x, up, up_rate, down, down_rate in _rate_blocks(spec, xi):
+            f_up = bump_value(eps * (xi[up] + unit[x]), c, rho)
+            f_down = bump_value(eps * (xi[down] - unit[x]), c, rho)
+            ln[up] += (f_up - f0[up]) * up_rate
+            ln[down] += (f_down - f0[down]) * down_rate
         ln /= eps**2
         sup_error = float(np.abs(ln - limit_values).max())
         table.add(level, eps, "sup_error", sup_error, 0.0, sup_error, None)

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ExponentOverflowError, ValidationError
-from .paths import SamplePath
+from .errors import MAX_EXPONENT, DimensionMismatchError, ExponentOverflowError
+from .paths import SamplePath, step_count
 
 DEFAULT_DT = 1e-3
-
-MAX_EXPONENT = 700.0
 
 
 def _check_exponents(e: np.ndarray, time: float | None = None) -> np.ndarray:
@@ -45,9 +43,7 @@ def vector_field(birth_matrix, death_matrix, gamma, time: float | None = None) -
 def _rk4(field, gamma0: np.ndarray, dt: float, t_end: float) -> SamplePath:
     # Integration core; `field` is injectable for closed-form validation in
     # the test suite but the public entry point always uses vector_field.
-    if not 0 < dt <= t_end:
-        raise ValidationError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    steps = int(round(t_end / dt))
+    steps = step_count(dt, t_end)
     states = np.empty((steps + 1, gamma0.shape[0]))
     states[0] = gamma0
     g = gamma0.astype(float).copy()

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .chain import ChainSpec, Trajectory, enumerate_states
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .experiments import ConvergenceTable
 from .graphs import Graph, alpha_beta_matrix, load_graph, validate_interaction
 from .spectral import SpectralReport
@@ -49,9 +49,14 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
 
 
 def write_distribution_csv(path, spec: ChainSpec, probabilities) -> None:
-    """'state_index,spin_0..spin_{n-1},probability' rows in canonical order."""
-    states = enumerate_states(spec)
+    """'state_index,spin_0..spin_{n-1},probability' rows in canonical order,
+    one per configuration of spec, whatever cap the law was solved under."""
     probs = np.asarray(probabilities, dtype=float)
+    if probs.shape != (spec.num_states(),):
+        raise DimensionMismatchError(
+            f"{probs.shape} probabilities for {spec.num_states()} configurations"
+        )
+    states = enumerate_states(spec, cap=probs.size)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = _writer(fh)
         w.writerow(

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def step_count(dt: float, t_end: float) -> int:
+    """Fixed steps of size dt that cover [0, t_end]; needs 0 < dt <= t_end < inf."""
+    if not 0 < dt <= t_end < math.inf:
+        raise ValidationError(
+            f"need 0 < dt <= t_end and t_end finite, got dt={dt}, t_end={t_end}"
+        )
+    return int(round(t_end / dt))
 
 
 @dataclass(frozen=True, eq=False)

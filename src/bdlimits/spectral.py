@@ -174,8 +174,8 @@ def numeric_report(matrix) -> SpectralReport:
     return _report(eigen_sym(matrix), "numeric")
 
 
-def is_hurwitz(a, tol: float = PD_TOLERANCE) -> bool:
-    """True iff every eigenvalue of A has real part below -tol.
+def is_hurwitz(a) -> bool:
+    """True iff every eigenvalue of A has real part below -PD_TOLERANCE.
 
     Symmetric matrices go through the symmetric eigensolver.  Otherwise the
     symmetric part provides a certified sufficient check (its largest
@@ -185,9 +185,9 @@ def is_hurwitz(a, tol: float = PD_TOLERANCE) -> bool:
     """
     m = as_square_matrix(a)
     if np.abs(m - m.T).max(initial=0.0) <= SYMMETRY_TOLERANCE:
-        return float(eigen_sym(m)[-1]) < -tol
+        return float(eigen_sym(m)[-1]) < -PD_TOLERANCE
     sym_part = 0.5 * (m + m.T)
-    if float(eigen_sym(sym_part)[-1]) < -tol:
+    if float(eigen_sym(sym_part)[-1]) < -PD_TOLERANCE:
         return True
     if m.shape[0] > GENERAL_SPECTRUM_DIM_CAP:
         raise InconclusiveSpectrumError(
@@ -195,4 +195,4 @@ def is_hurwitz(a, tol: float = PD_TOLERANCE) -> bool:
             f"{GENERAL_SPECTRUM_DIM_CAP} is not certified"
         )
     max_real = float(np.linalg.eigvals(m).real.max())
-    return max_real < -tol
+    return max_real < -PD_TOLERANCE

@@ -229,13 +229,17 @@ _INF_A = np.array([[-np.inf, 0.0], [0.0, -1.0]])
         lambda: bd.exact_transition(-np.eye(2), [np.nan, 0.0], 1.0),
         lambda: bd.stationary_gaussian(_NAN_A),
         lambda: bd.stationary_gaussian(_INF_A),
+        lambda: bd.euler_maruyama(-np.eye(2), [1.0, 0.0], t_end=np.inf),
+        lambda: bd.euler_maruyama_terminal(-np.eye(2), [1.0, 0.0], t_end=np.inf),
+        lambda: bd.euler_maruyama(-np.eye(2), [1.0, 0.0], t_end=np.nan),
     ],
     ids=[
         "eigen_sym-nan", "eigen_sym-inf", "matrix_exp-nan", "matrix_exp-inf",
         "matrix_exp-t-nan", "is_hurwitz-nan", "is_hurwitz-inf",
         "exact_transition-nan", "exact_transition-inf", "exact_transition-t-nan",
         "exact_transition-t-inf", "exact_transition-u0-nan", "stationary_gaussian-nan",
-        "stationary_gaussian-inf",
+        "stationary_gaussian-inf", "euler_maruyama-t_end-inf",
+        "euler_maruyama_terminal-t_end-inf", "euler_maruyama-t_end-nan",
     ],
 )
 def test_non_finite_input_rejected(call):

@@ -244,3 +244,83 @@ def test_no_boundary_hits_on_benchmark_fine_levels():
     table = bd.run_diffusion_experiment(cfg)
     hits = {row.level: row.empirical for row in table.statistic("boundary_hits")}
     assert hits[1] == 0.0 and hits[2] == 0.0
+
+
+def test_generator_check_rate_overflow():
+    # eps^2 * 40000 * xi reaches 10^4 on the coarsest grid; the chain's
+    # exponent guard refuses it instead of returning a nan table
+    cfg = bd.GeneratorCheckConfig(
+        graph=bd.single_vertex(), birth_matrix=[[40000.0]], death_matrix=[[0.0]],
+        schedule=bd.geometric_schedule("diffusion", [0.0], 2, coarsest_log2_eps=-3),
+    )
+    with pytest.raises(bd.RateOverflowError):
+        bd.generator_convergence_check(cfg)
+
+
+def test_fluid_projected_budget_on_many_vertices():
+    # 12 vertices with boxes of 64: the canonical index stride 129^11 of the
+    # generator does not fit in int64, but the projection needs no index
+    g = bd.cycle_graph(12)
+    cfg = bd.FluidExperimentConfig(
+        graph=g, birth_matrix=np.zeros((12, 12)), death_matrix=np.zeros((12, 12)),
+        schedule=bd.geometric_schedule("fluid", np.zeros(12), 2, coarsest_log2_eps=-3),
+        t=1.0, event_budget=10,
+    )
+    with pytest.raises(bd.BudgetExceededError, match="projected"):
+        bd.run_fluid_experiment(cfg)
+
+
+def _fluid_config(**kw):
+    args = dict(
+        graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[1.0]],
+        schedule=bd.geometric_schedule("fluid", [1.0], 2), t=1.0,
+    )
+    return bd.FluidExperimentConfig(**{**args, **kw})
+
+
+def _generator_config(**kw):
+    args = dict(
+        graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[1.0]],
+        schedule=bd.geometric_schedule("diffusion", [0.0], 2, coarsest_log2_eps=-3),
+    )
+    return bd.GeneratorCheckConfig(**{**args, **kw})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: _fluid_config(t=bad),
+        lambda bad: _fluid_config(ode_dt=bad),
+        lambda bad: bd.DiffusionExperimentConfig(
+            graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[0.0]],
+            schedule=bd.geometric_schedule("diffusion", [0.0], 2), t=bad,
+        ),
+        lambda bad: _generator_config(radius=bad),
+        lambda bad: _generator_config(center=[bad]),
+    ],
+    ids=["fluid-t", "fluid-ode_dt", "diffusion-t", "gen-radius", "gen-center"],
+)
+def test_experiment_configs_reject_non_finite(make, bad):
+    with pytest.raises(bd.ValidationError, match="finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sched: _fluid_config(schedule=sched("fluid")),
+        lambda sched: bd.DiffusionExperimentConfig(
+            graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[0.0]],
+            schedule=sched("diffusion"), t=1.0,
+        ),
+        lambda sched: _generator_config(schedule=sched("diffusion")),
+    ],
+    ids=["fluid", "diffusion", "generator"],
+)
+def test_experiment_configs_reject_initial_point_length(make):
+    def two_vertex_start(regime):
+        return bd.geometric_schedule(regime, [0.0, 0.0], 2)
+
+    with pytest.raises(bd.ValidationError, match="initial point"):
+        make(two_vertex_start)

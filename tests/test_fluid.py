@@ -105,3 +105,9 @@ def test_overflow_on_death_side_reports_its_vertex():
     assert exc.value.vertex == 1
     assert exc.value.exponent > 700
     assert exc.value.time is not None and exc.value.time > 0
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan])
+def test_rk4_rejects_non_finite_horizon(t_end):
+    with pytest.raises(bd.ValidationError, match="finite"):
+        bd.rk4_integrate([[0.0]], [[1.0]], [1.0], t_end=t_end)

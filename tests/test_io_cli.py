@@ -294,3 +294,34 @@ def test_scalar_and_table_csv(tmp_path):
     bio.write_table_csv(tmp_path / "t.csv", table)
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[1] == "0,0.25,sup_error,0.5,0.0,0.5,"
+
+
+def test_gen_check_rate_overflow_exits_two(tmp_path, capsys):
+    cfg = write(
+        tmp_path, "hot.cfg",
+        "schema=1\ngraph = s.g\nab = diag:40000\nad = zero\ncenter = 0.0\n"
+        "radius = 2.0\nlevels = 2\ncoarsest_log2_eps = -3\n",
+    )
+    (tmp_path / "s.g").write_text("n 1\n")
+    assert run_cli(["gen-check", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_gibbs_csv_under_raised_cap(tmp_path, capsys):
+    # 500^2 = 250 000 states: past the default cap, inside the configured one
+    cfg = write(
+        tmp_path, "wide.cfg",
+        "schema=1\ngraph = p2.g\nab = zero\nad = zero\nl = 250\nr = 249\n"
+        "cap = 300000\n",
+    )
+    (tmp_path / "p2.g").write_text("n 2\ne 0 1\n")
+    assert run_cli(["gibbs", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert "gibbs ok states=250000" in capsys.readouterr().out
+    with open(tmp_path / "o" / "gibbs.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 250_001
+
+
+def test_distribution_csv_needs_one_probability_per_state(tmp_path):
+    spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=0, r=2)
+    with pytest.raises(bd.DimensionMismatchError):
+        bio.write_distribution_csv(tmp_path / "d.csv", spec, [0.5, 0.5])
