@@ -36,6 +36,11 @@ DEFAULT_STATE_CAP = 200_000
 
 _RNG_BUFFER = 8192
 
+# replicas per lockstep chunk: its two (8192, chunk) float buffers then take
+# 8.4 MB, where the 20 000 replicas of the acceptance test at once would
+# take 2.6 GB
+_LOCKSTEP_CHUNK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
@@ -65,6 +70,22 @@ class ChainSpec:
         object.__setattr__(
             self, "death_matrix", validate_interaction(self.graph, self.death_matrix)
         )
+
+    @classmethod
+    def _prevalidated(cls, graph, birth_matrix, death_matrix, box: int) -> ChainSpec:
+        """Spec on [-box, box] taking ownership of float matrices that passed
+        validate_interaction for graph, or finite multiples of such, which
+        are made read-only but not checked a second time."""
+        spec = cls.__new__(cls)
+        for m in (birth_matrix, death_matrix):
+            m.setflags(write=False)
+        fields = dict(
+            graph=graph, birth_matrix=birth_matrix, death_matrix=death_matrix,
+            l=box, r=box,
+        )
+        for name, value in fields.items():
+            object.__setattr__(spec, name, value)
+        return spec
 
     @property
     def num_vertices(self) -> int:
@@ -211,31 +232,30 @@ def simulate(
     the box, and BudgetExceededError once max_events events happen before
     t_end.
     """
+    xi0, guarded = _start(spec, initial, t_end)
+    rng = np.random.default_rng(seed)
+    return _simulate_vector(spec, xi0, t_end, rng, guarded, max_events)
+
+
+def _start(spec: ChainSpec, initial, t_end: float) -> tuple[np.ndarray, bool]:
+    """The checked start configuration, and whether an exponent can pass
+    MAX_EXPONENT anywhere in the box (if not, the per-event guard is skipped).
+
+    Raises ValidationError for a negative or non-finite t_end and
+    RateOverflowError if an exponent at the start already passes the bound.
+    """
     xi0 = spec.validate_configuration(initial)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
-    rng = np.random.default_rng(seed)
-
-    n = spec.num_vertices
     ab, ad = spec.birth_matrix, spec.death_matrix
-    bexp = ab @ xi0.astype(float)
-    dexp = ad @ xi0.astype(float)
-    for e in (bexp, dexp):
+    for e in (ab @ xi0.astype(float), ad @ xi0.astype(float)):
         worst = int(np.abs(e).argmax())
         _checked_exponent(worst, float(e[worst]))
-
-    # Worst-case exponent over the whole box; if safe, the per-event guard
-    # can be skipped entirely.
-    spin_bound = max(spec.l, spec.r)
     bound = max(
         float(np.abs(ab).sum(axis=1).max(initial=0.0)),
         float(np.abs(ad).sum(axis=1).max(initial=0.0)),
-    ) * spin_bound
-    guarded = bound > MAX_EXPONENT
-
-    if n == 1:
-        return _simulate_scalar(spec, xi0, t_end, rng, guarded, max_events)
-    return _simulate_vector(spec, xi0, t_end, rng, guarded, max_events)
+    ) * max(spec.l, spec.r)
+    return xi0, bound > MAX_EXPONENT
 
 
 def _budget_hit(count: int, max_events) -> bool:
@@ -320,53 +340,125 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
     )
 
 
-def _simulate_scalar(spec, xi0, t_end, rng, guarded, max_events):
-    # Single-vertex fast path; consumes the same (exponential, uniform)
-    # draws as the vector path so both produce identical trajectories.
-    l, r = spec.l, spec.r
-    b_coef = float(spec.birth_matrix[0, 0])
-    d_coef = float(spec.death_matrix[0, 0])
-    spin = int(xi0[0])
+def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
+    """(final spins, events, boundary hits) of replicas of a single-vertex
+    spec, one entry per seed, stepped in lockstep chunks of _LOCKSTEP_CHUNK.
 
-    times: list[float] = []
-    signs: list[int] = []
-    t = 0.0
-    ebuf = rng.standard_exponential(_RNG_BUFFER)
-    ubuf = rng.random(_RNG_BUFFER)
-    k = 0
-    while True:
-        birth = math.exp(b_coef * spin) if spin < r else 0.0
-        death = math.exp(d_coef * spin) if spin > -l else 0.0
-        total = birth + death
-        if k == _RNG_BUFFER:
-            ebuf = rng.standard_exponential(_RNG_BUFFER)
-            ubuf = rng.random(_RNG_BUFFER)
-            k = 0
-        t_next = t + ebuf[k] / total
-        if t_next > t_end:
-            break
-        u = ubuf[k] * total
-        k += 1
-        s = 1 if u < birth else -1
-        t = t_next
-        spin += s
-        if guarded:
-            _checked_exponent(0, b_coef * spin)
-            _checked_exponent(0, d_coef * spin)
-        times.append(t)
-        signs.append(s)
-        if _budget_hit(len(times), max_events):
-            raise BudgetExceededError(
-                f"simulation exceeded max_events={max_events} before t_end"
-            )
-    m = len(times)
-    return Trajectory(
-        initial=xi0,
-        times=np.asarray(times, dtype=float),
-        vertices=np.zeros(m, dtype=np.int64),
-        signs=np.asarray(signs, dtype=np.int64),
-        t_end=float(t_end),
+    Replica j draws from default_rng(seeds[j]) exactly as simulate does: a
+    block of 8192 exponentials and then one of 8192 uniforms, which fill its
+    column of two Fortran-order (8192, chunk) buffers (8.4 MB at 64
+    replicas).  Every live replica of a chunk sits at the same row k, so one
+    numpy step moves all of them by one event; a replica drops out when its
+    next event would pass t_end, and the live ones refill when k reaches
+    8192.  Rates come from per-spin tables of math.exp(b * spin) and
+    math.exp(d * spin).  simulate instead adds b or d to the exponent at
+    each jump; the two give the same floats whenever those multiples are
+    exact (any dyadic coefficient, such as the schedule-scaled fixtures) and
+    can otherwise differ in the last bit.
+
+    Raises BudgetExceededError once the replicas' events together reach
+    max_events, and RateOverflowError (vertex 0) when a replica reaches a
+    spin whose exponent passes MAX_EXPONENT.
+    """
+    xi0, guarded = _start(spec, xi0, t_end)
+    l, r = spec.l, spec.r
+    b = float(spec.birth_matrix[0, 0])
+    d = float(spec.death_matrix[0, 0])
+    # Tables are indexed by twice the spin's offset from -l.  A step adds 1
+    # to that index for a birth and 0 for a death, and next_t maps the sum
+    # to the index of the new spin, one gather in place of a select and an
+    # add.  An unsafe spin raises before its rates are read, so they stay 0.
+    values = range(-l, r + 1)
+    worst = [b * v if abs(b * v) > MAX_EXPONENT else d * v for v in values]
+    m = len(values)
+    unsafe = np.zeros(2 * m, dtype=bool)
+    birth_t = np.zeros(2 * m)
+    total_t = np.zeros(2 * m)
+    for i, v in enumerate(values):
+        unsafe[2 * i] = abs(worst[i]) > MAX_EXPONENT
+        if not unsafe[2 * i]:
+            birth = math.exp(b * v) if v < r else 0.0
+            death = math.exp(d * v) if v > -l else 0.0
+            birth_t[2 * i], total_t[2 * i] = birth, birth + death
+    next_t = np.empty(2 * m, dtype=np.int64)
+    next_t[0::2] = 2 * np.maximum(np.arange(m) - 1, 0)
+    next_t[1::2] = 2 * np.minimum(np.arange(m) + 1, m - 1)
+    hit_t = np.zeros(2 * m, dtype=np.int64)
+    hit_t[[0, 2 * m - 2]] = 1
+    tables = (birth_t, total_t, next_t, hit_t, unsafe if guarded else None, worst)
+
+    count = len(seeds)
+    width = min(count, _LOCKSTEP_CHUNK)
+    buffers = (
+        np.empty((_RNG_BUFFER, width), order="F"),
+        np.empty((_RNG_BUFFER, width), order="F"),
     )
+    final = np.empty(count, dtype=np.int64)
+    events = np.empty(count, dtype=np.int64)
+    hits = np.empty(count, dtype=np.int64)
+    left = math.inf if max_events is None else max_events
+    for lo in range(0, count, width):
+        hi = min(lo + width, count)
+        pos, events[lo:hi], hits[lo:hi] = _lockstep_chunk(
+            tables, 2 * (int(xi0[0]) + l), t_end, seeds[lo:hi], buffers, left
+        )
+        final[lo:hi] = pos // 2 - l
+        left -= int(events[lo:hi].sum())
+    return final, events, hits
+
+
+def _lockstep_chunk(tables, start, t_end, seeds, buffers, budget):
+    """Final doubled indices, events and boundary hits of one chunk, which
+    raises BudgetExceededError once its events reach budget."""
+    birth_t, total_t, next_t, hit_t, unsafe, worst = tables
+    count = len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    ebuf, ubuf = buffers
+    final = np.empty(count, dtype=np.int64)
+    events = np.empty(count, dtype=np.int64)
+    hits = np.empty(count, dtype=np.int64)
+    # the live replicas' columns (a slice until the first one drops out)
+    # and their state, compacted as they drop out
+    live = np.arange(count)
+    cols = slice(0, count)
+    pos = np.full(count, start)
+    t = np.zeros(count)
+    h = np.zeros(count, dtype=np.int64)
+    step = used = 0
+    k = _RNG_BUFFER
+    while True:
+        if k == _RNG_BUFFER:
+            for j in live.tolist():
+                rngs[j].standard_exponential(out=ebuf[:, j])
+                rngs[j].random(out=ubuf[:, j])
+            k = 0
+        total = total_t[pos]
+        t_next = ebuf[k, cols] / total
+        t_next += t
+        go = t_next <= t_end
+        if np.count_nonzero(go) < go.size:
+            stop = ~go
+            done = live[stop]
+            final[done] = pos[stop]
+            events[done] = step
+            hits[done] = h[stop]
+            live, pos, h, total, t_next = live[go], pos[go], h[go], total[go], t_next[go]
+            cols = live
+            if not live.size:
+                return final, events, hits
+        total *= ubuf[k, cols]
+        pos = next_t[pos + (total < birth_t[pos])]
+        h += hit_t[pos]
+        t = t_next
+        k += 1
+        step += 1
+        if unsafe is not None and unsafe[pos].any():
+            raise RateOverflowError(0, worst[int(pos[unsafe[pos]][0]) // 2])
+        used += live.size
+        if used >= budget:
+            raise BudgetExceededError(
+                f"replicas reached the event budget ({budget} left) before t_end"
+            )
 
 
 def _check_cap(spec: ChainSpec, cap: int) -> int:

@@ -15,17 +15,23 @@ chain and jump rates from bdlimits.chain:
 
 The two Monte-Carlo drivers share one replica loop.  Every replica draws
 its own generator seeded by (seed, level, replica), so results are
-independent of execution order and reproducible bit-for-bit.
+independent of execution order and reproducible bit-for-bit.  The
+diffusion driver needs only final states, so on a single-vertex graph its
+replicas run in lockstep chunks (chain._simulate_lockstep) with the same
+final states, events and boundary hits as one simulate call each; every
+other replica is one simulate call.  Each driver validates its matrices
+once; the per-level specs are scaled copies of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .chain import ChainSpec, _rate_blocks, simulate
+from .chain import ChainSpec, Trajectory, _rate_blocks, _simulate_lockstep, simulate
 from .diffusion import exact_transition
 from .errors import BudgetExceededError, SupportNotCoveredError, ValidationError
 from .fluid import rk4_integrate
@@ -167,16 +173,15 @@ def rescaled_chain_spec(
     ab = validate_interaction(graph, birth_matrix)
     ad = validate_interaction(graph, death_matrix)
     _check_schedule(graph, schedule, schedule.regime)
+    return _level_spec(graph, ab, ad, schedule, level)
+
+
+def _level_spec(graph, ab, ad, schedule, level) -> tuple[ChainSpec, np.ndarray]:
+    """rescaled_chain_spec for matrices the caller has validated once."""
     eps = float(schedule.epsilons[level])
     scale = _time_scale(schedule.regime, eps)
     box = int(schedule.box_sizes[level])
-    spec = ChainSpec(
-        graph=graph,
-        birth_matrix=scale * ab,
-        death_matrix=scale * ad,
-        l=box,
-        r=box,
-    )
+    spec = ChainSpec._prevalidated(graph, scale * ab, scale * ad, box)
     xi0 = np.clip(np.rint(schedule.initial_point / eps), -box, box).astype(np.int64)
     return spec, xi0
 
@@ -199,38 +204,58 @@ def _replica_seed(seed: int, level: int, replica: int) -> np.random.SeedSequence
     return np.random.SeedSequence(entropy=(int(seed), int(level), int(replica)))
 
 
-def _replica_table(config, statistic, tabulate) -> ConvergenceTable:
+def _replica_table(config, tabulate, path_statistic=None) -> ConvergenceTable:
     """The per-level replica loop of the two Monte-Carlo drivers.
 
     Each level runs `replicas` copies of the rescaled chain to t / eps^2 or
-    t / eps under what is left of the event budget, reduces each copy by
-    statistic(eps, trajectory), lets tabulate(table, level, eps, values)
-    add the driver's rows, and adds the boundary_hits and events rows.
+    t / eps under what is left of the event budget, reduces each copy to
+    path_statistic(eps, trajectory), or to its final state when
+    path_statistic is None, lets tabulate(table, level, eps, values) add the
+    driver's rows, and adds the boundary_hits and events rows.
     """
     schedule = config.schedule
+    ab = validate_interaction(config.graph, config.birth_matrix)
+    ad = validate_interaction(config.graph, config.death_matrix)
     table = ConvergenceTable()
     events_used = 0
     for level in range(schedule.num_levels):
         eps = float(schedule.epsilons[level])
-        spec, xi0 = rescaled_chain_spec(
-            config.graph, config.birth_matrix, config.death_matrix, schedule, level
-        )
+        spec, xi0 = _level_spec(config.graph, ab, ad, schedule, level)
         horizon = config.t / _time_scale(schedule.regime, eps)
         left = config.event_budget - events_used
         _check_projected_budget(spec, xi0, horizon, config.replicas, left)
-        values = []
-        hits = 0
-        for rep in range(config.replicas):
-            seed = _replica_seed(config.seed, level, rep)
-            budget = config.event_budget - events_used
-            traj = simulate(spec, xi0, horizon, seed=seed, max_events=budget)
-            events_used += traj.num_events
-            hits += traj.boundary_hits(spec.l, spec.r)
-            values.append(statistic(eps, traj))
-        tabulate(table, level, eps, np.array(values))
+        seeds = [_replica_seed(config.seed, level, rep) for rep in range(config.replicas)]
+        if path_statistic is None and spec.num_vertices == 1:
+            spins, counts, hit_counts = _simulate_lockstep(
+                spec, xi0, horizon, seeds, left
+            )
+            values = spins[:, None]
+            hits, events = int(hit_counts.sum()), int(counts.sum())
+        else:
+            statistic = (
+                partial(path_statistic, eps) if path_statistic else Trajectory.final_state
+            )
+            values, hits, events = _sequential_replicas(
+                spec, xi0, horizon, seeds, left, statistic
+            )
+        events_used += events
+        tabulate(table, level, eps, values)
         table.add(level, eps, "boundary_hits", float(hits), 0.0, float(hits), None)
         table.add(level, eps, "events", float(events_used), None, None, None)
     return table
+
+
+def _sequential_replicas(spec, xi0, horizon, seeds, budget, statistic):
+    """(statistic per replica, boundary hits, events) of one level's
+    replicas, each a simulate call under what is left of budget."""
+    values = []
+    hits = used = 0
+    for seed in seeds:
+        traj = simulate(spec, xi0, horizon, seed=seed, max_events=budget - used)
+        used += traj.num_events
+        hits += traj.boundary_hits(spec.l, spec.r)
+        values.append(statistic(traj))
+    return np.array(values), hits, used
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +290,8 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
     d = config.graph.num_vertices
     n = config.replicas
 
-    def tabulate(table, level, eps, samples):
+    def tabulate(table, level, eps, finals):
+        samples = eps * finals
         emp_mean = samples.mean(axis=0)
         emp_cov = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
         se_mean = samples.std(axis=0, ddof=1) / math.sqrt(n)
@@ -281,7 +307,7 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
             emp, exact = float(emp), float(exact)
             table.add(level, eps, name, emp, exact, abs(emp - exact), float(se))
 
-    return _replica_table(config, lambda eps, traj: eps * traj.final_state(), tabulate)
+    return _replica_table(config, tabulate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +355,7 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
         stderr = float(sups.std(ddof=1) / math.sqrt(n)) if n > 1 else None
         table.add(level, eps, "sup_distance", d_level, 0.0, d_level, stderr)
 
-    return _replica_table(config, sup_distance, tabulate)
+    return _replica_table(config, tabulate, sup_distance)
 
 
 def _bump_frame(points, center, radius: float):
@@ -432,7 +458,7 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
     table = ConvergenceTable()
     for level in range(config.schedule.num_levels):
         eps = float(config.schedule.epsilons[level])
-        spec, _ = rescaled_chain_spec(graph, ab, ad, config.schedule, level)
+        spec, _ = _level_spec(graph, ab, ad, config.schedule, level)
         half_width = eps * spec.r
         if np.any(c - rho < -half_width) or np.any(c + rho > half_width):
             raise SupportNotCoveredError(

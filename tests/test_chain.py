@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bdlimits as bd
-from bdlimits.chain import _simulate_vector
+from bdlimits.chain import _simulate_lockstep, _simulate_vector
+from bdlimits.experiments import _sequential_replicas
 
 
 def two_state_spec():
@@ -133,13 +134,86 @@ def test_simulate_deterministic_given_seed():
     assert np.array_equal(a.signs, b.signs)
 
 
-def test_scalar_and_vector_paths_agree():
-    spec = bd.ChainSpec(bd.single_vertex(), [[-0.3]], [[0.2]], l=2, r=4)
-    xi0 = spec.validate_configuration([1])
-    fast = bd.simulate(spec, [1], 25.0, seed=5)
-    slow = _simulate_vector(spec, xi0, 25.0, np.random.default_rng(5), False, None)
-    assert np.array_equal(fast.times, slow.times)
-    assert np.array_equal(fast.signs, slow.signs)
+def _sequential_finals(spec, start, t_end, seeds):
+    rows = []
+    for seed in seeds:
+        traj = bd.simulate(spec, [start], t_end, seed=seed)
+        hits = traj.boundary_hits(spec.l, spec.r)
+        rows.append((int(traj.final_state()[0]), traj.num_events, hits))
+    return rows
+
+
+def _seeds(base, count):
+    return [np.random.SeedSequence(entropy=(base, 0, rep)) for rep in range(count)]
+
+
+# (b, d, l, r, start, t_end, replicas): single-vertex specs with A_b = [[b]]
+# and A_d = [[d]]
+LOCKSTEP_CASES = {
+    # 65 replicas: one full chunk of 64 and a chunk of one
+    "chunk-boundary": (0.0, 2.0**-4, 16, 16, 4, 16.0, 65),
+    # multiples of -0.3 and 0.2 are inexact, so rates can differ in the
+    # last bit from simulate's accumulated exponents
+    "inexact-coefficients": (-0.3, 0.2, 2, 4, 1, 25.0, 40),
+    # every event lands on 0 or 1
+    "l0-all-hits": (0.0, 0.0, 0, 1, 0, 20.0, 40),
+    # about 9000 events per replica, past the 8192-row block
+    "refill": (0.0, 2.0**-10, 1024, 1024, 1024, 4200.0, 6),
+    # |d| max(l, r) = 800 > 700 turns the guard on; the mean-reverting
+    # replicas never reach an unsafe spin
+    "guarded-safe": (0.0, 2.0, 400, 400, 0, 50.0, 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+@pytest.mark.parametrize("base", [0, 1, 2])
+def test_lockstep_matches_sequential_simulate(case, base):
+    b, d, l, r, start, t_end, replicas = LOCKSTEP_CASES[case]
+    spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
+    seeds = _seeds(base, replicas)
+    finals, events, hits = _simulate_lockstep(spec, np.array([start]), t_end, seeds)
+    expected = _sequential_finals(spec, start, t_end, seeds)
+    assert list(zip(finals.tolist(), events.tolist(), hits.tolist())) == expected
+    if case == "l0-all-hits":
+        assert np.array_equal(hits, events)
+    if case == "refill":
+        assert events.min() > 8192
+
+
+def test_lockstep_budget_is_the_running_total():
+    # both routes raise once the replicas' running event total reaches the
+    # budget, so a budget of exactly the total raises and one more does not
+    b, d, l, r, start, t_end, _ = LOCKSTEP_CASES["chunk-boundary"]
+    spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
+    seeds = _seeds(5, 65)
+    xi0 = np.array([start])
+    total = sum(events for _, events, _ in _sequential_finals(spec, start, t_end, seeds))
+    routes = (
+        lambda budget: _simulate_lockstep(spec, xi0, t_end, seeds, budget),
+        lambda budget: _sequential_replicas(
+            spec, xi0, t_end, seeds, budget, bd.Trajectory.final_state
+        ),
+    )
+    for budget in (total - 1, total, total + 1):
+        for route in routes:
+            if budget > total:
+                route(budget)
+            else:
+                with pytest.raises(bd.BudgetExceededError):
+                    route(budget)
+
+
+def test_lockstep_rate_overflow_matches_sequential():
+    # death exponent -2 xi passes 700 at xi = -351, which replicas drifting
+    # down reach; others climb to r = 5 and stay there
+    spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[-2.0]], l=400, r=5)
+    seeds = _seeds(3, 10)
+    with pytest.raises(bd.RateOverflowError) as sequential:
+        _sequential_finals(spec, 0, 50.0, seeds)
+    with pytest.raises(bd.RateOverflowError) as lockstep:
+        _simulate_lockstep(spec, np.array([0]), 50.0, seeds)
+    assert lockstep.value.vertex == sequential.value.vertex == 0
+    assert lockstep.value.exponent == sequential.value.exponent == 702.0
 
 
 def test_simulate_event_budget():

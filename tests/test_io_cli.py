@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -325,3 +326,24 @@ def test_distribution_csv_needs_one_probability_per_state(tmp_path):
     spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=0, r=2)
     with pytest.raises(bd.DimensionMismatchError):
         bio.write_distribution_csv(tmp_path / "d.csv", spec, [0.5, 0.5])
+
+
+# sha256 of exp-diffusion's diffusion_table.csv for diffusion_small.cfg, at
+# the config seed and at --seed 77.  The rows hold the Monte-Carlo moments
+# of the single-vertex replicas, so any change in how a replica consumes its
+# draws moves them; the exact-law columns come from scipy's expm, so another
+# numpy/scipy build may differ in the last digit.
+DIFFUSION_TABLE_SHA256 = {
+    None: "89c74609a5822506f49969d423d4fc78e537ffb99ccb810ff7edfa991c630aa4",
+    77: "89dcf388da28b2960cd09378415a6d4a0af8fb82bfb11e49d8be064b6ecebec5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DIFFUSION_TABLE_SHA256, key=str))
+def test_exp_diffusion_table_is_pinned(tmp_path, seed):
+    args = ["exp-diffusion", "--config", os.path.join(CONFIG_DIR, "diffusion_small.cfg")]
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    assert cli_main(args + ["--out", str(tmp_path)]) == 0
+    table = (tmp_path / "diffusion_table.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == DIFFUSION_TABLE_SHA256[seed]
