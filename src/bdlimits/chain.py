@@ -5,8 +5,10 @@ at rate exp((A_b xi)_x) and a spin above -l decreases by 1 at rate
 exp((A_d xi)_x), where A_b and A_d are interaction matrices on the graph.
 
 This module provides the event-driven simulator, the exact sparse generator
-and its stationary solve by sparse LU, the closed-form Gibbs measure for
-symmetric A_b - A_d, and the detailed-balance residual check.
+and its stationary solve by sparse LU, the closed-form Gibbs measure (the
+stationary law of every spec with symmetric A_b - A_d), and the
+detailed-balance residual of that measure under the chain's own rates.
+Every rate of the exact-law functions comes from one kernel, _rate_blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from .errors import (
     MAX_EXPONENT,
@@ -228,9 +229,9 @@ def simulate(
     blocks of 8192 of each.  Deterministic given (spec, initial, seed).
 
     Raises ValidationError for a negative or non-finite t_end,
-    RateOverflowError if any rate exponent can exceed magnitude 700 inside
-    the box, and BudgetExceededError once max_events events happen before
-    t_end.
+    RateOverflowError when the path reaches a state where a rate exponent
+    exceeds magnitude 700, and BudgetExceededError once max_events events
+    happen before t_end.
     """
     xi0, guarded = _start(spec, initial, t_end)
     rng = np.random.default_rng(seed)
@@ -618,16 +619,6 @@ class GibbsDistribution:
     log_partition: float
 
 
-def _require_symmetric_drift(spec: ChainSpec) -> np.ndarray:
-    a = spec.drift_matrix
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
-        raise AsymmetricMatrixError(
-            "A_b - A_d is not symmetric; the closed-form stationary "
-            "distribution only applies to the reversible case"
-        )
-    return a
-
-
 def gibbs_exponent(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     """(1/2)[(A xi, xi) - (alpha, xi)] rowwise; alpha is the diagonal of A."""
     a = spec.drift_matrix
@@ -638,22 +629,27 @@ def gibbs_exponent(spec: ChainSpec, states: np.ndarray) -> np.ndarray:
 
 
 def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistribution:
-    """Closed-form reversible measure for symmetric A = A_b - A_d.
+    """Closed-form stationary law for symmetric A = A_b - A_d.
 
-    Probabilities are proportional to exp((1/2)[(A xi, xi) - (alpha, xi)]);
-    the log partition value is computed with the usual max-shift so large
-    exponents cannot overflow.
-
-    This is the chain's stationary distribution whenever the death matrix
-    has a zero diagonal (downward rates then carry no self-term, and the
-    up/down asymmetry at a vertex is exactly A's diagonal).  For a death
-    diagonal delta != 0 the stationary law is this measure tilted by
-    exp(-(delta, xi)); use stationary_solve for the general case.
+    Probabilities are proportional to
+    exp((1/2)[(A xi, xi) - (alpha, xi)] - (delta, xi)), where alpha and
+    delta are the diagonals of A and A_d; the log partition value is
+    computed with the usual max-shift so large exponents cannot overflow.
+    The chain is then reversible (Kelly 1979): a jump xi -> xi + e_x
+    multiplies the weight by exp((A xi)_x - delta_x), the ratio of its
+    birth rate at xi to the death rate exp((A_d xi)_x + delta_x) at
+    xi + e_x.
     """
-    _require_symmetric_drift(spec)
+    a = spec.drift_matrix
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
+        raise AsymmetricMatrixError(
+            "A_b - A_d is not symmetric; the closed-form stationary "
+            "distribution only applies to the reversible case"
+        )
     states = enumerate_states(spec, cap)
-    energy = gibbs_exponent(spec, states)
-    log_z = float(logsumexp(energy))
+    energy = gibbs_exponent(spec, states) - states @ np.diag(spec.death_matrix)
+    shift = energy.max()
+    log_z = float(np.log(np.exp(energy - shift).sum()) + shift)
     probs = np.exp(energy - log_z)
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-12:
@@ -665,29 +661,18 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
 
 
 def check_detailed_balance(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> float:
-    """Max residual of the pairwise balance identities of the Gibbs law.
+    """Max |q(xi, xi + e_x) mu(xi) - q(xi + e_x, xi) mu(xi + e_x)| over every
+    jump of the chain, for mu the Gibbs law.
 
-    Checks exp((A xi)_x) mu(xi) = mu(xi + e_x) over every configuration and
-    vertex with xi_x < r, and cross-checks the equivalent two-sided form
-    exp((A_b xi)_x) mu(xi) = exp((A_d xi)_x) mu(xi + e_x).
+    Both rates are the chain's own, from _rate_blocks.  In canonical order
+    the rows that can rise at x and the rows that can fall at x are the same
+    configurations one step apart, in the same order, so up[i] and down[i]
+    are the two ends of one jump.
     """
-    a = _require_symmetric_drift(spec)
-    states = enumerate_states(spec, cap)
     mu = gibbs_measure(spec, cap).probabilities
-    base = spec.num_spin_values
+    states = enumerate_states(spec, cap)
     worst = 0.0
-    s = states.astype(float)
-    for x in range(spec.num_vertices):
-        stride = base**x
-        up = np.flatnonzero(states[:, x] < spec.r)
-        j = up + stride
-        one_sided = np.exp(s[up] @ a[x]) * mu[up] - mu[j]
-        two_sided = np.exp(s[up] @ spec.birth_matrix[x]) * mu[up] - np.exp(
-            s[up] @ spec.death_matrix[x]
-        ) * mu[j]
-        worst = max(
-            worst,
-            float(np.abs(one_sided).max(initial=0.0)),
-            float(np.abs(two_sided).max(initial=0.0)),
-        )
+    for _, up, up_rate, down, down_rate in _rate_blocks(spec, states):
+        residual = up_rate * mu[up] - down_rate * mu[down]
+        worst = max(worst, float(np.abs(residual).max(initial=0.0)))
     return worst

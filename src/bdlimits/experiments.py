@@ -204,8 +204,9 @@ def _replica_seed(seed: int, level: int, replica: int) -> np.random.SeedSequence
     return np.random.SeedSequence(entropy=(int(seed), int(level), int(replica)))
 
 
-def _replica_table(config, tabulate, path_statistic=None) -> ConvergenceTable:
-    """The per-level replica loop of the two Monte-Carlo drivers.
+def _replica_table(config, ab, ad, tabulate, path_statistic=None) -> ConvergenceTable:
+    """The per-level replica loop of the two Monte-Carlo drivers, on the
+    matrices ab and ad the driver validated from config.
 
     Each level runs `replicas` copies of the rescaled chain to t / eps^2 or
     t / eps under what is left of the event budget, reduces each copy to
@@ -214,8 +215,6 @@ def _replica_table(config, tabulate, path_statistic=None) -> ConvergenceTable:
     driver's rows, and adds the boundary_hits and events rows.
     """
     schedule = config.schedule
-    ab = validate_interaction(config.graph, config.birth_matrix)
-    ad = validate_interaction(config.graph, config.death_matrix)
     table = ConvergenceTable()
     events_used = 0
     for level in range(schedule.num_levels):
@@ -282,11 +281,10 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
     copies; the empirical mean and covariance of eps * xi(final) are tabled
     against the Gaussian law with Monte-Carlo standard errors.
     """
-    a = validate_interaction(config.graph, config.birth_matrix) - validate_interaction(
-        config.graph, config.death_matrix
-    )
+    ab = validate_interaction(config.graph, config.birth_matrix)
+    ad = validate_interaction(config.graph, config.death_matrix)
     u = config.schedule.initial_point
-    exact_mean, exact_cov = exact_transition(a, u, config.t)
+    exact_mean, exact_cov = exact_transition(ab - ad, u, config.t)
     d = config.graph.num_vertices
     n = config.replicas
 
@@ -307,7 +305,7 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
             emp, exact = float(emp), float(exact)
             table.add(level, eps, name, emp, exact, abs(emp - exact), float(se))
 
-    return _replica_table(config, tabulate)
+    return _replica_table(config, ab, ad, tabulate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,12 +334,10 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
     distance between eps * xi(s/eps) and the RK4 reference path; with more
     than one replica the mean of D_n is reported with its standard error.
     """
+    ab = validate_interaction(config.graph, config.birth_matrix)
+    ad = validate_interaction(config.graph, config.death_matrix)
     reference = rk4_integrate(
-        validate_interaction(config.graph, config.birth_matrix),
-        validate_interaction(config.graph, config.death_matrix),
-        config.schedule.initial_point,
-        dt=config.ode_dt,
-        t_end=config.t,
+        ab, ad, config.schedule.initial_point, dt=config.ode_dt, t_end=config.t
     )
     grid = np.linspace(0.0, config.t, config.grid_points)
     ref_states = reference.at(grid)
@@ -355,7 +351,7 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
         stderr = float(sups.std(ddof=1) / math.sqrt(n)) if n > 1 else None
         table.add(level, eps, "sup_distance", d_level, 0.0, d_level, stderr)
 
-    return _replica_table(config, tabulate, sup_distance)
+    return _replica_table(config, ab, ad, tabulate, sup_distance)
 
 
 def _bump_frame(points, center, radius: float):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import bdlimits as bd
+from bdlimits import experiments
 from bdlimits.experiments import bump_gradient, bump_second_diag, bump_value
+from bdlimits.graphs import validate_interaction
 
 
 def test_schedule_validation():
@@ -324,3 +326,25 @@ def test_experiment_configs_reject_initial_point_length(make):
 
     with pytest.raises(bd.ValidationError, match="initial point"):
         make(two_vertex_start)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: bd.run_diffusion_experiment(_tiny_diffusion_config(replicas=10)),
+        lambda: bd.run_fluid_experiment(_fluid_config()),
+        lambda: bd.generator_convergence_check(_generator_config()),
+    ],
+    ids=["diffusion", "fluid", "generator"],
+)
+def test_drivers_validate_each_matrix_once(run, monkeypatch):
+    # the per-level specs are scaled copies of the matrices validated here
+    calls = []
+
+    def counting(graph, matrix):
+        calls.append(matrix)
+        return validate_interaction(graph, matrix)
+
+    monkeypatch.setattr(experiments, "validate_interaction", counting)
+    run()
+    assert len(calls) == 2

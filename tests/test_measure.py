@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdlimits as bd
+from bdlimits import chain
 from bdlimits.chain import gibbs_exponent
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def test_two_state_generator():
@@ -133,11 +140,21 @@ def test_detailed_balance_residual_tiny_for_symmetric_specs():
 
 
 def test_uniform_measure_when_birth_equals_death():
+    # with A_b = A_d and no death diagonal every rate at xi equals the
+    # reverse rate at xi + e_x, so the law is uniform
     g = bd.path_graph(2)
-    m = np.array([[0.3, -0.2], [-0.2, 0.3]])
+    m = np.array([[0.0, -0.2], [-0.2, 0.0]])
     spec = bd.ChainSpec(g, m, m, l=1, r=1)
     dist = bd.gibbs_measure(spec)
     assert np.allclose(dist.probabilities, 1.0 / 9.0, atol=1e-14)
+    assert bd.check_detailed_balance(spec) < 1e-13
+    # a death diagonal delta = 0.3 tilts the law by exp(-(delta, xi)), so it
+    # is no longer uniform, and the closed form must follow the chain
+    m = np.array([[0.3, -0.2], [-0.2, 0.3]])
+    spec = bd.ChainSpec(g, m, m, l=1, r=1)
+    dist = bd.gibbs_measure(spec)
+    assert np.abs(dist.probabilities - bd.stationary_solve(spec)).max() < 1e-12
+    assert np.abs(dist.probabilities - 1.0 / 9.0).max() > 0.05
     assert bd.check_detailed_balance(spec) < 1e-13
 
 
@@ -161,6 +178,64 @@ def test_death_diagonal_tilts_the_stationary_law():
         tilted = np.exp(energy - energy.max())
         tilted /= tilted.sum()
         assert np.abs(tilted - bd.stationary_solve(spec)).max() < 1e-12
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_gibbs_is_stationary_with_death_diagonal(seed):
+    spec = _random_symmetric_spec(seed, zero_death_diagonal=False)
+    diff = np.abs(bd.gibbs_measure(spec).probabilities - bd.stationary_solve(spec))
+    assert diff.max() <= 1e-9
+
+
+def _death_diagonal_spec() -> bd.ChainSpec:
+    ab = [[0.5, 0.3], [0.3, 0.5]]
+    return bd.ChainSpec(bd.path_graph(2), ab, 0.8 * np.eye(2), l=2, r=2)
+
+
+def test_death_diagonal_spec_is_balanced():
+    spec = _death_diagonal_spec()
+    diff = np.abs(bd.gibbs_measure(spec).probabilities - bd.stationary_solve(spec))
+    assert diff.max() <= 1e-9
+    assert bd.check_detailed_balance(spec) <= 1e-12
+
+
+def test_balance_check_rejects_the_untilted_measure(monkeypatch):
+    # the Gibbs law without the death-diagonal tilt is not stationary here,
+    # so a residual taken from the chain's own rates must see it
+    spec = _death_diagonal_spec()
+    energy = gibbs_exponent(spec, bd.enumerate_states(spec))
+    untilted = np.exp(energy - energy.max())
+    untilted /= untilted.sum()
+    monkeypatch.setattr(
+        chain, "gibbs_measure", lambda *_: chain.GibbsDistribution(untilted, 0.0)
+    )
+    assert bd.check_detailed_balance(spec) > 0.1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rate_blocks_pair_each_jump_with_its_reverse(seed):
+    # check_detailed_balance reads up[i] -> down[i] as one jump
+    spec = _random_symmetric_spec(seed, zero_death_diagonal=False)
+    states = bd.enumerate_states(spec)
+    base = spec.num_spin_values
+    unit = np.eye(spec.num_vertices, dtype=np.int64)
+    for x, up, _, down, _ in chain._rate_blocks(spec, states):
+        assert np.array_equal(down, up + base**x)
+        assert (states[down] - states[up] == unit[x]).all()
+
+
+def test_import_leaves_scipy_special_unloaded():
+    code = "import sys, bdlimits; print('scipy.special' in sys.modules)"
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @given(st.integers(min_value=0, max_value=10_000))
