@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -344,6 +344,7 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
 def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     """(final spins, events, boundary hits) of replicas of a single-vertex
     spec, one entry per seed, stepped in lockstep chunks of _LOCKSTEP_CHUNK.
+    seeds may be any iterable; it is read one chunk at a time.
 
     Replica j draws from default_rng(seeds[j]) exactly as simulate does: a
     block of 8192 exponentials and then one of 8192 uniforms, which fill its
@@ -388,24 +389,23 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     hit_t[[0, 2 * m - 2]] = 1
     tables = (birth_t, total_t, next_t, hit_t, unsafe if guarded else None, worst)
 
-    count = len(seeds)
-    width = min(count, _LOCKSTEP_CHUNK)
+    # a buffer column is touched only once a replica fills it
     buffers = (
-        np.empty((_RNG_BUFFER, width), order="F"),
-        np.empty((_RNG_BUFFER, width), order="F"),
+        np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F"),
+        np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F"),
     )
-    final = np.empty(count, dtype=np.int64)
-    events = np.empty(count, dtype=np.int64)
-    hits = np.empty(count, dtype=np.int64)
+    seeds = iter(seeds)
+    final, events, hits = [], [], []
     left = math.inf if max_events is None else max_events
-    for lo in range(0, count, width):
-        hi = min(lo + width, count)
-        pos, events[lo:hi], hits[lo:hi] = _lockstep_chunk(
-            tables, 2 * (int(xi0[0]) + l), t_end, seeds[lo:hi], buffers, left
+    while chunk := list(islice(seeds, _LOCKSTEP_CHUNK)):
+        pos, chunk_events, chunk_hits = _lockstep_chunk(
+            tables, 2 * (int(xi0[0]) + l), t_end, chunk, buffers, left
         )
-        final[lo:hi] = pos // 2 - l
-        left -= int(events[lo:hi].sum())
-    return final, events, hits
+        final.append(pos // 2 - l)
+        events.append(chunk_events)
+        hits.append(chunk_hits)
+        left -= int(chunk_events.sum())
+    return np.concatenate(final), np.concatenate(events), np.concatenate(hits)
 
 
 def _lockstep_chunk(tables, start, t_end, seeds, buffers, budget):

@@ -18,16 +18,9 @@ import sys
 import numpy as np
 
 from . import io as bio
-from .chain import (
-    DEFAULT_STATE_CAP,
-    check_detailed_balance,
-    gibbs_measure,
-    simulate,
-    stationary_solve,
-)
+from .chain import check_detailed_balance, gibbs_measure, simulate, stationary_solve
 from .errors import ConfigError, NumericError, ValidationError
 from .experiments import (
-    DEFAULT_EVENT_BUDGET,
     DiffusionExperimentConfig,
     FluidExperimentConfig,
     GeneratorCheckConfig,
@@ -49,19 +42,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _summary(subcommand: str, pairs: list[tuple[str, object]]) -> None:
-    tokens = []
-    for key, value in pairs:
-        if isinstance(value, str):
-            tokens.append(f"{key}={value}")
-        else:
-            tokens.append(f"{key}={bio._fmt(value)}")
-    print(f"{subcommand} ok " + " ".join(tokens))
-
-
-def _out_dir(args) -> str:
+def _out(args, name: str) -> str:
+    """Path of one output file under --out, which is made here, so only
+    once a handler has computed what it writes."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
 
 
 def _view(args) -> bio.ConfigView:
@@ -71,20 +56,20 @@ def _view(args) -> bio.ConfigView:
     return bio.ConfigView(entries, base_dir=os.path.dirname(os.path.abspath(args.config)))
 
 
-def _checked_seed(value: int) -> int:
-    if not 0 <= value < MAX_SEED:
-        raise ConfigError(f"field 'seed' must be an unsigned 64-bit integer, got {value}")
-    return value
-
-
-def _seed_from(view: bio.ConfigView, args, default: int = 0) -> int:
-    seed = view.get_int("seed", default)
-    if getattr(args, "seed", None) is not None:
+def _seed_from(view: bio.ConfigView, args) -> int:
+    seed = view.get_int("seed", 0)
+    if args.seed is not None:
         seed = args.seed
-    return _checked_seed(seed)
+    if not 0 <= seed < MAX_SEED:
+        raise ConfigError(f"field 'seed' must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
-def _cmd_simulate(args) -> int:
+# Each handler reads its inputs, computes, writes its CSVs and returns the
+# key=value pairs of its summary line.
+
+
+def _cmd_simulate(args):
     view = _view(args)
     spec = bio.load_chain_spec(view)
     t_end = view.get_float("t_end", required=True)
@@ -93,65 +78,44 @@ def _cmd_simulate(args) -> int:
     max_events = view.get_int("max_events")
     view.reject_unknown()
     traj = simulate(spec, initial, t_end, seed=seed, max_events=max_events)
-    out = _out_dir(args)
-    bio.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
-    _summary(
-        "simulate",
-        [
-            ("events", traj.num_events),
-            ("boundary_hits", traj.boundary_hits(spec.l, spec.r)),
-            ("t_end", t_end),
-            ("seed", seed),
-        ],
-    )
-    return 0
+    bio.write_trajectory_csv(_out(args, "trajectory.csv"), traj)
+    return [
+        ("events", traj.num_events),
+        ("boundary_hits", traj.boundary_hits(spec.l, spec.r)),
+        ("t_end", t_end),
+        ("seed", seed),
+    ]
 
 
-def _cmd_stationary(args) -> int:
+def _chain_inputs(args):
+    """The spec of a stationary, gibbs or balance-check config, and its cap
+    as a keyword argument if the file sets one."""
     view = _view(args)
     spec = bio.load_chain_spec(view)
-    cap = view.get_int("cap", DEFAULT_STATE_CAP)
+    cap = view.optional(cap=int)
     view.reject_unknown()
-    pi = stationary_solve(spec, cap)
-    out = _out_dir(args)
-    bio.write_distribution_csv(os.path.join(out, "stationary.csv"), spec, pi)
-    _summary(
-        "stationary",
-        [("states", len(pi)), ("max_prob", float(pi.max()))],
-    )
-    return 0
+    return spec, cap
 
 
-def _cmd_gibbs(args) -> int:
-    view = _view(args)
-    spec = bio.load_chain_spec(view)
-    cap = view.get_int("cap", DEFAULT_STATE_CAP)
-    view.reject_unknown()
-    dist = gibbs_measure(spec, cap)
-    out = _out_dir(args)
-    bio.write_distribution_csv(
-        os.path.join(out, "gibbs.csv"), spec, dist.probabilities
-    )
-    _summary(
-        "gibbs",
-        [
-            ("states", len(dist.probabilities)),
-            ("log_z", dist.log_partition),
-        ],
-    )
-    return 0
+def _cmd_stationary(args):
+    spec, cap = _chain_inputs(args)
+    pi = stationary_solve(spec, **cap)
+    bio.write_distribution_csv(_out(args, "stationary.csv"), spec, pi)
+    return [("states", len(pi)), ("max_prob", pi.max())]
 
 
-def _cmd_balance_check(args) -> int:
-    view = _view(args)
-    spec = bio.load_chain_spec(view)
-    cap = view.get_int("cap", DEFAULT_STATE_CAP)
-    view.reject_unknown()
-    residual = check_detailed_balance(spec, cap)
-    out = _out_dir(args)
-    bio.write_scalar_csv(os.path.join(out, "balance.csv"), "max_residual", residual)
-    _summary("balance-check", [("residual", residual)])
-    return 0
+def _cmd_gibbs(args):
+    spec, cap = _chain_inputs(args)
+    dist = gibbs_measure(spec, **cap)
+    bio.write_distribution_csv(_out(args, "gibbs.csv"), spec, dist.probabilities)
+    return [("states", len(dist.probabilities)), ("log_z", dist.log_partition)]
+
+
+def _cmd_balance_check(args):
+    spec, cap = _chain_inputs(args)
+    residual = check_detailed_balance(spec, **cap)
+    bio.write_scalar_csv(_out(args, "balance.csv"), "max_residual", residual)
+    return [("residual", residual)]
 
 
 def _spectral_inputs(args):
@@ -170,31 +134,23 @@ def _spectral_inputs(args):
     return load_graph(graph_path), float(alpha), float(beta)
 
 
-def _write_report(args, subcommand: str, report) -> int:
-    out = _out_dir(args)
-    bio.write_spectral_report_csv(os.path.join(out, "spectral_report.csv"), report)
-    bio.write_eigenvalues_csv(os.path.join(out, "eigenvalues.csv"), report.eigenvalues)
-    _summary(
-        subcommand,
-        [
-            ("pd", report.positive_definite),
-            ("min_eig", report.min_eigenvalue),
-            ("method", report.method),
-        ],
-    )
-    return 0
+def _report(args, report):
+    bio.write_spectral_report_csv(_out(args, "spectral_report.csv"), report)
+    bio.write_eigenvalues_csv(_out(args, "eigenvalues.csv"), report.eigenvalues)
+    return [
+        ("pd", report.positive_definite),
+        ("min_eig", report.min_eigenvalue),
+        ("method", report.method),
+    ]
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     graph, alpha, beta = _spectral_inputs(args)
-    report = numeric_report(-alpha_beta_matrix(graph, alpha, beta))
-    return _write_report(args, "spectrum", report)
+    return _report(args, numeric_report(-alpha_beta_matrix(graph, alpha, beta)))
 
 
-def _cmd_classify(args) -> int:
-    graph, alpha, beta = _spectral_inputs(args)
-    report = classify_pd(graph, alpha, beta)
-    return _write_report(args, "classify", report)
+def _cmd_classify(args):
+    return _report(args, classify_pd(*_spectral_inputs(args)))
 
 
 def _schedule_from(view: bio.ConfigView, regime: str, u: np.ndarray) -> ScalingSchedule:
@@ -202,9 +158,8 @@ def _schedule_from(view: bio.ConfigView, regime: str, u: np.ndarray) -> ScalingS
     boxes = view.get_vector("box_sizes")
     if eps is None:
         levels = view.get_int("levels", required=True)
-        coarsest = view.get_int("coarsest_log2_eps", -2)
-        step = view.get_int("step_log2", 1)
-        return geometric_schedule(regime, u, levels, coarsest, step)
+        steps = view.optional(coarsest_log2_eps=int, step_log2=int)
+        return geometric_schedule(regime, u, levels, **steps)
     if boxes is None:
         boxes = np.ceil(eps**-2.0)
     return ScalingSchedule(
@@ -215,116 +170,94 @@ def _schedule_from(view: bio.ConfigView, regime: str, u: np.ndarray) -> ScalingS
     )
 
 
-def _experiment_common(view: bio.ConfigView, regime: str):
-    graph = load_graph(view.get_path("graph", required=True))
-    ab = bio.parse_matrix(view, "ab", graph)
-    ad = bio.parse_matrix(view, "ad", graph)
+def _experiment_inputs(view: bio.ConfigView, regime: str) -> dict:
+    """The fields shared by the two Monte-Carlo experiment configs."""
+    graph, ab, ad = bio._load_model(view)
     u = view.get_vector("u", required=True)
     t = view.get_float("t", required=True)
-    schedule = _schedule_from(view, regime, u)
-    return graph, ab, ad, schedule, t
-
-
-def _cmd_exp_diffusion(args) -> int:
-    view = _view(args)
-    graph, ab, ad, schedule, t = _experiment_common(view, "diffusion")
-    config = DiffusionExperimentConfig(
+    return dict(
         graph=graph,
         birth_matrix=ab,
         death_matrix=ad,
-        schedule=schedule,
+        schedule=_schedule_from(view, regime, u),
         t=t,
-        replicas=view.get_int("replicas", 2000),
+    )
+
+
+def _cmd_exp_diffusion(args):
+    view = _view(args)
+    config = DiffusionExperimentConfig(
+        **_experiment_inputs(view, "diffusion"),
         seed=_seed_from(view, args),
-        event_budget=view.get_int("event_budget", DEFAULT_EVENT_BUDGET),
+        **view.optional(replicas=int, event_budget=int),
     )
     view.reject_unknown()
     table = run_diffusion_experiment(config)
-    out = _out_dir(args)
-    bio.write_table_csv(os.path.join(out, "diffusion_table.csv"), table)
+    bio.write_table_csv(_out(args, "diffusion_table.csv"), table)
     mean_errs = table.errors("mean_0")
-    _summary(
-        "exp-diffusion",
-        [
-            ("levels", schedule.num_levels),
-            ("coarsest_mean_err", float(mean_errs[0])),
-            ("finest_mean_err", float(mean_errs[-1])),
-        ],
-    )
-    return 0
+    return [
+        ("levels", config.schedule.num_levels),
+        ("coarsest_mean_err", mean_errs[0]),
+        ("finest_mean_err", mean_errs[-1]),
+    ]
 
 
-def _cmd_exp_fluid(args) -> int:
+def _cmd_exp_fluid(args):
     view = _view(args)
-    graph, ab, ad, schedule, t = _experiment_common(view, "fluid")
     config = FluidExperimentConfig(
-        graph=graph,
-        birth_matrix=ab,
-        death_matrix=ad,
-        schedule=schedule,
-        t=t,
-        replicas=view.get_int("replicas", 1),
-        grid_points=view.get_int("grid_points", 200),
-        ode_dt=view.get_float("ode_dt", 1e-3),
+        **_experiment_inputs(view, "fluid"),
         seed=_seed_from(view, args),
-        event_budget=view.get_int("event_budget", DEFAULT_EVENT_BUDGET),
+        **view.optional(replicas=int, grid_points=int, ode_dt=float, event_budget=int),
     )
     view.reject_unknown()
     table = run_fluid_experiment(config)
-    out = _out_dir(args)
-    bio.write_table_csv(os.path.join(out, "fluid_table.csv"), table)
+    bio.write_table_csv(_out(args, "fluid_table.csv"), table)
     sups = table.errors("sup_distance")
-    _summary(
-        "exp-fluid",
-        [
-            ("levels", schedule.num_levels),
-            ("d_coarsest", float(sups[0])),
-            ("d_finest", float(sups[-1])),
-        ],
-    )
-    return 0
+    return [
+        ("levels", config.schedule.num_levels),
+        ("d_coarsest", sups[0]),
+        ("d_finest", sups[-1]),
+    ]
 
 
-def _cmd_gen_check(args) -> int:
+def _cmd_gen_check(args):
     view = _view(args)
-    graph = load_graph(view.get_path("graph", required=True))
-    ab = bio.parse_matrix(view, "ab", graph)
-    ad = bio.parse_matrix(view, "ad", graph)
+    graph, ab, ad = bio._load_model(view)
     center = view.get_vector("center", default=np.zeros(graph.num_vertices))
-    schedule = _schedule_from(view, "diffusion", center)
     config = GeneratorCheckConfig(
         graph=graph,
         birth_matrix=ab,
         death_matrix=ad,
-        schedule=schedule,
+        schedule=_schedule_from(view, "diffusion", center),
         center=center,
-        radius=view.get_float("radius", 2.0),
-        grid_points=view.get_int("grid_points", 41),
+        **view.optional(radius=float, grid_points=int),
     )
     view.reject_unknown()
     table = generator_convergence_check(config)
-    out = _out_dir(args)
-    bio.write_table_csv(os.path.join(out, "generator_table.csv"), table)
-    errs = table.errors("sup_error")
-    ratios = [row.empirical for row in table.statistic("error_ratio")]
-    _summary(
-        "gen-check",
-        [
-            ("levels", schedule.num_levels),
-            ("e_finest", float(errs[-1])),
-            ("ratio_finest", float(ratios[-1])),
-        ],
-    )
-    return 0
+    bio.write_table_csv(_out(args, "generator_table.csv"), table)
+    return [
+        ("levels", config.schedule.num_levels),
+        ("e_finest", table.errors("sup_error")[-1]),
+        ("ratio_finest", table.statistic("error_ratio")[-1].empirical),
+    ]
 
 
-def _add_common(sub, with_seed: bool = False, config_aliases: tuple[str, ...] = ()):
-    sub.add_argument(
-        "--config", *config_aliases, default=None, help="path to the config file"
-    )
-    sub.add_argument("--out", default="out", help="output directory (default: out)")
-    if with_seed:
-        sub.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
+# name, handler, help text, and the flags it takes beyond --config and --out:
+# "spec" (an alias of --config), "seed", and "spectral" (--graph, --alpha,
+# --beta)
+_SUBCOMMANDS = (
+    ("simulate", _cmd_simulate, "event-driven chain simulation", ("spec", "seed")),
+    ("stationary", _cmd_stationary, "stationary law from the generator", ("spec",)),
+    ("gibbs", _cmd_gibbs, "closed-form reversible stationary law", ("spec",)),
+    ("balance-check", _cmd_balance_check, "detailed-balance residual", ("spec",)),
+    ("spectrum", _cmd_spectrum, "numeric spectrum of -(alpha E + beta adjacency)",
+     ("spectral",)),
+    ("classify", _cmd_classify, "positive-definiteness verdict with auto dispatch",
+     ("spectral",)),
+    ("exp-diffusion", _cmd_exp_diffusion, "diffusion-scaling experiment", ("seed",)),
+    ("exp-fluid", _cmd_exp_fluid, "fluid-scaling experiment", ("seed",)),
+    ("gen-check", _cmd_gen_check, "generator convergence on a bump function", ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,46 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interacting truncated birth-and-death chains and their scaling limits.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sim = subs.add_parser("simulate", help="event-driven chain simulation")
-    _add_common(sim, with_seed=True, config_aliases=("--spec",))
-    sim.set_defaults(handler=_cmd_simulate)
-
-    stat = subs.add_parser("stationary", help="stationary law from the generator")
-    _add_common(stat, config_aliases=("--spec",))
-    stat.set_defaults(handler=_cmd_stationary)
-
-    gibbs = subs.add_parser("gibbs", help="closed-form reversible stationary law")
-    _add_common(gibbs, config_aliases=("--spec",))
-    gibbs.set_defaults(handler=_cmd_gibbs)
-
-    bal = subs.add_parser("balance-check", help="detailed-balance residual")
-    _add_common(bal, config_aliases=("--spec",))
-    bal.set_defaults(handler=_cmd_balance_check)
-
-    for name, handler, help_text in (
-        ("spectrum", _cmd_spectrum, "numeric spectrum of -(alpha E + beta adjacency)"),
-        ("classify", _cmd_classify, "positive-definiteness verdict with auto dispatch"),
-    ):
-        sp = subs.add_parser(name, help=help_text)
-        _add_common(sp)
-        sp.add_argument("--graph", default=None, help="graph file (n/e format)")
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.set_defaults(handler=handler)
-
-    expd = subs.add_parser("exp-diffusion", help="diffusion-scaling experiment")
-    _add_common(expd, with_seed=True)
-    expd.set_defaults(handler=_cmd_exp_diffusion)
-
-    expf = subs.add_parser("exp-fluid", help="fluid-scaling experiment")
-    _add_common(expf, with_seed=True)
-    expf.set_defaults(handler=_cmd_exp_fluid)
-
-    gen = subs.add_parser("gen-check", help="generator convergence on a bump function")
-    _add_common(gen)
-    gen.set_defaults(handler=_cmd_gen_check)
-
+    for name, handler, help_text, flags in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        aliases = ("--spec",) if "spec" in flags else ()
+        sub.add_argument(
+            "--config", *aliases, default=None, help="path to the config file"
+        )
+        sub.add_argument("--out", default="out", help="output directory (default: out)")
+        if "seed" in flags:
+            sub.add_argument("--seed", type=int, default=None, help="64-bit unsigned seed")
+        if "spectral" in flags:
+            sub.add_argument("--graph", default=None, help="graph file (n/e format)")
+            sub.add_argument("--alpha", type=float, default=None)
+            sub.add_argument("--beta", type=float, default=None)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -385,13 +292,15 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        pairs = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    print(f"{args.subcommand} ok " + " ".join(f"{k}={bio._fmt(v)}" for k, v in pairs))
+    return 0
 
 
 def main() -> None:

@@ -223,7 +223,8 @@ def _replica_table(config, ab, ad, tabulate, path_statistic=None) -> Convergence
         horizon = config.t / _time_scale(schedule.regime, eps)
         left = config.event_budget - events_used
         _check_projected_budget(spec, xi0, horizon, config.replicas, left)
-        seeds = [_replica_seed(config.seed, level, rep) for rep in range(config.replicas)]
+        # built as the replicas run, so a level holds at most one chunk of them
+        seeds = (_replica_seed(config.seed, level, rep) for rep in range(config.replicas))
         if path_statistic is None and spec.num_vertices == 1:
             spins, counts, hit_counts = _simulate_lockstep(
                 spec, xi0, horizon, seeds, left

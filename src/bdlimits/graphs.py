@@ -51,9 +51,6 @@ class Graph:
             adj[v, u] = 1.0
         adj.setflags(write=False)
         self._adjacency = adj
-        self._neighbors = tuple(
-            np.flatnonzero(adj[x]).astype(np.int64) for x in range(self.num_vertices)
-        )
 
     def _check_connected(self) -> None:
         if self.num_vertices == 1:
@@ -79,11 +76,6 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Symmetric 0/1 matrix with zero diagonal; entry (x,y)=1 iff {x,y} is an edge."""
         return self._adjacency
-
-    def neighbors(self, x: int) -> np.ndarray:
-        """Indices of vertices adjacent to x (x itself excluded)."""
-        self._check_vertex(x)
-        return self._neighbors[x]
 
     def degree(self, x: int) -> int:
         """Number of edges incident to x."""

@@ -28,6 +28,8 @@ SCHEMA_VERSION = 1
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -35,17 +37,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _csv(path, header, rows) -> None:
+    """One CSV file: the header row, then each row with every cell through _fmt."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """Event list as 't,vertex,sign' rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["t", "vertex", "sign"])
-        for t, v, s in zip(trajectory.times, trajectory.vertices, trajectory.signs):
-            w.writerow([_fmt(t), _fmt(v), _fmt(s)])
+    _csv(
+        path,
+        ["t", "vertex", "sign"],
+        zip(trajectory.times, trajectory.vertices, trajectory.signs),
+    )
 
 
 def write_distribution_csv(path, spec: ChainSpec, probabilities) -> None:
@@ -56,65 +62,41 @@ def write_distribution_csv(path, spec: ChainSpec, probabilities) -> None:
         raise DimensionMismatchError(
             f"{probs.shape} probabilities for {spec.num_states()} configurations"
         )
-    states = enumerate_states(spec, cap=probs.size)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(
-            ["state_index"]
-            + [f"spin_{x}" for x in range(spec.num_vertices)]
-            + ["probability"]
-        )
-        for i in range(states.shape[0]):
-            w.writerow([_fmt(i)] + [_fmt(s) for s in states[i]] + [_fmt(probs[i])])
+    states = enumerate_states(spec, cap=probs.size).tolist()
+    _csv(
+        path,
+        ["state_index"] + [f"spin_{x}" for x in range(spec.num_vertices)] + ["probability"],
+        ([i, *spins, p] for i, (spins, p) in enumerate(zip(states, probs.tolist()))),
+    )
 
 
 def write_spectral_report_csv(path, report: SpectralReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["method", "pd", "min_eig", "max_eig"])
-        w.writerow(
-            [
-                report.method,
-                _fmt(report.positive_definite),
-                _fmt(report.min_eigenvalue),
-                _fmt(report.max_eigenvalue),
-            ]
-        )
+    _csv(
+        path,
+        ["method", "pd", "min_eig", "max_eig"],
+        [[report.method, report.positive_definite, report.min_eigenvalue,
+          report.max_eigenvalue]],
+    )
 
 
 def write_eigenvalues_csv(path, eigenvalues) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["eigenvalue"])
-        for v in np.asarray(eigenvalues, dtype=float):
-            w.writerow([_fmt(v)])
+    _csv(path, ["eigenvalue"], ([v] for v in np.asarray(eigenvalues, dtype=float)))
 
 
 def write_table_csv(path, table: ConvergenceTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(
-            ["level", "epsilon", "statistic", "empirical", "limit", "abs_error", "mc_stderr"]
-        )
-        for row in table.rows:
-            w.writerow(
-                [
-                    _fmt(row.level),
-                    _fmt(row.epsilon),
-                    row.statistic,
-                    _fmt(row.empirical),
-                    _fmt(row.limit),
-                    _fmt(row.abs_error),
-                    _fmt(row.mc_stderr),
-                ]
-            )
+    _csv(
+        path,
+        ["level", "epsilon", "statistic", "empirical", "limit", "abs_error", "mc_stderr"],
+        (
+            [row.level, row.epsilon, row.statistic, row.empirical, row.limit,
+             row.abs_error, row.mc_stderr]
+            for row in table.rows
+        ),
+    )
 
 
 def write_scalar_csv(path, name: str, value: float) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow([name])
-        w.writerow([_fmt(value)])
+    _csv(path, [name], [[value]])
 
 
 def read_config(path) -> dict[str, str]:
@@ -208,6 +190,15 @@ class ConfigView:
             return None
         return raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)
 
+    def optional(self, **kinds) -> dict:
+        """{key: value} for each key of kinds (int or float) that the file
+        sets, as keyword arguments; a key it leaves out keeps the default of
+        the function or config class it is passed to."""
+        getters = {int: self.get_int, float: self.get_float}
+        return {
+            key: getters[kind](key) for key, kind in kinds.items() if key in self.entries
+        }
+
     def reject_unknown(self) -> None:
         unknown = set(self.entries) - self.used
         if unknown:
@@ -254,11 +245,15 @@ def parse_matrix(view: ConfigView, key: str, graph: Graph) -> np.ndarray:
     return validate_interaction(graph, matrix)
 
 
+def _load_model(view: ConfigView) -> tuple[Graph, np.ndarray, np.ndarray]:
+    """The graph and its birth and death matrices from the fields graph, ab, ad."""
+    graph = load_graph(view.get_path("graph", required=True))
+    return graph, parse_matrix(view, "ab", graph), parse_matrix(view, "ad", graph)
+
+
 def load_chain_spec(view: ConfigView) -> ChainSpec:
     """ChainSpec from the fields graph, ab, ad, l, r."""
-    graph = load_graph(view.get_path("graph", required=True))
-    ab = parse_matrix(view, "ab", graph)
-    ad = parse_matrix(view, "ad", graph)
+    graph, ab, ad = _load_model(view)
     l = view.get_int("l", required=True)
     r = view.get_int("r", required=True)
     return ChainSpec(graph=graph, birth_matrix=ab, death_matrix=ad, l=l, r=r)

@@ -111,3 +111,14 @@ def test_overflow_on_death_side_reports_its_vertex():
 def test_rk4_rejects_non_finite_horizon(t_end):
     with pytest.raises(bd.ValidationError, match="finite"):
         bd.rk4_integrate([[0.0]], [[1.0]], [1.0], t_end=t_end)
+
+
+@pytest.mark.parametrize("entry", [bd.rk4_integrate, bd.vector_field])
+@pytest.mark.parametrize(
+    "ab, ad, gamma",
+    [([[np.nan]], [[0.0]], [1.0]), ([[0.0]], [[0.0]], [np.nan]), ([[np.inf]], [[0.0]], [0.0])],
+    ids=["nan-birth", "nan-start", "inf-birth"],
+)
+def test_non_finite_input_is_rejected(entry, ab, ad, gamma):
+    with pytest.raises(bd.ValidationError, match="non-finite"):
+        entry(ab, ad, gamma)

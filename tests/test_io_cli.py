@@ -306,6 +306,7 @@ def test_gen_check_rate_overflow_exits_two(tmp_path, capsys):
     (tmp_path / "s.g").write_text("n 1\n")
     assert run_cli(["gen-check", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_gibbs_csv_under_raised_cap(tmp_path, capsys):
@@ -347,3 +348,73 @@ def test_exp_diffusion_table_is_pinned(tmp_path, seed):
     assert cli_main(args + ["--out", str(tmp_path)]) == 0
     table = (tmp_path / "diffusion_table.csv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == DIFFUSION_TABLE_SHA256[seed]
+
+
+TABLE_HEADER = "level,epsilon,statistic,empirical,limit,abs_error,mc_stderr"
+DISTRIBUTION_HEADER = "state_index,spin_0,spin_1,probability"
+SPECTRAL_CSVS = {
+    "spectral_report.csv": "method,pd,min_eig,max_eig",
+    "eigenvalues.csv": "eigenvalue",
+}
+
+# subcommand, its arguments on demos/configs, the keys of its summary line in
+# order, and the header row of each CSV it writes
+SUMMARY_CONTRACT = [
+    ("simulate", ["--config", "sim_two_site.cfg"],
+     ["events", "boundary_hits", "t_end", "seed"], {"trajectory.csv": "t,vertex,sign"}),
+    ("stationary", ["--config", "two_site.cfg"],
+     ["states", "max_prob"], {"stationary.csv": DISTRIBUTION_HEADER}),
+    ("gibbs", ["--config", "two_site.cfg"],
+     ["states", "log_z"], {"gibbs.csv": DISTRIBUTION_HEADER}),
+    ("balance-check", ["--config", "two_site.cfg"],
+     ["residual"], {"balance.csv": "max_residual"}),
+    ("spectrum", ["--graph", "cycle3.g", "--alpha", "-3", "--beta", "1"],
+     ["pd", "min_eig", "method"], SPECTRAL_CSVS),
+    ("classify", ["--graph", "star5.g", "--alpha", "-3", "--beta", "1"],
+     ["pd", "min_eig", "method"], SPECTRAL_CSVS),
+    ("exp-diffusion", ["--config", "diffusion_small.cfg"],
+     ["levels", "coarsest_mean_err", "finest_mean_err"],
+     {"diffusion_table.csv": TABLE_HEADER}),
+    ("exp-fluid", ["--config", "fluid_small.cfg"],
+     ["levels", "d_coarsest", "d_finest"], {"fluid_table.csv": TABLE_HEADER}),
+    ("gen-check", ["--config", "gencheck.cfg"],
+     ["levels", "e_finest", "ratio_finest"], {"generator_table.csv": TABLE_HEADER}),
+]
+
+
+@pytest.mark.parametrize(
+    "sub, args, keys, csvs", SUMMARY_CONTRACT, ids=[c[0] for c in SUMMARY_CONTRACT]
+)
+def test_summary_line_and_csv_headers(tmp_path, capsys, sub, args, keys, csvs):
+    args = [a if a.startswith("-") or not a.endswith((".cfg", ".g"))
+            else os.path.join(CONFIG_DIR, a) for a in args]
+    assert run_cli([sub] + args + ["--out", tmp_path / "o"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{sub} ok ")
+    pairs = [token.split("=") for token in lines[0][len(f"{sub} ok "):].split(" ")]
+    assert [key for key, _ in pairs] == keys
+    assert all(value for _, value in pairs)
+    assert sorted(os.listdir(tmp_path / "o")) == sorted(csvs)
+    for name, header in csvs.items():
+        assert (tmp_path / "o" / name).read_text().splitlines()[0] == header
+
+
+def test_optional_keys_default_to_the_library(tmp_path, capsys):
+    # configs that leave out every optional key give the tables of the API
+    # calls made with the config classes' and geometric_schedule's defaults
+    graph = os.path.join(CONFIG_DIR, "single.g")
+    model = f"schema=1\ngraph = {graph}\nab = zero\nad = diag:1\nlevels = 2\n"
+    fluid_cfg = write(tmp_path, "fluid.cfg", model + "u = 1.0\nt = 2.0\n")
+    gen_cfg = write(tmp_path, "gen.cfg", model)
+    assert run_cli(["exp-fluid", "--config", fluid_cfg, "--out", tmp_path / "f"]) == 0
+    assert run_cli(["gen-check", "--config", gen_cfg, "--out", tmp_path / "g"]) == 0
+    g, ab, ad = bd.single_vertex(), np.zeros((1, 1)), np.eye(1)
+    fluid = bd.run_fluid_experiment(bd.FluidExperimentConfig(
+        g, ab, ad, bd.geometric_schedule("fluid", [1.0], 2), t=2.0
+    ))
+    gen = bd.generator_convergence_check(bd.GeneratorCheckConfig(
+        g, ab, ad, bd.geometric_schedule("diffusion", [0.0], 2)
+    ))
+    for table, out in ((fluid, "f/fluid_table.csv"), (gen, "g/generator_table.csv")):
+        bio.write_table_csv(tmp_path / "api.csv", table)
+        assert (tmp_path / out).read_bytes() == (tmp_path / "api.csv").read_bytes()
