@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import Graph, validate_interaction
+from .spectral import SYMMETRY_TOLERANCE
 
 DEFAULT_STATE_CAP = 200_000
 
@@ -259,10 +261,6 @@ def _start(spec: ChainSpec, initial, t_end: float) -> tuple[np.ndarray, bool]:
     return xi0, bound > MAX_EXPONENT
 
 
-def _budget_hit(count: int, max_events) -> bool:
-    return max_events is not None and count >= max_events
-
-
 def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
     """(y, matrix[y, x]) for y = x and every y with a nonzero in column x."""
     ys = sorted(set(np.flatnonzero(matrix[:, x]).tolist()) | {x})
@@ -290,6 +288,7 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
     rates = [math.exp(e) if v < r else 0.0 for e, v in zip(bexp, spins)]
     rates += [math.exp(e) if v > -l else 0.0 for e, v in zip(dexp, spins)]
     exp = math.exp
+    cap = math.inf if max_events is None else max_events
 
     times: list[float] = []
     verts: list[int] = []
@@ -328,7 +327,7 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
         times.append(t)
         verts.append(x)
         signs.append(s)
-        if _budget_hit(len(times), max_events):
+        if len(times) >= cap:
             raise BudgetExceededError(
                 f"simulation exceeded max_events={max_events} before t_end"
             )
@@ -339,6 +338,29 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
         signs=np.asarray(signs, dtype=np.int64),
         t_end=float(t_end),
     )
+
+
+def _run_replicas(spec, xi0, t_end, seeds, budget, statistic=None):
+    """(statistic(trajectory) per replica, boundary hits, events) of one
+    replica per seed, each drawing as simulate does, until their events
+    together reach budget (BudgetExceededError).  statistic None takes the
+    final state, and a single-vertex spec then runs in lockstep; any other
+    replica is one _simulate_vector call after one check of the start.
+    """
+    if statistic is None and spec.num_vertices == 1:
+        finals, events, hits = _simulate_lockstep(spec, xi0, t_end, seeds, budget)
+        return finals[:, None], int(hits.sum()), int(events.sum())
+    xi0, guarded = _start(spec, xi0, t_end)
+    statistic = statistic or Trajectory.final_state
+    values = []
+    hits = used = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        traj = _simulate_vector(spec, xi0, t_end, rng, guarded, budget - used)
+        used += traj.num_events
+        hits += traj.boundary_hits(spec.l, spec.r)
+        values.append(statistic(traj))
+    return np.array(values), hits, used
 
 
 def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
@@ -387,79 +409,61 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     next_t[1::2] = 2 * np.minimum(np.arange(m) + 1, m - 1)
     hit_t = np.zeros(2 * m, dtype=np.int64)
     hit_t[[0, 2 * m - 2]] = 1
-    tables = (birth_t, total_t, next_t, hit_t, unsafe if guarded else None, worst)
 
     # a buffer column is touched only once a replica fills it
-    buffers = (
-        np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F"),
-        np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F"),
-    )
+    ebuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
+    ubuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
     seeds = iter(seeds)
-    final, events, hits = [], [], []
+    # per chunk, the final doubled index, events and hits of each replica
+    chunks = []
     left = math.inf if max_events is None else max_events
-    while chunk := list(islice(seeds, _LOCKSTEP_CHUNK)):
-        pos, chunk_events, chunk_hits = _lockstep_chunk(
-            tables, 2 * (int(xi0[0]) + l), t_end, chunk, buffers, left
-        )
-        final.append(pos // 2 - l)
-        events.append(chunk_events)
-        hits.append(chunk_hits)
-        left -= int(chunk_events.sum())
-    return np.concatenate(final), np.concatenate(events), np.concatenate(hits)
-
-
-def _lockstep_chunk(tables, start, t_end, seeds, buffers, budget):
-    """Final doubled indices, events and boundary hits of one chunk, which
-    raises BudgetExceededError once its events reach budget."""
-    birth_t, total_t, next_t, hit_t, unsafe, worst = tables
-    count = len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    ebuf, ubuf = buffers
-    final = np.empty(count, dtype=np.int64)
-    events = np.empty(count, dtype=np.int64)
-    hits = np.empty(count, dtype=np.int64)
-    # the live replicas' columns (a slice until the first one drops out)
-    # and their state, compacted as they drop out
-    live = np.arange(count)
-    cols = slice(0, count)
-    pos = np.full(count, start)
-    t = np.zeros(count)
-    h = np.zeros(count, dtype=np.int64)
-    step = used = 0
-    k = _RNG_BUFFER
-    while True:
-        if k == _RNG_BUFFER:
-            for j in live.tolist():
-                rngs[j].standard_exponential(out=ebuf[:, j])
-                rngs[j].random(out=ubuf[:, j])
-            k = 0
-        total = total_t[pos]
-        t_next = ebuf[k, cols] / total
-        t_next += t
-        go = t_next <= t_end
-        if np.count_nonzero(go) < go.size:
-            stop = ~go
-            done = live[stop]
-            final[done] = pos[stop]
-            events[done] = step
-            hits[done] = h[stop]
-            live, pos, h, total, t_next = live[go], pos[go], h[go], total[go], t_next[go]
-            cols = live
-            if not live.size:
-                return final, events, hits
-        total *= ubuf[k, cols]
-        pos = next_t[pos + (total < birth_t[pos])]
-        h += hit_t[pos]
-        t = t_next
-        k += 1
-        step += 1
-        if unsafe is not None and unsafe[pos].any():
-            raise RateOverflowError(0, worst[int(pos[unsafe[pos]][0]) // 2])
-        used += live.size
-        if used >= budget:
-            raise BudgetExceededError(
-                f"replicas reached the event budget ({budget} left) before t_end"
-            )
+    while rngs := [np.random.default_rng(s) for s in islice(seeds, _LOCKSTEP_CHUNK)]:
+        count = len(rngs)
+        out = np.empty((3, count), dtype=np.int64)
+        # the live replicas' columns (a slice until the first one drops out)
+        # and their state, compacted as they drop out
+        live = np.arange(count)
+        cols = slice(0, count)
+        pos = np.full(count, 2 * (int(xi0[0]) + l))
+        t = np.zeros(count)
+        h = np.zeros(count, dtype=np.int64)
+        step = used = 0
+        k = _RNG_BUFFER
+        while True:
+            if k == _RNG_BUFFER:
+                for j in live.tolist():
+                    rngs[j].standard_exponential(out=ebuf[:, j])
+                    rngs[j].random(out=ubuf[:, j])
+                k = 0
+            total = total_t[pos]
+            t_next = ebuf[k, cols] / total
+            t_next += t
+            go = t_next <= t_end
+            if np.count_nonzero(go) < go.size:
+                stop = ~go
+                done = live[stop]
+                out[0, done], out[1, done], out[2, done] = pos[stop], step, h[stop]
+                live, pos, h, total, t_next = live[go], pos[go], h[go], total[go], t_next[go]
+                cols = live
+                if not live.size:
+                    break
+            total *= ubuf[k, cols]
+            pos = next_t[pos + (total < birth_t[pos])]
+            h += hit_t[pos]
+            t = t_next
+            k += 1
+            step += 1
+            if guarded and unsafe[pos].any():
+                raise RateOverflowError(0, worst[int(pos[unsafe[pos]][0]) // 2])
+            used += live.size
+            if used >= left:
+                raise BudgetExceededError(
+                    f"replicas reached the event budget ({left} left) before t_end"
+                )
+        chunks.append(out)
+        left -= used
+    final, events, hits = np.concatenate(chunks, axis=1)
+    return final // 2 - l, events, hits
 
 
 def _check_cap(spec: ChainSpec, cap: int) -> int:
@@ -487,11 +491,10 @@ def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
 
 
 def state_index(spec: ChainSpec, spins) -> int:
-    """Canonical index of one configuration."""
+    """Canonical index of one configuration, as an exact Python int."""
     xi = spec.validate_configuration(spins)
     base = spec.num_spin_values
-    weights = base ** np.arange(spec.num_vertices, dtype=np.int64)
-    return int(((xi + spec.l) * weights).sum())
+    return sum((v + spec.l) * base**x for x, v in enumerate(xi.tolist()))
 
 
 def _rate_blocks(spec: ChainSpec, states: np.ndarray):
@@ -641,12 +644,12 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
     xi + e_x.
     """
     a = spec.drift_matrix
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
+    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
         raise AsymmetricMatrixError(
             "A_b - A_d is not symmetric; the closed-form stationary "
             "distribution only applies to the reversible case"
         )
-    states = enumerate_states(spec, cap)
+    states = _gibbs_states(spec, cap)
     energy = gibbs_exponent(spec, states) - states @ np.diag(spec.death_matrix)
     shift = energy.max()
     log_z = float(np.log(np.exp(energy - shift).sum()) + shift)
@@ -660,6 +663,16 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
     return GibbsDistribution(probabilities=probs, log_partition=log_z)
 
 
+@lru_cache(maxsize=1)
+def _gibbs_states(spec: ChainSpec, cap: int) -> np.ndarray:
+    """enumerate_states, read-only and kept for the last (spec, cap), so that
+    check_detailed_balance and the gibbs_measure it calls enumerate once; a
+    spec never changes, and neither do its states."""
+    states = enumerate_states(spec, cap)
+    states.setflags(write=False)
+    return states
+
+
 def check_detailed_balance(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> float:
     """Max |q(xi, xi + e_x) mu(xi) - q(xi + e_x, xi) mu(xi + e_x)| over every
     jump of the chain, for mu the Gibbs law.
@@ -670,7 +683,7 @@ def check_detailed_balance(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> flo
     are the two ends of one jump.
     """
     mu = gibbs_measure(spec, cap).probabilities
-    states = enumerate_states(spec, cap)
+    states = _gibbs_states(spec, cap)
     worst = 0.0
     for _, up, up_rate, down, down_rate in _rate_blocks(spec, states):
         residual = up_rate * mu[up] - down_rate * mu[down]

@@ -122,13 +122,14 @@ def _spectral_inputs(args):
     graph_path, alpha, beta = args.graph, args.alpha, args.beta
     if args.config is not None:
         view = _view(args)
-        graph_path = graph_path or view.get_path("graph", required=True)
-        if alpha is None:
-            alpha = view.get_float("alpha", required=True)
-        if beta is None:
-            beta = view.get_float("beta", required=True)
-        view.used.update({"graph", "alpha", "beta"})
+        # every key the file sets is parsed, and then a flag overrides it
+        file_graph = view.get_path("graph", required=graph_path is None)
+        file_alpha = view.get_float("alpha", required=alpha is None)
+        file_beta = view.get_float("beta", required=beta is None)
         view.reject_unknown()
+        graph_path = graph_path or file_graph
+        alpha = file_alpha if alpha is None else alpha
+        beta = file_beta if beta is None else beta
     if graph_path is None or alpha is None or beta is None:
         raise ConfigError("need --graph, --alpha and --beta (or a --config providing them)")
     return load_graph(graph_path), float(alpha), float(beta)

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .paths import SamplePath, step_count
-from .spectral import as_square_matrix, is_hurwitz, matrix_exp
+from .spectral import SYMMETRY_TOLERANCE, as_square_matrix, is_hurwitz, matrix_exp
 
 DEFAULT_DT = 1e-3
 
@@ -166,6 +166,6 @@ def stationary_log_density_unnormalized(a, u) -> float:
     """
     m = as_square_matrix(a)
     v = _as_state(m, u)
-    if np.abs(m - m.T).max(initial=0.0) > 1e-12:
+    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
         raise AsymmetricMatrixError("log-density form requires symmetric A")
     return 0.5 * float(v @ (m @ v))

@@ -13,14 +13,11 @@ chain and jump rates from bdlimits.chain:
   compactly-supported bump, compared pointwise against the limit
   second-order operator; the sup error is first order in eps.
 
-The two Monte-Carlo drivers share one replica loop.  Every replica draws
-its own generator seeded by (seed, level, replica), so results are
-independent of execution order and reproducible bit-for-bit.  The
-diffusion driver needs only final states, so on a single-vertex graph its
-replicas run in lockstep chunks (chain._simulate_lockstep) with the same
-final states, events and boundary hits as one simulate call each; every
-other replica is one simulate call.  Each driver validates its matrices
-once; the per-level specs are scaled copies of them.
+The three configs validate their matrices once, at construction, and
+build each level's spec as a scaled copy of them.  Every level's replicas
+run through one entry, chain._run_replicas, and each draws its own
+generator seeded by (seed, level, replica), so results are independent of
+execution order and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .chain import ChainSpec, Trajectory, _rate_blocks, _simulate_lockstep, simulate
+from .chain import ChainSpec, _rate_blocks, _run_replicas
 from .diffusion import exact_transition
 from .errors import BudgetExceededError, SupportNotCoveredError, ValidationError
 from .fluid import rk4_integrate
@@ -141,18 +138,44 @@ def _time_scale(regime: str, eps: float) -> float:
     return eps**2 if regime == "diffusion" else eps
 
 
-def _check_schedule(graph: Graph, schedule: ScalingSchedule, regime: str, **finite):
-    """The schedule's regime, its initial point against the graph, and the
-    named values being finite; shared by the three drivers' configs."""
-    if schedule.regime != regime:
-        raise ValidationError(f"schedule regime must be {regime!r}")
-    if schedule.initial_point.shape[0] != graph.num_vertices:
-        raise ValidationError(
-            "schedule initial point does not match the number of vertices"
+@dataclass(frozen=True, eq=False)
+class _ScaledModel:
+    """Graph, interaction matrices and scaling schedule of one experiment;
+    the matrices are validated once, at construction, and kept as read-only
+    copies, so changing the caller's arrays later changes nothing here."""
+
+    graph: Graph
+    birth_matrix: np.ndarray
+    death_matrix: np.ndarray
+    schedule: ScalingSchedule
+
+    def __post_init__(self):
+        for name in ("birth_matrix", "death_matrix"):
+            matrix = validate_interaction(self.graph, getattr(self, name))
+            object.__setattr__(self, name, matrix)
+        if self.schedule.initial_point.shape[0] != self.graph.num_vertices:
+            raise ValidationError(
+                "schedule initial point does not match the number of vertices"
+            )
+
+    def _require(self, regime: str, **finite) -> None:
+        """The schedule's regime, and the named values being finite."""
+        if self.schedule.regime != regime:
+            raise ValidationError(f"schedule regime must be {regime!r}")
+        for name, value in finite.items():
+            if not np.isfinite(value).all():
+                raise ValidationError(f"{name} must be finite, got {value}")
+
+    def _level_chain(self, level: int) -> tuple[ChainSpec, np.ndarray]:
+        """rescaled_chain_spec of this model at one level."""
+        eps = float(self.schedule.epsilons[level])
+        scale = _time_scale(self.schedule.regime, eps)
+        box = int(self.schedule.box_sizes[level])
+        spec = ChainSpec._prevalidated(
+            self.graph, scale * self.birth_matrix, scale * self.death_matrix, box
         )
-    for name, value in finite.items():
-        if not np.isfinite(value).all():
-            raise ValidationError(f"{name} must be finite, got {value}")
+        start = np.rint(self.schedule.initial_point / eps)
+        return spec, np.clip(start, -box, box).astype(np.int64)
 
 
 def rescaled_chain_spec(
@@ -170,43 +193,15 @@ def rescaled_chain_spec(
     """
     if not 0 <= level < schedule.num_levels:
         raise ValidationError(f"level {level} outside schedule of {schedule.num_levels}")
-    ab = validate_interaction(graph, birth_matrix)
-    ad = validate_interaction(graph, death_matrix)
-    _check_schedule(graph, schedule, schedule.regime)
-    return _level_spec(graph, ab, ad, schedule, level)
-
-
-def _level_spec(graph, ab, ad, schedule, level) -> tuple[ChainSpec, np.ndarray]:
-    """rescaled_chain_spec for matrices the caller has validated once."""
-    eps = float(schedule.epsilons[level])
-    scale = _time_scale(schedule.regime, eps)
-    box = int(schedule.box_sizes[level])
-    spec = ChainSpec._prevalidated(graph, scale * ab, scale * ad, box)
-    xi0 = np.clip(np.rint(schedule.initial_point / eps), -box, box).astype(np.int64)
-    return spec, xi0
-
-
-def _check_projected_budget(
-    spec: ChainSpec, xi0: np.ndarray, horizon: float, replicas: int, budget: int
-) -> None:
-    # crude projection from the initial total rate; mean-reverting benchmark
-    # specs stay near this rate for their whole run
-    blocks = _rate_blocks(spec, xi0[None, :])
-    rate = sum(float(up.sum() + down.sum()) for _, _, up, _, down in blocks)
-    projected = rate * horizon * replicas
-    if projected > budget:
-        raise BudgetExceededError(
-            f"projected {projected:.3g} events exceed the budget of {budget}"
-        )
+    return _ScaledModel(graph, birth_matrix, death_matrix, schedule)._level_chain(level)
 
 
 def _replica_seed(seed: int, level: int, replica: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), int(level), int(replica)))
 
 
-def _replica_table(config, ab, ad, tabulate, path_statistic=None) -> ConvergenceTable:
-    """The per-level replica loop of the two Monte-Carlo drivers, on the
-    matrices ab and ad the driver validated from config.
+def _replica_table(config, tabulate, path_statistic=None) -> ConvergenceTable:
+    """The per-level replica loop of the two Monte-Carlo drivers.
 
     Each level runs `replicas` copies of the rescaled chain to t / eps^2 or
     t / eps under what is left of the event budget, reduces each copy to
@@ -219,25 +214,22 @@ def _replica_table(config, ab, ad, tabulate, path_statistic=None) -> Convergence
     events_used = 0
     for level in range(schedule.num_levels):
         eps = float(schedule.epsilons[level])
-        spec, xi0 = _level_spec(config.graph, ab, ad, schedule, level)
+        spec, xi0 = config._level_chain(level)
         horizon = config.t / _time_scale(schedule.regime, eps)
         left = config.event_budget - events_used
-        _check_projected_budget(spec, xi0, horizon, config.replicas, left)
+        # crude projection from the initial total rate; mean-reverting
+        # benchmark specs stay near this rate for their whole run
+        blocks = _rate_blocks(spec, xi0[None, :])
+        rate = sum(float(up.sum() + down.sum()) for _, _, up, _, down in blocks)
+        projected = rate * horizon * config.replicas
+        if projected > left:
+            raise BudgetExceededError(
+                f"projected {projected:.3g} events exceed the budget of {left}"
+            )
         # built as the replicas run, so a level holds at most one chunk of them
         seeds = (_replica_seed(config.seed, level, rep) for rep in range(config.replicas))
-        if path_statistic is None and spec.num_vertices == 1:
-            spins, counts, hit_counts = _simulate_lockstep(
-                spec, xi0, horizon, seeds, left
-            )
-            values = spins[:, None]
-            hits, events = int(hit_counts.sum()), int(counts.sum())
-        else:
-            statistic = (
-                partial(path_statistic, eps) if path_statistic else Trajectory.final_state
-            )
-            values, hits, events = _sequential_replicas(
-                spec, xi0, horizon, seeds, left, statistic
-            )
+        statistic = path_statistic and partial(path_statistic, eps)
+        values, hits, events = _run_replicas(spec, xi0, horizon, seeds, left, statistic)
         events_used += events
         tabulate(table, level, eps, values)
         table.add(level, eps, "boundary_hits", float(hits), 0.0, float(hits), None)
@@ -245,32 +237,16 @@ def _replica_table(config, ab, ad, tabulate, path_statistic=None) -> Convergence
     return table
 
 
-def _sequential_replicas(spec, xi0, horizon, seeds, budget, statistic):
-    """(statistic per replica, boundary hits, events) of one level's
-    replicas, each a simulate call under what is left of budget."""
-    values = []
-    hits = used = 0
-    for seed in seeds:
-        traj = simulate(spec, xi0, horizon, seed=seed, max_events=budget - used)
-        used += traj.num_events
-        hits += traj.boundary_hits(spec.l, spec.r)
-        values.append(statistic(traj))
-    return np.array(values), hits, used
-
-
 @dataclass(frozen=True, eq=False)
-class DiffusionExperimentConfig:
-    graph: Graph
-    birth_matrix: np.ndarray
-    death_matrix: np.ndarray
-    schedule: ScalingSchedule
+class DiffusionExperimentConfig(_ScaledModel):
     t: float
     replicas: int = 2000
     seed: int = 0
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        _check_schedule(self.graph, self.schedule, "diffusion", t=self.t)
+        super().__post_init__()
+        self._require("diffusion", t=self.t)
         if self.t <= 0 or self.replicas < 1:
             raise ValidationError("need t > 0 and at least one replica")
 
@@ -282,10 +258,8 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
     copies; the empirical mean and covariance of eps * xi(final) are tabled
     against the Gaussian law with Monte-Carlo standard errors.
     """
-    ab = validate_interaction(config.graph, config.birth_matrix)
-    ad = validate_interaction(config.graph, config.death_matrix)
-    u = config.schedule.initial_point
-    exact_mean, exact_cov = exact_transition(ab - ad, u, config.t)
+    a = config.birth_matrix - config.death_matrix
+    exact_mean, exact_cov = exact_transition(a, config.schedule.initial_point, config.t)
     d = config.graph.num_vertices
     n = config.replicas
 
@@ -306,15 +280,11 @@ def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTa
             emp, exact = float(emp), float(exact)
             table.add(level, eps, name, emp, exact, abs(emp - exact), float(se))
 
-    return _replica_table(config, ab, ad, tabulate)
+    return _replica_table(config, tabulate)
 
 
 @dataclass(frozen=True, eq=False)
-class FluidExperimentConfig:
-    graph: Graph
-    birth_matrix: np.ndarray
-    death_matrix: np.ndarray
-    schedule: ScalingSchedule
+class FluidExperimentConfig(_ScaledModel):
     t: float
     replicas: int = 1
     grid_points: int = 200
@@ -323,7 +293,8 @@ class FluidExperimentConfig:
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        _check_schedule(self.graph, self.schedule, "fluid", t=self.t, ode_dt=self.ode_dt)
+        super().__post_init__()
+        self._require("fluid", t=self.t, ode_dt=self.ode_dt)
         if self.t <= 0 or self.replicas < 1 or self.grid_points < 2:
             raise ValidationError("need t > 0, replicas >= 1, grid_points >= 2")
 
@@ -335,10 +306,9 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
     distance between eps * xi(s/eps) and the RK4 reference path; with more
     than one replica the mean of D_n is reported with its standard error.
     """
-    ab = validate_interaction(config.graph, config.birth_matrix)
-    ad = validate_interaction(config.graph, config.death_matrix)
     reference = rk4_integrate(
-        ab, ad, config.schedule.initial_point, dt=config.ode_dt, t_end=config.t
+        config.birth_matrix, config.death_matrix, config.schedule.initial_point,
+        dt=config.ode_dt, t_end=config.t,
     )
     grid = np.linspace(0.0, config.t, config.grid_points)
     ref_states = reference.at(grid)
@@ -352,7 +322,7 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
         stderr = float(sups.std(ddof=1) / math.sqrt(n)) if n > 1 else None
         table.add(level, eps, "sup_distance", d_level, 0.0, d_level, stderr)
 
-    return _replica_table(config, ab, ad, tabulate, sup_distance)
+    return _replica_table(config, tabulate, sup_distance)
 
 
 def _bump_frame(points, center, radius: float):
@@ -398,28 +368,21 @@ def bump_second_diag(points, center, radius: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorCheckConfig:
-    graph: Graph
-    birth_matrix: np.ndarray
-    death_matrix: np.ndarray
-    schedule: ScalingSchedule
+class GeneratorCheckConfig(_ScaledModel):
     center: np.ndarray | None = None
     radius: float = 2.0
     grid_points: int = 41
 
     def __post_init__(self):
-        c = (
-            np.zeros(self.graph.num_vertices)
-            if self.center is None
-            else np.atleast_1d(np.asarray(self.center, dtype=float))
-        )
-        _check_schedule(
-            self.graph, self.schedule, "diffusion", center=c, radius=self.radius
-        )
+        super().__post_init__()
+        c = np.zeros(self.graph.num_vertices) if self.center is None else self.center
+        c = np.atleast_1d(np.array(c, dtype=float))
+        self._require("diffusion", center=c, radius=self.radius)
         if c.shape[0] != self.graph.num_vertices:
             raise ValidationError("bump center does not match the number of vertices")
         if self.radius <= 0 or self.grid_points < 3:
             raise ValidationError("need radius > 0 and grid_points >= 3")
+        c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
 
@@ -435,11 +398,8 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
     Raises RateOverflowError if a rate exponent on the grid exceeds
     MAX_EXPONENT.
     """
-    graph = config.graph
-    d = graph.num_vertices
-    ab = validate_interaction(graph, config.birth_matrix)
-    ad = validate_interaction(graph, config.death_matrix)
-    a = ab - ad
+    d = config.graph.num_vertices
+    a = config.birth_matrix - config.death_matrix
     c, rho = config.center, config.radius
     axes = [
         np.linspace(c[x] - rho, c[x] + rho, config.grid_points) for x in range(d)
@@ -455,7 +415,7 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
     table = ConvergenceTable()
     for level in range(config.schedule.num_levels):
         eps = float(config.schedule.epsilons[level])
-        spec, _ = _level_spec(graph, ab, ad, config.schedule, level)
+        spec, _ = config._level_chain(level)
         half_width = eps * spec.r
         if np.any(c - rho < -half_width) or np.any(c + rho > half_width):
             raise SupportNotCoveredError(

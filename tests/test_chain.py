@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import bdlimits as bd
-from bdlimits.chain import _simulate_lockstep, _simulate_vector
-from bdlimits.experiments import _sequential_replicas
+from bdlimits.chain import _run_replicas, _simulate_lockstep, _simulate_vector
 
 
 def two_state_spec():
@@ -190,7 +189,7 @@ def test_lockstep_budget_is_the_running_total():
     total = sum(events for _, events, _ in _sequential_finals(spec, start, t_end, seeds))
     routes = (
         lambda budget: _simulate_lockstep(spec, xi0, t_end, seeds, budget),
-        lambda budget: _sequential_replicas(
+        lambda budget: _run_replicas(
             spec, xi0, t_end, seeds, budget, bd.Trajectory.final_state
         ),
     )
@@ -332,3 +331,12 @@ def test_local_updates_replay_from_scratch_rates():
         state[x] += s
         t = traj.times[k]
     assert np.array_equal(traj.final_state(), state)
+
+
+def test_state_index_is_exact_past_int64():
+    # 129^12 states: int64 weights would wrap at the all-r corner
+    n = 12
+    spec = bd.ChainSpec(bd.cycle_graph(n), np.zeros((n, n)), np.zeros((n, n)), l=64, r=64)
+    corner = bd.state_index(spec, np.full(n, 64))
+    assert corner == spec.num_states() - 1 == 21236186150528020865123840
+    assert bd.state_index(spec, np.full(n, -64)) == 0

@@ -348,3 +348,55 @@ def test_drivers_validate_each_matrix_once(run, monkeypatch):
     monkeypatch.setattr(experiments, "validate_interaction", counting)
     run()
     assert len(calls) == 2
+
+
+def _diffusion_config(**kw):
+    args = dict(
+        graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[1.0]],
+        schedule=bd.geometric_schedule("diffusion", [1.0], 2), t=1.0, replicas=20,
+    )
+    return bd.DiffusionExperimentConfig(**{**args, **kw})
+
+
+CONFIG_RUNS = {
+    "diffusion": (_diffusion_config, bd.run_diffusion_experiment),
+    "fluid": (_fluid_config, bd.run_fluid_experiment),
+    "generator": (_generator_config, bd.generator_convergence_check),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_RUNS))
+def test_configs_keep_their_own_copies(kind):
+    make, run = CONFIG_RUNS[kind]
+    ab, ad, center = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1)
+    extra = {"center": center} if kind == "generator" else {}
+    config = make(birth_matrix=ab, death_matrix=ad, **extra)
+    before = run(config).rows
+    ab[0, 0], ad[0, 0], center[0] = 0.5, 5.0, 0.5
+    assert run(config).rows == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["birth_matrix", "death_matrix"])
+@pytest.mark.parametrize("kind", sorted(CONFIG_RUNS))
+def test_configs_reject_non_finite_matrices(kind, name, bad):
+    make, _ = CONFIG_RUNS[kind]
+    with pytest.raises(bd.ValidationError, match="not finite"):
+        make(**{name: [[bad]]})
+
+
+def test_two_vertex_replicas_check_the_start_once_per_level(monkeypatch):
+    calls = []
+    check = bd.ChainSpec.validate_configuration
+
+    def counting(spec, spins):
+        calls.append(spins)
+        return check(spec, spins)
+
+    monkeypatch.setattr(bd.ChainSpec, "validate_configuration", counting)
+    config = _diffusion_config(
+        graph=bd.path_graph(2), birth_matrix=np.zeros((2, 2)), death_matrix=np.eye(2),
+        schedule=bd.geometric_schedule("diffusion", [0.5, 0.0], 2), t=0.25, replicas=5,
+    )
+    bd.run_diffusion_experiment(config)
+    assert len(calls) == config.schedule.num_levels

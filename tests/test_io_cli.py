@@ -418,3 +418,19 @@ def test_optional_keys_default_to_the_library(tmp_path, capsys):
     for table, out in ((fluid, "f/fluid_table.csv"), (gen, "g/generator_table.csv")):
         bio.write_table_csv(tmp_path / "api.csv", table)
         assert (tmp_path / out).read_bytes() == (tmp_path / "api.csv").read_bytes()
+
+
+def test_spectral_flags_still_parse_the_config_values(tmp_path, capsys):
+    # a flag overrides a config value, but a bad value in the file is still
+    # an error
+    cfg = write(
+        tmp_path, "c.cfg",
+        f"schema=1\ngraph = {os.path.join(CONFIG_DIR, 'star5.g')}\n"
+        "alpha = abc\nbeta = nan\n",
+    )
+    code = run_cli(
+        ["classify", "--config", cfg, "--alpha", "-3", "--beta", "1",
+         "--out", tmp_path / "out"]
+    )
+    assert code == 1
+    assert "field 'alpha' must be a number" in capsys.readouterr().err
