@@ -9,6 +9,8 @@ and its stationary solve by sparse LU, the closed-form Gibbs measure (the
 stationary law of every spec with symmetric A_b - A_d), and the
 detailed-balance residual of that measure under the chain's own rates.
 Every rate of the exact-law functions comes from one kernel, _rate_blocks.
+scipy.sparse is imported inside build_generator and stationary_solve, so
+importing this module, or simulating, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from functools import lru_cache
 from itertools import accumulate, islice
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     MAX_EXPONENT,
@@ -542,12 +543,16 @@ def _generator_entries(spec: ChainSpec, cap: int):
     return count, all_rows, all_cols, np.concatenate((off, -out_rate))
 
 
-def build_generator(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> sp.csr_matrix:
+def build_generator(
+    spec: ChainSpec, cap: int = DEFAULT_STATE_CAP
+) -> "scipy.sparse.csr_matrix":
     """Sparse generator Q over all configurations in canonical order.
 
     Q[i, j] is the jump rate from state i to j; diagonal entries make the
     rows sum to zero.
     """
+    import scipy.sparse as sp
+
     count, rows, cols, rates = _generator_entries(spec, cap)
     return sp.csr_matrix((rates, (rows, cols)), shape=(count, count))
 
@@ -572,8 +577,7 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     states, does not bound this memory; a cap by memory is still open
     (ROADMAP item 5).
     """
-    # imported here so that a process which never solves (most CLI
-    # subcommands) does not pay its import, about 15 ms
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     count, rows, cols, rates = _generator_entries(spec, cap)

@@ -163,12 +163,7 @@ def _schedule_from(view: bio.ConfigView, regime: str, u: np.ndarray) -> ScalingS
         return geometric_schedule(regime, u, levels, **steps)
     if boxes is None:
         boxes = np.ceil(eps**-2.0)
-    return ScalingSchedule(
-        epsilons=eps,
-        box_sizes=boxes.astype(np.int64),
-        initial_point=u,
-        regime=regime,
-    )
+    return ScalingSchedule(epsilons=eps, box_sizes=boxes, initial_point=u, regime=regime)
 
 
 def _experiment_inputs(view: bio.ConfigView, regime: str) -> dict:

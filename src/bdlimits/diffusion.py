@@ -5,7 +5,9 @@ an Euler-Maruyama integrator, the exact Gaussian transition law (mean and
 covariance from one block matrix exponential), and the stationary Gaussian
 law for Hurwitz A (a Lyapunov solve).  When the diagonal of A is negative
 the components are interacting Ornstein-Uhlenbeck processes with
-unit-variance-rate noise.
+unit-variance-rate noise.  scipy.linalg is imported inside
+stationary_gaussian; exact_transition reaches scipy only through
+spectral.matrix_exp.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AsymmetricMatrixError,
@@ -89,6 +90,8 @@ def euler_maruyama_terminal(
     m = as_square_matrix(a)
     u = _as_state(m, u0)
     steps = step_count(dt, t_end)
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
+        raise ValidationError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValidationError("n_paths must be positive")
     rng = np.random.default_rng(seed)
@@ -139,6 +142,8 @@ def stationary_gaussian(a) -> tuple[np.ndarray, np.ndarray]:
     The covariance solves A S + S A' = -2I (Bartels-Stewart); for symmetric
     A it equals (-A)^{-1}.
     """
+    import scipy.linalg
+
     m = as_square_matrix(a)
     if not is_hurwitz(m):
         raise NotHurwitzError(

@@ -53,15 +53,24 @@ class ScalingSchedule:
     regime: str
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        boxes = np.asarray(self.box_sizes, dtype=np.int64)
-        u = np.atleast_1d(np.asarray(self.initial_point, dtype=float))
+        # copies, so that freezing them leaves the caller's arrays writable
+        eps = np.array(self.epsilons, dtype=float)
+        raw = np.asarray(self.box_sizes)
+        # strings and bools cast cleanly, and ints past int64 not at all
+        if raw.dtype.kind not in "iuf":
+            raise ValidationError("box sizes must be finite integers")
+        with np.errstate(invalid="ignore"):
+            boxes = raw.astype(np.int64)
+        u = np.atleast_1d(np.array(self.initial_point, dtype=float))
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if eps.ndim != 1 or eps.size == 0:
             raise ValidationError("epsilons must be a nonempty 1-d sequence")
         if not (np.isfinite(eps).all() and np.isfinite(u).all()):
             raise ValidationError("epsilons and initial_point must be finite")
+        # a cast that changes a value would run a box the caller did not ask for
+        if not np.array_equal(boxes, raw):
+            raise ValidationError("box sizes must be finite integers")
         if boxes.shape != eps.shape:
             raise ValidationError("box_sizes must match epsilons in length")
         if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):

@@ -6,7 +6,8 @@ positive definiteness of -A decides whether the limit diffusion has a
 stationary law.  Star and path graphs admit closed-form spectra; constant
 degree graphs have an if-and-only-if Gershgorin criterion; everything else
 falls back to the numeric eigensolver with diagonal dominance as the
-recorded sufficient bound.
+recorded sufficient bound.  The eigenvalues come from numpy; scipy.linalg
+is imported inside matrix_exp, its one user here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -55,6 +55,8 @@ def eigen_sym(matrix) -> np.ndarray:
 
 def matrix_exp(matrix, t: float = 1.0) -> np.ndarray:
     """e^{Mt} by scipy's Pade scaling and squaring; exp of zero is exactly I."""
+    import scipy.linalg
+
     m = as_square_matrix(matrix)
     if not math.isfinite(t):
         raise ValidationError(f"t must be finite, got {t}")

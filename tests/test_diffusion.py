@@ -245,3 +245,15 @@ _INF_A = np.array([[-np.inf, 0.0], [0.0, -1.0]])
 def test_non_finite_input_rejected(call):
     with pytest.raises(bd.ValidationError, match="finite"):
         call()
+
+
+@pytest.mark.parametrize("n_paths", [2.5, np.float64(3.0), "3", True, None])
+def test_euler_maruyama_terminal_rejects_non_integer_path_counts(n_paths):
+    with pytest.raises(bd.ValidationError, match="n_paths must be an integer"):
+        bd.euler_maruyama_terminal([[-1.0]], [0.0], n_paths=n_paths)
+
+
+@pytest.mark.parametrize("n_paths", [3, np.int32(3), np.int64(3)])
+def test_euler_maruyama_terminal_takes_python_and_numpy_integers(n_paths):
+    out = bd.euler_maruyama_terminal([[-1.0]], [0.0], t_end=0.01, n_paths=n_paths, seed=0)
+    assert out.shape == (3, 1)

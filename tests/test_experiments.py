@@ -28,6 +28,31 @@ def test_schedule_rejects_non_finite(bad):
         bd.ScalingSchedule([0.5, 0.25], [4, 16], [0.0, bad], "diffusion")
 
 
+def test_schedule_leaves_the_callers_arrays_writable():
+    eps, boxes, u = np.array([0.5, 0.25]), np.array([4, 16]), np.array([1.0])
+    sched = bd.ScalingSchedule(eps, boxes, u, "diffusion")
+    eps[0], boxes[0], u[0] = 0.75, 5, 2.0
+    assert np.array_equal(sched.epsilons, [0.5, 0.25])
+    assert np.array_equal(sched.box_sizes, [4, 16])
+    assert np.array_equal(sched.initial_point, [1.0])
+    assert not sched.initial_point.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [[4.9, 16.5], [4, 16.5], [4, np.nan], [4, np.inf], [4, 1e30], [4, 2**70], ["4", "16"]],
+)
+def test_schedule_rejects_non_integer_box_sizes(boxes):
+    with pytest.raises(bd.ValidationError, match="box sizes must be finite integers"):
+        bd.ScalingSchedule([0.5, 0.25], boxes, [0.0], "diffusion")
+
+
+def test_schedule_takes_integral_float_box_sizes():
+    sched = bd.ScalingSchedule([0.5, 0.25], [4.0, 16.0], [0.0], "diffusion")
+    assert sched.box_sizes.dtype == np.int64
+    assert np.array_equal(sched.box_sizes, [4, 16])
+
+
 def test_geometric_schedule_defaults():
     sched = bd.geometric_schedule("diffusion", [1.0], 4)
     assert np.allclose(sched.epsilons, [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5])

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bdlimits import io as bio
 from bdlimits.cli import cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def write(tmp_path, name, text):
@@ -264,6 +267,21 @@ def test_experiment_subcommands_run(tmp_path, capsys):
     assert table[0] == "level,epsilon,statistic,empirical,limit,abs_error,mc_stderr"
 
 
+def test_exp_diffusion_rejects_fractional_box_sizes(tmp_path, capsys):
+    model = (
+        "schema=1\ngraph = single.g\nab = zero\nad = diag:1\nu = 1.0\nt = 0.5\n"
+        "epsilons = 0.5, 0.25\nreplicas = 10\n"
+    )
+    (tmp_path / "single.g").write_text("n 1\n")
+    # the default boxes ceil(eps^-2) are integral floats
+    cfg = write(tmp_path, "default.cfg", model)
+    assert run_cli(["exp-diffusion", "--config", cfg, "--out", tmp_path / "d"]) == 0
+    cfg = write(tmp_path, "d.cfg", model + "box_sizes = 4.9, 16.5\n")
+    assert run_cli(["exp-diffusion", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "box sizes must be finite integers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exp_diffusion_deterministic(tmp_path):
     cfg_text = (
         "schema=1\ngraph = single.g\nab = zero\nad = diag:1\nu = 1.0\nt = 0.5\n"
@@ -382,12 +400,17 @@ SUMMARY_CONTRACT = [
 ]
 
 
+def demo_args(args):
+    """The arguments with each config or graph file name under demos/configs."""
+    return [a if a.startswith("-") or not a.endswith((".cfg", ".g"))
+            else os.path.join(CONFIG_DIR, a) for a in args]
+
+
 @pytest.mark.parametrize(
     "sub, args, keys, csvs", SUMMARY_CONTRACT, ids=[c[0] for c in SUMMARY_CONTRACT]
 )
 def test_summary_line_and_csv_headers(tmp_path, capsys, sub, args, keys, csvs):
-    args = [a if a.startswith("-") or not a.endswith((".cfg", ".g"))
-            else os.path.join(CONFIG_DIR, a) for a in args]
+    args = demo_args(args)
     assert run_cli([sub] + args + ["--out", tmp_path / "o"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{sub} ok ")
@@ -397,6 +420,35 @@ def test_summary_line_and_csv_headers(tmp_path, capsys, sub, args, keys, csvs):
     assert sorted(os.listdir(tmp_path / "o")) == sorted(csvs)
     for name, header in csvs.items():
         assert (tmp_path / "o" / name).read_text().splitlines()[0] == header
+
+
+# the subcommands that never reach a function importing scipy; stationary
+# (sparse LU) and exp-diffusion (expm) are the two that load it
+SCIPY_FREE = ["simulate", "gibbs", "balance-check", "classify", "spectrum",
+              "exp-fluid", "gen-check"]
+
+
+@pytest.mark.parametrize("sub", SCIPY_FREE)
+def test_scipy_free_subcommands_load_no_scipy(tmp_path, sub):
+    args = demo_args(next(c[1] for c in SUMMARY_CONTRACT if c[0] == sub))
+    code = (
+        "import sys\n"
+        "from bdlimits.cli import cli_main\n"
+        "status = cli_main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(status)\n"
+    )
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code, sub, *args, "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    summary, loaded = out.stdout.splitlines()
+    assert summary.startswith(f"{sub} ok ")
+    assert loaded == "[]"
 
 
 def test_optional_keys_default_to_the_library(tmp_path, capsys):
