@@ -15,10 +15,8 @@ from .chain import (
     ChainSpec,
     GibbsDistribution,
     Trajectory,
-    birth_rate,
     build_generator,
     check_detailed_balance,
-    death_rate,
     enumerate_states,
     gibbs_measure,
     simulate,
@@ -27,7 +25,6 @@ from .chain import (
 )
 from .diffusion import (
     drift,
-    euler_maruyama,
     euler_maruyama_terminal,
     exact_transition,
     lyapunov_residual,
@@ -74,9 +71,7 @@ from .graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
-    degree,
     graph_to_text,
-    incidence_matrix,
     load_graph,
     parse_graph_text,
     path_graph,

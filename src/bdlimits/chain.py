@@ -32,6 +32,7 @@ from .errors import (
     SingularSystemError,
     StateSpaceTooLargeError,
     ValidationError,
+    require_integer,
 )
 from .graphs import Graph, validate_interaction
 from .spectral import SYMMETRY_TOLERANCE
@@ -62,12 +63,11 @@ class ChainSpec:
     r: int
 
     def __post_init__(self):
-        if int(self.l) != self.l or self.l < 0:
-            raise ValidationError(f"l must be a nonnegative integer, got {self.l}")
-        if int(self.r) != self.r or self.r < 1:
-            raise ValidationError(f"r must be a positive integer, got {self.r}")
-        object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "r", int(self.r))
+        l, r = require_integer("l", self.l), require_integer("r", self.r)
+        if l < 0 or r < 1:
+            raise ValidationError(f"need l >= 0 and r >= 1, got l={l}, r={r}")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "r", r)
         object.__setattr__(
             self, "birth_matrix", validate_interaction(self.graph, self.birth_matrix)
         )
@@ -133,22 +133,6 @@ def _checked_exponent(x: int, e: float) -> float:
     if abs(e) > MAX_EXPONENT:
         raise RateOverflowError(x, e)
     return e
-
-
-def birth_rate(spec: ChainSpec, spins, x: int) -> float:
-    """exp((A_b xi)_x) when xi_x < r, else 0 (birth blocked at the top)."""
-    xi = spec.validate_configuration(spins)
-    if xi[x] >= spec.r:
-        return 0.0
-    return math.exp(_checked_exponent(x, float(spec.birth_matrix[x] @ xi)))
-
-
-def death_rate(spec: ChainSpec, spins, x: int) -> float:
-    """exp((A_d xi)_x) when xi_x > -l, else 0 (death blocked at the bottom)."""
-    xi = spec.validate_configuration(spins)
-    if xi[x] <= -spec.l:
-        return 0.0
-    return math.exp(_checked_exponent(x, float(spec.death_matrix[x] @ xi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,15 +451,6 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     return final // 2 - l, events, hits
 
 
-def _check_cap(spec: ChainSpec, cap: int) -> int:
-    count = spec.num_states()
-    if count > cap:
-        raise StateSpaceTooLargeError(
-            f"{count} configurations exceed the cap of {cap}"
-        )
-    return count
-
-
 def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """All configurations, shape (N, n), in canonical order.
 
@@ -483,7 +458,9 @@ def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     digit and spin value -l first; every vector indexed by states in this
     module uses it.
     """
-    count = _check_cap(spec, cap)
+    count = spec.num_states()
+    if count > cap:
+        raise StateSpaceTooLargeError(f"{count} configurations exceed the cap of {cap}")
     n = spec.num_vertices
     base = spec.num_spin_values
     idx = np.arange(count, dtype=np.int64)[:, None]
@@ -575,7 +552,7 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     solve), and 12.2 M at 14 641 states (a 5-6 s solve, about 0.26 GB peak
     RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP, a count of
     states, does not bound this memory; a cap by memory is still open
-    (ROADMAP item 5).
+    (ROADMAP item 3).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu

@@ -1,7 +1,7 @@
 """The linear additive-noise limit SDE du = A u dt + sqrt(2) dW.
 
 A is the net interaction matrix A_b - A_d.  The module provides the drift,
-an Euler-Maruyama integrator, the exact Gaussian transition law (mean and
+an Euler-Maruyama ensemble, the exact Gaussian transition law (mean and
 covariance from one block matrix exponential), and the stationary Gaussian
 law for Hurwitz A (a Lyapunov solve).  When the diagonal of A is negative
 the components are interacting Ornstein-Uhlenbeck processes with
@@ -18,60 +18,23 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrixError,
-    DimensionMismatchError,
     NotHurwitzError,
     NumericError,
     ValidationError,
+    require_integer,
 )
-from .paths import SamplePath, step_count
-from .spectral import SYMMETRY_TOLERANCE, as_square_matrix, is_hurwitz, matrix_exp
+from .paths import step_count
+from .spectral import (
+    SYMMETRY_TOLERANCE, as_square_matrix, as_state, is_hurwitz, matrix_exp,
+)
 
 DEFAULT_DT = 1e-3
-
-
-def _as_state(a, u) -> np.ndarray:
-    v = np.asarray(u, dtype=float).reshape(-1)
-    if v.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(
-            f"state length {v.shape[0]} does not match matrix dimension {a.shape[0]}"
-        )
-    if not np.isfinite(v).all():
-        raise ValidationError("state has non-finite entries")
-    return v
 
 
 def drift(a, u) -> np.ndarray:
     """A u; componentwise this is b(x, u) - d(x, u) for the source matrices."""
     m = as_square_matrix(a)
-    return m @ _as_state(m, u)
-
-
-def euler_maruyama(
-    a,
-    u0,
-    dt: float = DEFAULT_DT,
-    t_end: float = 1.0,
-    seed=None,
-    noise: bool = True,
-) -> SamplePath:
-    """Fixed-step Euler-Maruyama path for du = A u dt + sqrt(2) dW.
-
-    u_{k+1} = u_k + A u_k dt + sqrt(2 dt) z_k with standard Gaussian z_k;
-    with noise off this is plain explicit Euler for du/dt = A u.
-    """
-    m = as_square_matrix(a)
-    u = _as_state(m, u0).copy()
-    steps = step_count(dt, t_end)
-    rng = np.random.default_rng(seed)
-    states = np.empty((steps + 1, u.shape[0]))
-    states[0] = u
-    amp = np.sqrt(2.0 * dt)
-    for k in range(steps):
-        u = u + (m @ u) * dt
-        if noise:
-            u = u + amp * rng.standard_normal(u.shape[0])
-        states[k + 1] = u
-    return SamplePath(times=np.arange(steps + 1) * dt, states=states)
+    return m @ as_state(m, u)
 
 
 def euler_maruyama_terminal(
@@ -88,11 +51,9 @@ def euler_maruyama_terminal(
     replicas filled in a fixed order.
     """
     m = as_square_matrix(a)
-    u = _as_state(m, u0)
+    u = as_state(m, u0)
     steps = step_count(dt, t_end)
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
-        raise ValidationError(f"n_paths must be an integer, got {n_paths!r}")
-    if n_paths < 1:
+    if require_integer("n_paths", n_paths) < 1:
         raise ValidationError("n_paths must be positive")
     rng = np.random.default_rng(seed)
     states = np.tile(u, (n_paths, 1))
@@ -116,7 +77,7 @@ def exact_transition(a, u0, t: float) -> tuple[np.ndarray, np.ndarray]:
     e^{-At} growth of its upper left block.
     """
     m = as_square_matrix(a)
-    u = _as_state(m, u0)
+    u = as_state(m, u0)
     if not 0.0 <= t < math.inf:
         raise ValidationError(f"t must be finite and nonnegative, got {t}")
     d = m.shape[0]
@@ -170,7 +131,7 @@ def stationary_log_density_unnormalized(a, u) -> float:
     the Langevin/gradient-flow form of the SDE.
     """
     m = as_square_matrix(a)
-    v = _as_state(m, u)
+    v = as_state(m, u)
     if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
         raise AsymmetricMatrixError("log-density form requires symmetric A")
     return 0.5 * float(v @ (m @ v))

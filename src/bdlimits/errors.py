@@ -1,9 +1,11 @@
-"""Exception hierarchy shared by all bdlimits modules.
+"""Exception hierarchy and count-argument check shared by all bdlimits modules.
 
 Two branches matter for callers (and for CLI exit codes): ValidationError
 for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.
 """
+
+import numpy as np
 
 # exp() is finite up to ~709.7; the chain's jump rates and the fluid field
 # refuse any exponent past this magnitude well before that
@@ -20,6 +22,14 @@ class ValidationError(BdlimitsError, ValueError):
 
 class NumericError(BdlimitsError, ArithmeticError):
     """A numeric computation failed or would produce garbage."""
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int if it is a Python or numpy integer; bools, floats
+    (integral ones too), strings and None raise ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class InvalidEdgeError(ValidationError):

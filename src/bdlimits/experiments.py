@@ -30,7 +30,12 @@ import numpy as np
 
 from .chain import ChainSpec, _rate_blocks, _run_replicas
 from .diffusion import exact_transition
-from .errors import BudgetExceededError, SupportNotCoveredError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    SupportNotCoveredError,
+    ValidationError,
+    require_integer,
+)
 from .fluid import rk4_integrate
 from .graphs import Graph, validate_interaction
 
@@ -54,18 +59,23 @@ class ScalingSchedule:
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
-        eps = np.array(self.epsilons, dtype=float)
-        raw = np.asarray(self.box_sizes)
+        try:
+            eps = np.array(self.epsilons, dtype=float)
+            raw = np.asarray(self.box_sizes)
+            u = np.atleast_1d(np.array(self.initial_point, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"schedule entries must be numbers: {exc}") from None
         # strings and bools cast cleanly, and ints past int64 not at all
         if raw.dtype.kind not in "iuf":
             raise ValidationError("box sizes must be finite integers")
         with np.errstate(invalid="ignore"):
             boxes = raw.astype(np.int64)
-        u = np.atleast_1d(np.array(self.initial_point, dtype=float))
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if eps.ndim != 1 or eps.size == 0:
             raise ValidationError("epsilons must be a nonempty 1-d sequence")
+        if u.ndim != 1:
+            raise ValidationError("initial_point must be a 1-d vector")
         if not (np.isfinite(eps).all() and np.isfinite(u).all()):
             raise ValidationError("epsilons and initial_point must be finite")
         # a cast that changes a value would run a box the caller did not ask for
@@ -103,7 +113,7 @@ def geometric_schedule(
     The default start 2^-2 and unit step give eps_n = 2^(-n-2), for which
     l_n * eps_n = eps_n^-1 doubles every level.
     """
-    if num_levels < 1:
+    if require_integer("num_levels", num_levels) < 1:
         raise ValidationError("need at least one level")
     eps = 2.0 ** (coarsest_log2_eps - step_log2 * np.arange(num_levels, dtype=float))
     boxes = np.ceil(eps**-2.0).astype(np.int64)
@@ -256,7 +266,7 @@ class DiffusionExperimentConfig(_ScaledModel):
     def __post_init__(self):
         super().__post_init__()
         self._require("diffusion", t=self.t)
-        if self.t <= 0 or self.replicas < 1:
+        if self.t <= 0 or require_integer("replicas", self.replicas) < 1:
             raise ValidationError("need t > 0 and at least one replica")
 
 
@@ -304,7 +314,9 @@ class FluidExperimentConfig(_ScaledModel):
     def __post_init__(self):
         super().__post_init__()
         self._require("fluid", t=self.t, ode_dt=self.ode_dt)
-        if self.t <= 0 or self.replicas < 1 or self.grid_points < 2:
+        replicas = require_integer("replicas", self.replicas)
+        grid_points = require_integer("grid_points", self.grid_points)
+        if self.t <= 0 or replicas < 1 or grid_points < 2:
             raise ValidationError("need t > 0, replicas >= 1, grid_points >= 2")
 
 
@@ -389,7 +401,7 @@ class GeneratorCheckConfig(_ScaledModel):
         self._require("diffusion", center=c, radius=self.radius)
         if c.shape[0] != self.graph.num_vertices:
             raise ValidationError("bump center does not match the number of vertices")
-        if self.radius <= 0 or self.grid_points < 3:
+        if self.radius <= 0 or require_integer("grid_points", self.grid_points) < 3:
             raise ValidationError("need radius > 0 and grid_points >= 3")
         c.setflags(write=False)
         object.__setattr__(self, "center", c)

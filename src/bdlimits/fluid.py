@@ -9,14 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    MAX_EXPONENT,
-    DimensionMismatchError,
-    ExponentOverflowError,
-    ValidationError,
-)
+from .errors import MAX_EXPONENT, DimensionMismatchError, ExponentOverflowError
 from .paths import SamplePath, step_count
-from .spectral import as_square_matrix
+from .spectral import as_square_matrix, as_state
 
 DEFAULT_DT = 1e-3
 
@@ -32,21 +27,13 @@ def _field(birth_matrix, death_matrix, gamma):
     stacked matrices [A_b; A_d], and gamma as a flat float array, after
     checking that both matrices are square of one size with finite entries
     and that gamma is finite and of that length."""
-    ab = np.asarray(birth_matrix, dtype=float)
-    ad = np.asarray(death_matrix, dtype=float)
-    g0 = np.asarray(gamma, dtype=float).reshape(-1)
-    if ab.shape != ad.shape or ab.ndim != 2 or ab.shape[0] != ab.shape[1]:
-        raise DimensionMismatchError(
-            f"matrix shapes {ab.shape} and {ad.shape} must be equal and square"
-        )
-    if g0.shape[0] != ab.shape[0]:
-        raise DimensionMismatchError(
-            f"state length {g0.shape[0]} does not match matrices of size {ab.shape[0]}"
-        )
-    if not np.isfinite(g0).all():
-        raise ValidationError("state has non-finite entries")
+    ab = as_square_matrix(birth_matrix)
+    ad = as_square_matrix(death_matrix)
+    if ab.shape != ad.shape:
+        raise DimensionMismatchError(f"matrix shapes {ab.shape} and {ad.shape} differ")
+    g0 = as_state(ab, gamma)
     n = g0.shape[0]
-    stacked = np.concatenate([as_square_matrix(ab), as_square_matrix(ad)])
+    stacked = np.concatenate([ab, ad])
 
     def field(g, time):
         e = stacked @ g

@@ -9,8 +9,9 @@ the adjacency matrix and vertex degrees count true edges only).
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     InvalidEdgeError,
     PatternViolationError,
     ValidationError,
+    require_integer,
 )
 
 
@@ -27,11 +29,12 @@ class Graph:
     """Finite connected simple graph on vertices 0..num_vertices-1."""
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
+        num_vertices = require_integer("num_vertices", num_vertices)
         if num_vertices < 1:
             raise InvalidEdgeError(f"num_vertices must be positive, got {num_vertices}")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = require_integer("edge end", u), require_integer("edge end", v)
             if u == v:
                 raise InvalidEdgeError(f"self-loop at vertex {u}")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
@@ -42,7 +45,7 @@ class Graph:
             if key in seen:
                 raise InvalidEdgeError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-        self.num_vertices = int(num_vertices)
+        self.num_vertices = num_vertices
         self.edges = frozenset(seen)
         self._check_connected()
         adj = np.zeros((self.num_vertices, self.num_vertices))
@@ -79,16 +82,13 @@ class Graph:
 
     def degree(self, x: int) -> int:
         """Number of edges incident to x."""
-        self._check_vertex(x)
+        if not (0 <= x < self.num_vertices):
+            raise IndexError(f"vertex {x} out of range [0, {self.num_vertices})")
         return int(self._adjacency[x].sum())
 
     @property
     def degrees(self) -> np.ndarray:
         return self._adjacency.sum(axis=1).astype(np.int64)
-
-    def _check_vertex(self, x: int) -> None:
-        if not (0 <= x < self.num_vertices):
-            raise IndexError(f"vertex {x} out of range [0, {self.num_vertices})")
 
     def __eq__(self, other) -> bool:
         return (
@@ -107,16 +107,6 @@ class Graph:
 def build_graph(num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a connected simple graph."""
     return Graph(num_vertices, edges)
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Adjacency matrix of g: symmetric 0/1, zero diagonal.
-
-    The diagonal stays zero even though every vertex is interaction-adjacent
-    to itself; diagonal interaction weight is carried separately (see
-    ``alpha_beta_matrix``).
-    """
-    return g.adjacency_matrix()
 
 
 def validate_interaction(g: Graph, matrix) -> np.ndarray:
@@ -146,13 +136,15 @@ def validate_interaction(g: Graph, matrix) -> np.ndarray:
     return m
 
 
-def degree(g: Graph, x: int) -> int:
-    """Number of edges incident to vertex x."""
-    return g.degree(x)
+def require_finite_coefficients(alpha: float, beta: float) -> None:
+    # a nan eigenvalue of -A sorts last, so a PD verdict would read the others
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValidationError(f"alpha and beta must be finite, got {alpha}, {beta}")
 
 
 def alpha_beta_matrix(g: Graph, alpha: float, beta: float) -> np.ndarray:
     """The interaction matrix alpha*E + beta*adjacency(g)."""
+    require_finite_coefficients(alpha, beta)
     n = g.num_vertices
     m = alpha * np.eye(n) + beta * g.adjacency_matrix()
     m.setflags(write=False)
@@ -227,11 +219,3 @@ def graph_to_text(g: Graph) -> str:
     lines += [f"e {u} {v}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + "\n"
 
-
-def edges_from_adjacency(adj: Sequence[Sequence[float]]) -> set[tuple[int, int]]:
-    """Edge set read off an adjacency matrix (upper triangle, nonzero entries)."""
-    a = np.asarray(adj)
-    return {
-        (int(i), int(j))
-        for i, j in zip(*np.nonzero(np.triu(a, k=1)))
-    }

@@ -1,4 +1,5 @@
-"""Time-gridded vector paths shared by the diffusion and fluid integrators."""
+"""The fixed step grid of the diffusion and fluid integrators, and the
+time-gridded vector path that the fluid integrator returns."""
 
 from __future__ import annotations
 

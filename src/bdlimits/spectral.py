@@ -22,8 +22,9 @@ from .errors import (
     InconclusiveSpectrumError,
     NotSymmetricError,
     ValidationError,
+    require_integer,
 )
-from .graphs import Graph, alpha_beta_matrix
+from .graphs import Graph, alpha_beta_matrix, require_finite_coefficients
 
 PD_TOLERANCE = 1e-10
 
@@ -41,6 +42,19 @@ def as_square_matrix(matrix) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m
+
+
+def as_state(matrix: np.ndarray, u) -> np.ndarray:
+    """u as a flat float vector, checked to be finite and as long as the
+    square matrix is wide."""
+    v = np.asarray(u, dtype=float).reshape(-1)
+    if v.shape[0] != matrix.shape[0]:
+        raise DimensionMismatchError(
+            f"state length {v.shape[0]} does not match dimension {matrix.shape[0]}"
+        )
+    if not np.isfinite(v).all():
+        raise ValidationError("state has non-finite entries")
+    return v
 
 
 def eigen_sym(matrix) -> np.ndarray:
@@ -104,8 +118,9 @@ def star_spectrum(m: int, alpha: float, beta: float) -> SpectralReport:
     -alpha with multiplicity m-1 plus the pair -alpha -+ beta*sqrt(m); the
     matrix is positive definite iff alpha < 0 and alpha + |beta|*sqrt(m) < 0.
     """
-    if m < 2:
+    if require_integer("m", m) < 2:
         raise ValidationError(f"star criterion needs m >= 2 leaves, got {m}")
+    require_finite_coefficients(alpha, beta)
     root = math.sqrt(m)
     eigs = np.concatenate(
         [
@@ -125,8 +140,9 @@ def path_spectrum(n: int, alpha: float, beta: float) -> SpectralReport:
     all simple.  Positive definite iff alpha < 0 and
     alpha + 2|beta|cos(pi/(n+3)) < 0.
     """
-    if n < 0:
+    if require_integer("n", n) < 0:
         raise ValidationError(f"path parameter must be >= 0, got {n}")
+    require_finite_coefficients(alpha, beta)
     k = np.arange(1, n + 3, dtype=float)
     eigs = -alpha - 2.0 * beta * np.cos(k * math.pi / (n + 3))
     return _report(eigs, "closed_form_path")

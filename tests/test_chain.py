@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 import bdlimits as bd
-from bdlimits.chain import _run_replicas, _simulate_lockstep, _simulate_vector
+from bdlimits.chain import _rate_blocks, _run_replicas, _simulate_lockstep, _simulate_vector
 
 
 def two_state_spec():
     return bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=0, r=1)
+
+
+def rates_at(spec, spins):
+    """(birth, death): the rate of each vertex at one configuration, read
+    off _rate_blocks, with 0 where the jump is blocked by the box."""
+    birth, death = np.zeros(spec.num_vertices), np.zeros(spec.num_vertices)
+    for x, up, up_rate, down, down_rate in _rate_blocks(spec, np.array([spins])):
+        birth[x] = up_rate[0] if up.size else 0.0
+        death[x] = down_rate[0] if down.size else 0.0
+    return birth, death
 
 
 def test_chain_spec_validation():
@@ -25,37 +35,43 @@ def test_chain_spec_validation():
 
 def test_birth_rate_blocked_at_top():
     spec = two_state_spec()
-    assert bd.birth_rate(spec, [1], 0) == 0.0
+    birth, death = rates_at(spec, [1])
+    assert (birth[0], death[0]) == (0.0, 1.0)
+    # the generator row of the top state holds its death jump only
+    assert np.array_equal(bd.build_generator(spec).toarray()[1], [1.0, -1.0])
 
 
 def test_birth_rate_unit_for_zero_matrix():
     spec = two_state_spec()
-    assert bd.birth_rate(spec, [0], 0) == 1.0
+    birth, death = rates_at(spec, [0])
+    assert (birth[0], death[0]) == (1.0, 0.0)
+    assert np.array_equal(bd.build_generator(spec).toarray()[0], [-1.0, 1.0])
 
 
 def test_birth_rate_hand_value():
     g = bd.path_graph(2)
     spec = bd.ChainSpec(g, [[-1.0, 0.5], [0.5, -1.0]], np.zeros((2, 2)), l=0, r=3)
     # exponent -1*1 + 0.5*2 = 0
-    assert bd.birth_rate(spec, [1, 2], 0) == pytest.approx(1.0)
+    assert rates_at(spec, [1, 2])[0][0] == pytest.approx(1.0)
 
 
 def test_death_rate_blocked_at_bottom():
     spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=2, r=1)
-    assert bd.death_rate(spec, [-2], 0) == 0.0
+    birth, death = rates_at(spec, [-2])
+    assert (birth[0], death[0]) == (1.0, 0.0)
 
 
 def test_death_rate_values():
     spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=0, r=3)
-    assert bd.death_rate(spec, [2], 0) == 1.0
+    assert rates_at(spec, [2])[1][0] == 1.0
     spec2 = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[1.0]], l=0, r=3)
-    assert bd.death_rate(spec2, [2], 0) == pytest.approx(math.exp(2.0))
+    assert rates_at(spec2, [2])[1][0] == pytest.approx(math.exp(2.0))
 
 
 def test_rate_overflow_guard():
     spec = bd.ChainSpec(bd.single_vertex(), [[800.0]], [[0.0]], l=0, r=2)
     with pytest.raises(bd.RateOverflowError) as exc:
-        bd.birth_rate(spec, [1], 0)
+        rates_at(spec, [1])
     assert exc.value.vertex == 0
     with pytest.raises(bd.RateOverflowError):
         bd.simulate(spec, [1], 1.0, seed=0)
@@ -319,8 +335,8 @@ def test_local_updates_replay_from_scratch_rates():
     state = xi0.copy()
     t = 0.0
     for k in range(traj.num_events):
-        rates = [bd.birth_rate(spec, state, x) for x in range(3)]
-        rates += [bd.death_rate(spec, state, x) for x in range(3)]
+        birth, death = rates_at(spec, state)
+        rates = birth.tolist() + death.tolist()
         total = math.fsum(rates)
         wait = traj.times[k] - t
         assert wait == pytest.approx(ebuf[k] / total, rel=1e-12, abs=1e-12 * traj.times[k])

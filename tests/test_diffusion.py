@@ -25,16 +25,26 @@ def test_drift_equals_rate_exponent_difference():
     assert np.allclose(bd.drift(ab - ad, u), ab @ u - ad @ u)
 
 
+def noise_free_euler(a, u0, dt, t_end):
+    """Explicit Euler for du/dt = A u at t_end.  The scheme is linear in its
+    start, so two runs on one seed, from u0 and from 0, differ by the
+    noise-free iterate, up to rounding."""
+    def run(start):
+        return bd.euler_maruyama_terminal(a, start, dt=dt, t_end=t_end, n_paths=1, seed=0)
+
+    return (run(u0) - run(np.zeros_like(u0)))[0]
+
+
 def test_noise_free_euler_is_exponential_decay():
-    path = bd.euler_maruyama(-np.eye(1), [1.0], dt=1e-3, t_end=2.0, seed=0, noise=False)
-    assert path.terminal[0] == pytest.approx(np.exp(-2.0), abs=5e-3)
+    term = noise_free_euler(-np.eye(1), np.array([1.0]), dt=1e-3, t_end=2.0)
+    assert term[0] == pytest.approx(np.exp(-2.0), abs=5e-3)
 
 
 def test_noise_free_euler_error_halves_with_dt():
     exact = np.exp(-1.0)
     errs = []
     for dt in (1e-2, 5e-3):
-        term = bd.euler_maruyama(-np.eye(1), [1.0], dt=dt, t_end=1.0, noise=False).terminal[0]
+        term = noise_free_euler(-np.eye(1), np.array([1.0]), dt=dt, t_end=1.0)[0]
         errs.append(abs(term - exact))
     ratio = errs[1] / errs[0]
     assert 0.3 < ratio < 0.7
@@ -229,17 +239,17 @@ _INF_A = np.array([[-np.inf, 0.0], [0.0, -1.0]])
         lambda: bd.exact_transition(-np.eye(2), [np.nan, 0.0], 1.0),
         lambda: bd.stationary_gaussian(_NAN_A),
         lambda: bd.stationary_gaussian(_INF_A),
-        lambda: bd.euler_maruyama(-np.eye(2), [1.0, 0.0], t_end=np.inf),
+        lambda: bd.euler_maruyama_terminal(-np.eye(2), [np.inf, 0.0]),
         lambda: bd.euler_maruyama_terminal(-np.eye(2), [1.0, 0.0], t_end=np.inf),
-        lambda: bd.euler_maruyama(-np.eye(2), [1.0, 0.0], t_end=np.nan),
+        lambda: bd.euler_maruyama_terminal(-np.eye(2), [1.0, 0.0], t_end=np.nan),
     ],
     ids=[
         "eigen_sym-nan", "eigen_sym-inf", "matrix_exp-nan", "matrix_exp-inf",
         "matrix_exp-t-nan", "is_hurwitz-nan", "is_hurwitz-inf",
         "exact_transition-nan", "exact_transition-inf", "exact_transition-t-nan",
         "exact_transition-t-inf", "exact_transition-u0-nan", "stationary_gaussian-nan",
-        "stationary_gaussian-inf", "euler_maruyama-t_end-inf",
-        "euler_maruyama_terminal-t_end-inf", "euler_maruyama-t_end-nan",
+        "stationary_gaussian-inf", "euler_maruyama_terminal-u0-inf",
+        "euler_maruyama_terminal-t_end-inf", "euler_maruyama_terminal-t_end-nan",
     ],
 )
 def test_non_finite_input_rejected(call):

@@ -53,6 +53,23 @@ def test_schedule_takes_integral_float_box_sizes():
     assert np.array_equal(sched.box_sizes, [4, 16])
 
 
+@pytest.mark.parametrize(
+    "epsilons, boxes, point",
+    [
+        ([0.5, 0.25], [4, [16]], [0.0]),
+        ([0.5, [0.25]], [4, 16], [0.0]),
+        ([0.5, 0.25], [4, 16], [[0.0], [1.0, 2.0]]),
+        ([0.5, 0.25], [4, 16], "x"),
+        (["a", "b"], [4, 16], [0.0]),
+        ([0.5, 0.25], [4, 16], [[0.0]]),
+    ],
+    ids=["ragged-boxes", "ragged-eps", "ragged-point", "text-point", "text-eps", "2d-point"],
+)
+def test_schedule_rejects_ragged_or_non_numeric_vectors(epsilons, boxes, point):
+    with pytest.raises(bd.ValidationError):
+        bd.ScalingSchedule(epsilons, boxes, point, "diffusion")
+
+
 def test_geometric_schedule_defaults():
     sched = bd.geometric_schedule("diffusion", [1.0], 4)
     assert np.allclose(sched.epsilons, [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5])
@@ -425,3 +442,39 @@ def test_two_vertex_replicas_check_the_start_once_per_level(monkeypatch):
     )
     bd.run_diffusion_experiment(config)
     assert len(calls) == config.schedule.num_levels
+
+
+def _two_state_spec(l=0, r=1):
+    return bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=l, r=r)
+
+
+_COUNT_CALLS = {
+    "graph-vertices-float": lambda: bd.Graph(2.5, [(0, 1), (1, 2)]),
+    "graph-vertices-bool": lambda: bd.Graph(True, []),
+    "graph-edge-float": lambda: bd.Graph(3, [(0, 1), (1, 2.5)]),
+    "spec-l-nan": lambda: _two_state_spec(l=np.nan),
+    "spec-r-inf": lambda: _two_state_spec(r=np.inf),
+    "spec-r-float": lambda: _two_state_spec(r=1.5),
+    "diffusion-replicas": lambda: _tiny_diffusion_config(replicas=2.5),
+    "fluid-replicas": lambda: _fluid_config(replicas=2.5),
+    "fluid-grid-points": lambda: _fluid_config(grid_points=2.5),
+    "gen-check-grid-points": lambda: _generator_config(grid_points=2.5),
+    "geometric-levels": lambda: bd.geometric_schedule("diffusion", [0.0], 2.5),
+    "star-leaves": lambda: bd.star_spectrum(2.5, -3.0, 1.0),
+    "path-steps": lambda: bd.path_spectrum(np.float64(1.0), -3.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", list(_COUNT_CALLS.values()), ids=list(_COUNT_CALLS))
+def test_count_arguments_must_be_integers(call):
+    # one check for every count: a float is not silently truncated, and a
+    # non-finite one is a ValidationError rather than a bare ValueError
+    with pytest.raises(bd.ValidationError, match="must be an integer"):
+        call()
+
+
+def test_count_arguments_take_numpy_integers():
+    assert bd.Graph(np.int64(2), [(np.int32(0), np.int64(1))]).num_vertices == 2
+    spec = _two_state_spec(l=np.int64(1), r=np.int32(2))
+    assert (spec.l, spec.r) == (1, 2) and type(spec.l) is int
+    assert _fluid_config(replicas=np.int64(2), grid_points=np.int64(5)).replicas == 2

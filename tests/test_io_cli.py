@@ -130,6 +130,21 @@ def test_classify_star_summary(tmp_path, capsys):
     assert eigs == ["eigenvalue", "1.0", "3.0", "3.0", "3.0", "5.0"]
 
 
+@pytest.mark.parametrize(
+    "graph, alpha, beta",
+    [("path3.g", "-3", "nan"), ("star5.g", "nan", "1"), ("path3.g", "-3", "inf")],
+)
+def test_classify_non_finite_coefficient_exits_one(tmp_path, capsys, graph, alpha, beta):
+    code = run_cli(
+        ["classify", "--graph", os.path.join(CONFIG_DIR, graph),
+         "--alpha", alpha, "--beta", beta, "--out", tmp_path / "out"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "finite" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     code = run_cli(
         ["spectrum", "--graph", os.path.join(CONFIG_DIR, "cycle3.g"),

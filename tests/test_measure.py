@@ -241,6 +241,38 @@ def test_import_loads_no_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
+PUBLIC_NAMES = [
+    "AsymmetricMatrixError", "BdlimitsError", "BudgetExceededError", "ChainSpec",
+    "ConfigError", "ConvergenceRow", "ConvergenceTable", "DiffusionExperimentConfig",
+    "DimensionMismatchError", "DisconnectedGraphError", "ExponentOverflowError",
+    "FluidExperimentConfig", "GeneratorCheckConfig", "GibbsDistribution", "Graph",
+    "InconclusiveSpectrumError", "InvalidEdgeError", "NotHurwitzError",
+    "NotSymmetricError", "NumericError", "PatternViolationError", "RateOverflowError",
+    "SamplePath", "ScalingSchedule", "SingularSystemError", "SpectralReport",
+    "StateSpaceTooLargeError", "SupportNotCoveredError", "Trajectory",
+    "ValidationError", "alpha_beta_matrix", "build_generator", "build_graph", "chain",
+    "check_detailed_balance", "classify_pd", "complete_graph", "cycle_graph",
+    "diffusion", "drift", "eigen_sym", "enumerate_states", "errors",
+    "euler_maruyama_terminal", "exact_transition", "experiments", "fluid",
+    "generator_convergence_check", "geometric_schedule", "gibbs_measure",
+    "graph_to_text", "graphs", "is_hurwitz", "load_graph", "lyapunov_residual",
+    "matrix_exp", "numeric_report", "parse_graph_text", "path_graph", "path_spectrum",
+    "paths", "rescaled_chain_spec", "rk4_integrate", "run_diffusion_experiment",
+    "run_fluid_experiment", "simulate", "single_vertex", "spectral", "star_graph",
+    "star_spectrum", "state_index", "stationary_gaussian",
+    "stationary_log_density_unnormalized", "stationary_solve",
+    "validate_interaction", "vector_field",
+]
+
+
+def test_public_surface_is_pinned():
+    # one public name per concept: the rate formula lives in the chain's
+    # rate kernel, Euler-Maruyama in its ensemble and adjacency and degree
+    # on Graph; bench/workloads.py calls build_graph and
+    # euler_maruyama_terminal among others
+    assert sorted(bd.__all__) == PUBLIC_NAMES
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_pairwise_sum_equals_vector_form(seed):

@@ -227,3 +227,19 @@ def test_boundary_flag_at_exact_zero():
     assert rep.boundary and not rep.positive_definite
     rep2 = bd.classify_pd(bd.cycle_graph(3), -2.0 - 1e-6, 1.0)
     assert rep2.positive_definite and not rep2.boundary
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_closed_form_spectra_reject_non_finite_coefficients(which, bad):
+    # a nan eigenvalue would sort last and leave a finite verdict behind
+    coeffs = {"alpha": -3.0, "beta": 1.0, which: bad}
+    for call in (
+        lambda: bd.star_spectrum(4, **coeffs),
+        lambda: bd.path_spectrum(1, **coeffs),
+        lambda: bd.classify_pd(bd.star_graph(4), **coeffs),
+        lambda: bd.classify_pd(bd.path_graph(3), **coeffs),
+        lambda: bd.classify_pd(bd.cycle_graph(4), **coeffs),
+    ):
+        with pytest.raises(bd.ValidationError, match="finite"):
+            call()
