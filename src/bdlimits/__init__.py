@@ -38,11 +38,9 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     DisconnectedGraphError,
-    ExponentOverflowError,
     InconclusiveSpectrumError,
     InvalidEdgeError,
     NotHurwitzError,
-    NotSymmetricError,
     NumericError,
     PatternViolationError,
     RateOverflowError,

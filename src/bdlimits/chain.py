@@ -32,10 +32,11 @@ from .errors import (
     SingularSystemError,
     StateSpaceTooLargeError,
     ValidationError,
+    check_exponents,
     require_integer,
 )
 from .graphs import Graph, validate_interaction
-from .spectral import SYMMETRY_TOLERANCE
+from .spectral import is_symmetric
 
 DEFAULT_STATE_CAP = 200_000
 
@@ -75,22 +76,6 @@ class ChainSpec:
             self, "death_matrix", validate_interaction(self.graph, self.death_matrix)
         )
 
-    @classmethod
-    def _prevalidated(cls, graph, birth_matrix, death_matrix, box: int) -> ChainSpec:
-        """Spec on [-box, box] taking ownership of float matrices that passed
-        validate_interaction for graph, or finite multiples of such, which
-        are made read-only but not checked a second time."""
-        spec = cls.__new__(cls)
-        for m in (birth_matrix, death_matrix):
-            m.setflags(write=False)
-        fields = dict(
-            graph=graph, birth_matrix=birth_matrix, death_matrix=death_matrix,
-            l=box, r=box,
-        )
-        for name, value in fields.items():
-            object.__setattr__(spec, name, value)
-        return spec
-
     @property
     def num_vertices(self) -> int:
         return self.graph.num_vertices
@@ -127,12 +112,6 @@ class ChainSpec:
                 f"configuration leaves the box [-{self.l}, {self.r}]: {xi.tolist()}"
             )
         return xi
-
-
-def _checked_exponent(x: int, e: float) -> float:
-    if abs(e) > MAX_EXPONENT:
-        raise RateOverflowError(x, e)
-    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +194,14 @@ def simulate(
     sum.  Each event consumes one exponential and one uniform, drawn in
     blocks of 8192 of each.  Deterministic given (spec, initial, seed).
 
-    Raises ValidationError for a negative or non-finite t_end,
+    Raises ValidationError for a negative or non-finite t_end or a
+    max_events that is neither None nor a nonnegative integer,
     RateOverflowError when the path reaches a state where a rate exponent
     exceeds magnitude 700, and BudgetExceededError once max_events events
     happen before t_end.
     """
+    if max_events is not None and require_integer("max_events", max_events) < 0:
+        raise ValidationError(f"max_events must be nonnegative, got {max_events}")
     xi0, guarded = _start(spec, initial, t_end)
     rng = np.random.default_rng(seed)
     return _simulate_vector(spec, xi0, t_end, rng, guarded, max_events)
@@ -236,9 +218,8 @@ def _start(spec: ChainSpec, initial, t_end: float) -> tuple[np.ndarray, bool]:
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
     ab, ad = spec.birth_matrix, spec.death_matrix
-    for e in (ab @ xi0.astype(float), ad @ xi0.astype(float)):
-        worst = int(np.abs(e).argmax())
-        _checked_exponent(worst, float(e[worst]))
+    check_exponents(ab @ xi0)
+    check_exponents(ad @ xi0)
     bound = max(
         float(np.abs(ab).sum(axis=1).max(initial=0.0)),
         float(np.abs(ad).sum(axis=1).max(initial=0.0)),
@@ -253,8 +234,10 @@ def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
 
 
 def _worst_exponent(exponents: list[float], column) -> None:
+    # check_exponents on the touched entries, without building an array
     w = max((y for y, _ in column), key=lambda y: abs(exponents[y]))
-    _checked_exponent(w, exponents[w])
+    if abs(exponents[w]) > MAX_EXPONENT:
+        raise RateOverflowError(w, exponents[w])
 
 
 def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
@@ -486,9 +469,8 @@ def _rate_blocks(spec: ChainSpec, states: np.ndarray):
     for x in range(spec.num_vertices):
         be = states @ spec.birth_matrix[x]
         de = states @ spec.death_matrix[x]
-        for e in (be, de):
-            w = int(np.abs(e).argmax())
-            _checked_exponent(x, float(e[w]))
+        check_exponents(be, x)
+        check_exponents(de, x)
         up = np.flatnonzero(states[:, x] < spec.r)
         down = np.flatnonzero(states[:, x] > -spec.l)
         yield x, up, np.exp(be[up]), down, np.exp(de[down])
@@ -624,8 +606,7 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
     birth rate at xi to the death rate exp((A_d xi)_x + delta_x) at
     xi + e_x.
     """
-    a = spec.drift_matrix
-    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
+    if not is_symmetric(spec.drift_matrix):
         raise AsymmetricMatrixError(
             "A_b - A_d is not symmetric; the closed-form stationary "
             "distribution only applies to the reversible case"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as bio
 from .chain import check_detailed_balance, gibbs_measure, simulate, stationary_solve
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError, require_seed
 from .experiments import (
     DiffusionExperimentConfig,
     FluidExperimentConfig,
@@ -32,8 +32,6 @@ from .experiments import (
 )
 from .graphs import alpha_beta_matrix, load_graph
 from .spectral import classify_pd, numeric_report
-
-MAX_SEED = 2**64
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -60,9 +58,7 @@ def _seed_from(view: bio.ConfigView, args) -> int:
     seed = view.get_int("seed", 0)
     if args.seed is not None:
         seed = args.seed
-    if not 0 <= seed < MAX_SEED:
-        raise ConfigError(f"field 'seed' must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    return require_seed(seed)
 
 
 # Each handler reads its inputs, computes, writes its CSVs and returns the

@@ -24,9 +24,7 @@ from .errors import (
     require_integer,
 )
 from .paths import step_count
-from .spectral import (
-    SYMMETRY_TOLERANCE, as_square_matrix, as_state, is_hurwitz, matrix_exp,
-)
+from .spectral import as_square_matrix, as_state, is_hurwitz, is_symmetric, matrix_exp
 
 DEFAULT_DT = 1e-3
 
@@ -132,6 +130,6 @@ def stationary_log_density_unnormalized(a, u) -> float:
     """
     m = as_square_matrix(a)
     v = as_state(m, u)
-    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
+    if not is_symmetric(m):
         raise AsymmetricMatrixError("log-density form requires symmetric A")
     return 0.5 * float(v @ (m @ v))

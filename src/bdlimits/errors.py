@@ -1,8 +1,10 @@
-"""Exception hierarchy and count-argument check shared by all bdlimits modules.
+"""Exception hierarchy and the input checks shared by all bdlimits modules.
 
 Two branches matter for callers (and for CLI exit codes): ValidationError
 for rejected inputs, NumericError for computations that failed or refused
-to proceed at runtime.
+to proceed at runtime.  Each rule has one check here: require_integer for
+counts, require_seed for seeds (the CLI's too), and check_exponents for the
+bound on the rate exponents that the chain and the fluid field share.
 """
 
 import numpy as np
@@ -10,6 +12,9 @@ import numpy as np
 # exp() is finite up to ~709.7; the chain's jump rates and the fluid field
 # refuse any exponent past this magnitude well before that
 MAX_EXPONENT = 700.0
+
+# seeds are unsigned 64-bit integers
+MAX_SEED = 2**64
 
 
 class BdlimitsError(Exception):
@@ -30,6 +35,15 @@ def require_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_seed(value) -> int:
+    """value as an int if it is an integer in [0, MAX_SEED); anything else
+    raises ValidationError."""
+    seed = require_integer("seed", value)
+    if not 0 <= seed < MAX_SEED:
+        raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 class InvalidEdgeError(ValidationError):
@@ -57,15 +71,12 @@ class StateSpaceTooLargeError(ValidationError):
 
 
 class AsymmetricMatrixError(ValidationError):
-    """Operation requires a symmetric net interaction matrix."""
+    """Operation requires a symmetric matrix: the net interaction A_b - A_d,
+    or the input of the symmetric eigensolver."""
 
 
 class DimensionMismatchError(ValidationError):
     """Vector/matrix dimensions do not agree."""
-
-
-class NotSymmetricError(ValidationError):
-    """Symmetric eigensolver got a matrix that is not symmetric."""
 
 
 class SupportNotCoveredError(ValidationError):
@@ -77,19 +88,8 @@ class ConfigError(ValidationError):
 
 
 class RateOverflowError(NumericError):
-    """A jump-rate exponent left the safe range for exp()."""
-
-    def __init__(self, vertex: int, exponent: float):
-        self.vertex = vertex
-        self.exponent = exponent
-        super().__init__(
-            f"rate exponent {exponent!r} at vertex {vertex} "
-            f"exceeds safe magnitude {MAX_EXPONENT:g}"
-        )
-
-
-class ExponentOverflowError(NumericError):
-    """A vector-field exponent left the safe range for exp()."""
+    """A rate exponent of the chain or the fluid field left the safe range
+    for exp(); time is the ODE time of the fluid field's, else None."""
 
     def __init__(self, vertex: int, exponent: float, time: float | None = None):
         self.vertex = vertex
@@ -97,8 +97,18 @@ class ExponentOverflowError(NumericError):
         self.time = time
         at = "" if time is None else f" at t={time!r}"
         super().__init__(
-            f"field exponent {exponent!r} at vertex {vertex}{at} "
+            f"rate exponent {exponent!r} at vertex {vertex}{at} "
             f"exceeds safe magnitude {MAX_EXPONENT:g}"
+        )
+
+
+def check_exponents(e, vertex: int | None = None, time: float | None = None) -> None:
+    """Raise RateOverflowError if an exponent in e passes MAX_EXPONENT in
+    magnitude, naming vertex, or else the index of the largest one."""
+    worst = int(np.abs(e).argmax())
+    if abs(e[worst]) > MAX_EXPONENT:
+        raise RateOverflowError(
+            worst if vertex is None else vertex, float(e[worst]), time
         )
 
 

@@ -35,6 +35,7 @@ from .errors import (
     SupportNotCoveredError,
     ValidationError,
     require_integer,
+    require_seed,
 )
 from .fluid import rk4_integrate
 from .graphs import Graph, validate_interaction
@@ -190,8 +191,8 @@ class _ScaledModel:
         eps = float(self.schedule.epsilons[level])
         scale = _time_scale(self.schedule.regime, eps)
         box = int(self.schedule.box_sizes[level])
-        spec = ChainSpec._prevalidated(
-            self.graph, scale * self.birth_matrix, scale * self.death_matrix, box
+        spec = ChainSpec(
+            self.graph, scale * self.birth_matrix, scale * self.death_matrix, box, box
         )
         start = np.rint(self.schedule.initial_point / eps)
         return spec, np.clip(start, -box, box).astype(np.int64)
@@ -217,6 +218,13 @@ def rescaled_chain_spec(
 
 def _replica_seed(seed: int, level: int, replica: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), int(level), int(replica)))
+
+
+def _require_seed_and_budget(seed, event_budget) -> None:
+    """The seed and event budget of a Monte-Carlo experiment config."""
+    require_seed(seed)
+    if require_integer("event_budget", event_budget) < 0:
+        raise ValidationError(f"event_budget must be nonnegative, got {event_budget}")
 
 
 def _replica_table(config, tabulate, path_statistic=None) -> ConvergenceTable:
@@ -268,6 +276,7 @@ class DiffusionExperimentConfig(_ScaledModel):
         self._require("diffusion", t=self.t)
         if self.t <= 0 or require_integer("replicas", self.replicas) < 1:
             raise ValidationError("need t > 0 and at least one replica")
+        _require_seed_and_budget(self.seed, self.event_budget)
 
 
 def run_diffusion_experiment(config: DiffusionExperimentConfig) -> ConvergenceTable:
@@ -318,6 +327,7 @@ class FluidExperimentConfig(_ScaledModel):
         grid_points = require_integer("grid_points", self.grid_points)
         if self.t <= 0 or replicas < 1 or grid_points < 2:
             raise ValidationError("need t > 0, replicas >= 1, grid_points >= 2")
+        _require_seed_and_budget(self.seed, self.event_budget)
 
 
 def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:

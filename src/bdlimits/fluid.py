@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MAX_EXPONENT, DimensionMismatchError, ExponentOverflowError
+from .errors import MAX_EXPONENT, DimensionMismatchError, check_exponents
 from .paths import SamplePath, step_count
 from .spectral import as_square_matrix, as_state
 
 DEFAULT_DT = 1e-3
-
-
-def _check_exponents(e: np.ndarray, time: float | None) -> None:
-    worst = int(np.abs(e).argmax())
-    if abs(e[worst]) > MAX_EXPONENT:
-        raise ExponentOverflowError(worst, float(e[worst]), time)
 
 
 def _field(birth_matrix, death_matrix, gamma):
@@ -39,8 +33,8 @@ def _field(birth_matrix, death_matrix, gamma):
         e = stacked @ g
         if np.abs(e).max() > MAX_EXPONENT:
             # births first, then deaths
-            _check_exponents(e[:n], time)
-            _check_exponents(e[n:], time)
+            check_exponents(e[:n], time=time)
+            check_exponents(e[n:], time=time)
         rates = np.exp(e)
         return rates[:n] - rates[n:]
 

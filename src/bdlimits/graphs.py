@@ -153,17 +153,19 @@ def alpha_beta_matrix(g: Graph, alpha: float, beta: float) -> np.ndarray:
 
 def path_graph(num_vertices: int) -> Graph:
     """Path 0-1-...-(k-1)."""
+    num_vertices = require_integer("num_vertices", num_vertices)
     return Graph(num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])
 
 
 def star_graph(num_leaves: int) -> Graph:
     """Star with center 0 and leaves 1..m."""
+    num_leaves = require_integer("num_leaves", num_leaves)
     return Graph(num_leaves + 1, [(0, i) for i in range(1, num_leaves + 1)])
 
 
 def cycle_graph(num_vertices: int) -> Graph:
     """Cycle on k >= 3 vertices."""
-    if num_vertices < 3:
+    if require_integer("num_vertices", num_vertices) < 3:
         raise InvalidEdgeError("cycle needs at least 3 vertices")
     edges = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
     return Graph(num_vertices, edges)
@@ -171,6 +173,7 @@ def cycle_graph(num_vertices: int) -> Graph:
 
 def complete_graph(num_vertices: int) -> Graph:
     """Complete graph on k vertices."""
+    num_vertices = require_integer("num_vertices", num_vertices)
     edges = [
         (i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)
     ]

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AsymmetricMatrixError,
     DimensionMismatchError,
     InconclusiveSpectrumError,
-    NotSymmetricError,
     ValidationError,
     require_integer,
 )
@@ -57,11 +57,17 @@ def as_state(matrix: np.ndarray, u) -> np.ndarray:
     return v
 
 
+def is_symmetric(m: np.ndarray) -> bool:
+    """True iff the square array m equals its transpose within
+    SYMMETRY_TOLERANCE, entrywise."""
+    return np.abs(m - m.T).max(initial=0.0) <= SYMMETRY_TOLERANCE
+
+
 def eigen_sym(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (LAPACK syevd)."""
     m = as_square_matrix(matrix)
-    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOLERANCE:
-        raise NotSymmetricError(
+    if not is_symmetric(m):
+        raise AsymmetricMatrixError(
             f"matrix is not symmetric within {SYMMETRY_TOLERANCE}"
         )
     return np.linalg.eigvalsh(0.5 * (m + m.T))
@@ -202,7 +208,7 @@ def is_hurwitz(a) -> bool:
     cap past which no verdict is attempted.
     """
     m = as_square_matrix(a)
-    if np.abs(m - m.T).max(initial=0.0) <= SYMMETRY_TOLERANCE:
+    if is_symmetric(m):
         return float(eigen_sym(m)[-1]) < -PD_TOLERANCE
     sym_part = 0.5 * (m + m.T)
     if float(eigen_sym(sym_part)[-1]) < -PD_TOLERANCE:

@@ -200,12 +200,12 @@ def test_generator_check_support_guard():
         bd.generator_convergence_check(cfg)
 
 
-def _tiny_diffusion_config(replicas=300, levels=2, seed=5):
+def _tiny_diffusion_config(replicas=300, levels=2, seed=5, **kw):
     g = bd.single_vertex()
     sched = bd.geometric_schedule("diffusion", [0.0], levels)
     return bd.DiffusionExperimentConfig(
         graph=g, birth_matrix=[[0.0]], death_matrix=[[0.0]],
-        schedule=sched, t=1.0, replicas=replicas, seed=seed,
+        schedule=sched, t=1.0, replicas=replicas, seed=seed, **kw,
     )
 
 
@@ -462,6 +462,16 @@ _COUNT_CALLS = {
     "geometric-levels": lambda: bd.geometric_schedule("diffusion", [0.0], 2.5),
     "star-leaves": lambda: bd.star_spectrum(2.5, -3.0, 1.0),
     "path-steps": lambda: bd.path_spectrum(np.float64(1.0), -3.0, 1.0),
+    "diffusion-seed": lambda: _tiny_diffusion_config(seed=2.5),
+    "fluid-seed": lambda: _fluid_config(seed=2.5),
+    "diffusion-budget-nan": lambda: _tiny_diffusion_config(event_budget=np.nan),
+    "fluid-budget-float": lambda: _fluid_config(event_budget=1e6),
+    "simulate-max-events-nan": lambda: bd.simulate(
+        _two_state_spec(), [0], 1.0, max_events=np.nan
+    ),
+    "simulate-max-events-float": lambda: bd.simulate(
+        _two_state_spec(), [0], 1.0, max_events=10.0
+    ),
 }
 
 
@@ -478,3 +488,26 @@ def test_count_arguments_take_numpy_integers():
     spec = _two_state_spec(l=np.int64(1), r=np.int32(2))
     assert (spec.l, spec.r) == (1, 2) and type(spec.l) is int
     assert _fluid_config(replicas=np.int64(2), grid_points=np.int64(5)).replicas == 2
+    config = _tiny_diffusion_config(seed=np.uint64(2**64 - 1), event_budget=np.int64(0))
+    assert (config.seed, config.event_budget) == (2**64 - 1, 0)
+    assert bd.simulate(_two_state_spec(), [0], 0.0, max_events=np.int64(0)).num_events == 0
+
+
+_OUT_OF_RANGE_CALLS = {
+    "diffusion-seed-negative": lambda: _tiny_diffusion_config(seed=-1),
+    "fluid-seed-past-64-bits": lambda: _fluid_config(seed=2**64),
+    "diffusion-budget-negative": lambda: _tiny_diffusion_config(event_budget=-1),
+    "simulate-max-events-negative": lambda: bd.simulate(
+        _two_state_spec(), [0], 1.0, max_events=-1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call", list(_OUT_OF_RANGE_CALLS.values()), ids=list(_OUT_OF_RANGE_CALLS)
+)
+def test_seeds_budgets_and_event_caps_checked_on_entry(call):
+    # seeds are unsigned 64-bit integers, and a budget or cap is at least 0,
+    # checked when the config is built or simulate is called
+    with pytest.raises(bd.ValidationError, match="seed must be|must be nonnegative"):
+        call()

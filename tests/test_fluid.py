@@ -22,7 +22,7 @@ def test_field_hand_value():
 
 
 def test_field_overflow():
-    with pytest.raises(bd.ExponentOverflowError) as exc:
+    with pytest.raises(bd.RateOverflowError) as exc:
         bd.vector_field([[1000.0]], [[0.0]], [1.0])
     assert exc.value.vertex == 0
 
@@ -78,7 +78,7 @@ def test_field_sign_matches_negative_state():
 
 def test_overflow_reports_time_and_vertex():
     # explosive field: gamma' = e^gamma, blows past exp range in finite time
-    with pytest.raises(bd.ExponentOverflowError) as exc:
+    with pytest.raises(bd.RateOverflowError) as exc:
         bd.rk4_integrate([[1.0]], [[0.0]], [5.0], dt=1e-3, t_end=50.0)
     assert exc.value.time is not None and exc.value.time > 0
     assert exc.value.vertex == 0
@@ -100,7 +100,7 @@ def test_overflow_on_death_side_reports_its_vertex():
     # death exponent -gamma_1 at vertex 1 crosses 700 while every birth
     # exponent stays 0
     ad = np.array([[0.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(bd.ExponentOverflowError) as exc:
+    with pytest.raises(bd.RateOverflowError) as exc:
         bd.rk4_integrate(np.zeros((2, 2)), ad, [0.0, -5.0], dt=1e-3, t_end=50.0)
     assert exc.value.vertex == 1
     assert exc.value.exponent > 700

@@ -150,6 +150,18 @@ def test_graph_text_round_trip(tmp_path):
     assert bd.load_graph(path) == g
 
 
+@pytest.mark.parametrize(
+    "make", [bd.path_graph, bd.star_graph, bd.cycle_graph, bd.complete_graph]
+)
+@given(count=st.floats(allow_nan=True, allow_infinity=True))
+@settings(max_examples=25, deadline=None)
+def test_graph_constructors_reject_non_integer_counts(make, count):
+    # each checks its count before range() sees it
+    with pytest.raises(bd.ValidationError, match="must be an integer"):
+        make(count)
+    assert make(np.int64(3)).num_vertices >= 3
+
+
 def test_graph_text_errors():
     with pytest.raises(bd.InvalidEdgeError):
         bd.parse_graph_text("e 0 1\nn 2\n")

@@ -245,6 +245,20 @@ def test_rate_overflow_exits_two(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_fluid_overflow_exits_two(tmp_path, capsys):
+    # gamma' = e^gamma from gamma = 5 blows up long before t = 50, so the
+    # RK4 reference path fails before any output is written
+    cfg = write(
+        tmp_path, "hot.cfg",
+        "schema=1\ngraph = s.g\nab = diag:1\nad = zero\nu = 5.0\nt = 50.0\n"
+        "levels = 2\n",
+    )
+    (tmp_path / "s.g").write_text("n 1\n")
+    assert run_cli(["exp-fluid", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "at t=" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_deterministic_csv(tmp_path, capsys):
     cfg = os.path.join(CONFIG_DIR, "sim_two_site.cfg")
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "a"]) == 0

@@ -244,10 +244,10 @@ def test_import_loads_no_scipy_module():
 PUBLIC_NAMES = [
     "AsymmetricMatrixError", "BdlimitsError", "BudgetExceededError", "ChainSpec",
     "ConfigError", "ConvergenceRow", "ConvergenceTable", "DiffusionExperimentConfig",
-    "DimensionMismatchError", "DisconnectedGraphError", "ExponentOverflowError",
+    "DimensionMismatchError", "DisconnectedGraphError",
     "FluidExperimentConfig", "GeneratorCheckConfig", "GibbsDistribution", "Graph",
     "InconclusiveSpectrumError", "InvalidEdgeError", "NotHurwitzError",
-    "NotSymmetricError", "NumericError", "PatternViolationError", "RateOverflowError",
+    "NumericError", "PatternViolationError", "RateOverflowError",
     "SamplePath", "ScalingSchedule", "SingularSystemError", "SpectralReport",
     "StateSpaceTooLargeError", "SupportNotCoveredError", "Trajectory",
     "ValidationError", "alpha_beta_matrix", "build_generator", "build_graph", "chain",

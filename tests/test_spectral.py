@@ -13,7 +13,7 @@ def test_eigen_sym_examples():
 
 
 def test_eigen_sym_rejects_asymmetric():
-    with pytest.raises(bd.NotSymmetricError):
+    with pytest.raises(bd.AsymmetricMatrixError):
         bd.eigen_sym([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(bd.DimensionMismatchError):
         bd.eigen_sym(np.zeros((2, 3)))
