@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     check_exponents,
     require_integer,
+    seeded_rng,
 )
 from .graphs import Graph, validate_interaction
 from .spectral import is_symmetric
@@ -194,16 +195,16 @@ def simulate(
     sum.  Each event consumes one exponential and one uniform, drawn in
     blocks of 8192 of each.  Deterministic given (spec, initial, seed).
 
-    Raises ValidationError for a negative or non-finite t_end or a
-    max_events that is neither None nor a nonnegative integer,
-    RateOverflowError when the path reaches a state where a rate exponent
-    exceeds magnitude 700, and BudgetExceededError once max_events events
-    happen before t_end.
+    Raises ValidationError for a negative or non-finite t_end, a
+    max_events that is neither None nor a nonnegative integer, or a seed
+    that numpy.random.default_rng rejects, RateOverflowError when the path
+    reaches a state where a rate exponent exceeds magnitude 700, and
+    BudgetExceededError once max_events events happen before t_end.
     """
     if max_events is not None and require_integer("max_events", max_events) < 0:
         raise ValidationError(f"max_events must be nonnegative, got {max_events}")
     xi0, guarded = _start(spec, initial, t_end)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return _simulate_vector(spec, xi0, t_end, rng, guarded, max_events)
 
 
@@ -476,14 +477,14 @@ def _rate_blocks(spec: ChainSpec, states: np.ndarray):
         yield x, up, np.exp(be[up]), down, np.exp(de[down])
 
 
-def _generator_entries(spec: ChainSpec, cap: int):
-    """COO entries (count, rows, cols, rates) of the generator Q.
+def _generator_entries(spec: ChainSpec, states: np.ndarray):
+    """COO entries (rows, cols, rates) of the generator Q over states, the
+    canonical enumeration of spec.
 
     The off-diagonal jumps come first, then one diagonal entry per state,
     minus its total out-rate, so every row sums to zero.  A jump at vertex
     x moves the canonical index by base**x.
     """
-    states = enumerate_states(spec, cap)
     count = states.shape[0]
     base = spec.num_spin_values
     rows: list[np.ndarray] = []
@@ -499,7 +500,7 @@ def _generator_entries(spec: ChainSpec, cap: int):
     all_cols = np.concatenate(cols + [diag])
     off = np.concatenate(data)
     out_rate = np.bincount(all_rows[: off.size], weights=off, minlength=count)
-    return count, all_rows, all_cols, np.concatenate((off, -out_rate))
+    return all_rows, all_cols, np.concatenate((off, -out_rate))
 
 
 def build_generator(
@@ -512,61 +513,81 @@ def build_generator(
     """
     import scipy.sparse as sp
 
-    count, rows, cols, rates = _generator_entries(spec, cap)
+    states = enumerate_states(spec, cap)
+    count = states.shape[0]
+    rows, cols, rates = _generator_entries(spec, states)
     return sp.csr_matrix((rates, (rows, cols)), shape=(count, count))
 
 
 def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """Stationary distribution from pi Q = 0, sum(pi) = 1, by sparse LU.
 
-    The balance system Q^T pi = 0 is assembled as a sparse CSC matrix with
-    its last equation replaced by the normalization row, factored by
-    SuperLU under the MMD_AT_PLUS_A column ordering with diagonal-preferring
-    threshold pivoting, and solved with one step of iterative refinement.
+    One state p is pinned to pi_p = 1: its balance equation and unknown
+    leave Q^T pi = 0, and its column of Q^T moves to the right-hand side.
+    The remaining (N - 1)-system is factored by SuperLU in symmetric mode
+    under the MMD_AT_PLUS_A ordering (the generator's pattern is the
+    structurally symmetric grid), solved with one step of iterative
+    refinement, and normalised.  p is the mode of the Gibbs weight
+    exp((1/2)[(A_s xi, xi) - (alpha, xi)] - (delta, xi)), with A_s the
+    symmetric part of A = A_b - A_d: the exact mode for a reversible spec
+    and a guess otherwise.  A pin of low mass would scale the other
+    unknowns past float64: on a single vertex with A_b = 0, A_d = 1 and
+    l = r = 30, a pin at either end leaves an exactly singular factor.
     Works for any (possibly asymmetric) interaction matrices; the chain is
     irreducible because all interior rates are positive.  Raises
     SingularSystemError when the factor is singular or the balance residual
     max |Q^T pi| exceeds 1e-10.
 
+    Known limit: a metastable double well whose barrier passes float64
+    defeats every pin.  On a single vertex with A_b = 0.1, A_d = 0 and
+    l = r = 40 the result is a nonnegative law about 0.96 off the Gibbs
+    law, and the residual gate does not see it.  Rates spanning about ten
+    decades cost accuracy the gate cannot see either: on path(2) with
+    l = r = 3, A_b = [[2.74, -0.81], [3.2, -0.88]] and A_d = [[-1.27, -1.01],
+    [-0.6, 2.46]] the law is 2e-6 off at a residual of 2e-14.  For a
+    reversible spec, gibbs_measure is the route to use.
+
     Memory is set by the fill of the factor, not by N^2.  Measured on
     cycle(4) with l = r and coefficients of the size used by the benchmark,
-    on a 2-vCPU host: L + U hold about 3.0 M nonzeros at 6561 states (a 1 s
-    solve), and 12.2 M at 14 641 states (a 5-6 s solve, about 0.26 GB peak
-    RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP, a count of
-    states, does not bound this memory; a cap by memory is still open
-    (ROADMAP item 3).
+    on a 2-vCPU host: L + U hold about 3.0 M nonzeros at 6561 states (a
+    0.5 s solve), and 12.7 M at 14 641 states (a 3.6 s solve, about
+    0.34 GB peak RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP,
+    a count of states, does not bound this memory; a cap by memory is still
+    open (ROADMAP item 3).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    count, rows, cols, rates = _generator_entries(spec, cap)
-    # Q[i, j] is M[j, i]; M's last row is the normalization row of ones
-    keep = cols != count - 1
+    states, log_weight = _gibbs_table(spec, cap)
+    count = states.shape[0]
+    rows, cols, rates = _generator_entries(spec, states)
+    # (A xi, xi) = (A_s xi, xi), so the Gibbs log weight needs no A_s
+    p = int(np.argmax(log_weight))
+    # Q[i, j] is M[j, i] for i, j != p, with indices past p shifted down;
+    # row p of Q, times pi_p = 1, is minus the right-hand side
+    pinned_row = rows == p
+    free_col = cols != p
+    keep = free_col & ~pinned_row
+    to_rhs = free_col & pinned_row
+    free_rows = rows - (rows > p)
+    free_cols = cols - (cols > p)
     m = sp.csc_matrix(
-        (
-            np.concatenate((rates[keep], np.ones(count))),
-            (
-                np.concatenate((cols[keep], np.full(count, count - 1))),
-                np.concatenate((rows[keep], np.arange(count))),
-            ),
-        ),
-        shape=(count, count),
+        (rates[keep], (free_cols[keep], free_rows[keep])),
+        shape=(count - 1, count - 1),
     )
-    rhs = np.zeros(count)
-    rhs[-1] = 1.0
-    # Q^T is column diagonally dominant, so a diagonal pivot is stable; the
-    # 0.1 threshold keeps it unless it is tiny, where partial pivoting would
-    # let the row of ones win every column with out-rate below 1 and raise
-    # the fill of the factor by about half
+    rhs = np.zeros(count - 1)
+    rhs[free_cols[to_rhs]] = -rates[to_rhs]
     try:
-        lu = splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+        lu = splu(m, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
         raise SingularSystemError(
             "balance system is singular; the chain should be irreducible"
         ) from exc
-    pi = lu.solve(rhs)
+    x = lu.solve(rhs)
     # one step of iterative refinement sharpens ill-conditioned solves
-    pi += lu.solve(rhs - m @ pi)
+    x += lu.solve(rhs - m @ x)
+    pi = np.concatenate((x[:p], [1.0], x[p:]))
+    pi /= pi.sum()
     balance = np.bincount(cols, weights=rates * pi[rows], minlength=count)
     residual = float(np.abs(balance).max())
     if not residual <= 1e-10:
@@ -611,8 +632,7 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
             "A_b - A_d is not symmetric; the closed-form stationary "
             "distribution only applies to the reversible case"
         )
-    states = _gibbs_states(spec, cap)
-    energy = gibbs_exponent(spec, states) - states @ np.diag(spec.death_matrix)
+    _, energy = _gibbs_table(spec, cap)
     shift = energy.max()
     log_z = float(np.log(np.exp(energy - shift).sum()) + shift)
     probs = np.exp(energy - log_z)
@@ -626,13 +646,20 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
 
 
 @lru_cache(maxsize=1)
-def _gibbs_states(spec: ChainSpec, cap: int) -> np.ndarray:
-    """enumerate_states, read-only and kept for the last (spec, cap), so that
-    check_detailed_balance and the gibbs_measure it calls enumerate once; a
-    spec never changes, and neither do its states."""
+def _gibbs_table(spec: ChainSpec, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(enumerate_states, unnormalised log Gibbs weight of each state), the
+    weight being gibbs_exponent - (delta, xi) with delta the diagonal of A_d.
+
+    Both are read-only and kept for the last (spec, cap), so that
+    stationary_solve (for its rates and its pin), gibbs_measure and
+    check_detailed_balance on one spec enumerate and weigh once; a spec
+    never changes, and neither do its states.
+    """
     states = enumerate_states(spec, cap)
+    weight = gibbs_exponent(spec, states) - states @ np.diag(spec.death_matrix)
     states.setflags(write=False)
-    return states
+    weight.setflags(write=False)
+    return states, weight
 
 
 def check_detailed_balance(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> float:
@@ -645,7 +672,7 @@ def check_detailed_balance(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> flo
     are the two ends of one jump.
     """
     mu = gibbs_measure(spec, cap).probabilities
-    states = _gibbs_states(spec, cap)
+    states, _ = _gibbs_table(spec, cap)
     worst = 0.0
     for _, up, up_rate, down, down_rate in _rate_blocks(spec, states):
         residual = up_rate * mu[up] - down_rate * mu[down]

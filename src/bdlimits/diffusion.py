@@ -22,6 +22,7 @@ from .errors import (
     NumericError,
     ValidationError,
     require_integer,
+    seeded_rng,
 )
 from .paths import step_count
 from .spectral import as_square_matrix, as_state, is_hurwitz, is_symmetric, matrix_exp
@@ -46,14 +47,15 @@ def euler_maruyama_terminal(
     """Terminal states of n_paths independent Euler-Maruyama paths, (N, d).
 
     One vectorized sweep over replicas; deterministic given the seed, with
-    replicas filled in a fixed order.
+    replicas filled in a fixed order.  A seed that numpy.random.default_rng
+    rejects raises ValidationError.
     """
     m = as_square_matrix(a)
     u = as_state(m, u0)
     steps = step_count(dt, t_end)
     if require_integer("n_paths", n_paths) < 1:
         raise ValidationError("n_paths must be positive")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     states = np.tile(u, (n_paths, 1))
     amp = np.sqrt(2.0 * dt)
     mt = m.T

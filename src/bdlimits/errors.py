@@ -3,8 +3,9 @@
 Two branches matter for callers (and for CLI exit codes): ValidationError
 for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.  Each rule has one check here: require_integer for
-counts, require_seed for seeds (the CLI's too), and check_exponents for the
-bound on the rate exponents that the chain and the fluid field share.
+counts, require_seed for seeds (the CLI's too), seeded_rng for the seeds
+the simulators hand to numpy, and check_exponents for the bound on the
+rate exponents that the chain and the fluid field share.
 """
 
 import numpy as np
@@ -44,6 +45,20 @@ def require_seed(value) -> int:
     if not 0 <= seed < MAX_SEED:
         raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
+
+
+def seeded_rng(seed) -> "np.random.Generator":
+    """np.random.default_rng(seed); a seed that numpy rejects (a float, a
+    negative integer, a string) raises ValidationError.  The annotation is a
+    string because numpy loads np.random lazily, and importing bdlimits
+    should not load it."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            "seed must be one that numpy.random.default_rng accepts (None, a "
+            f"nonnegative integer or a sequence of them, a SeedSequence), got {seed!r}"
+        ) from exc
 
 
 class InvalidEdgeError(ValidationError):

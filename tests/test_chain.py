@@ -107,6 +107,20 @@ def test_configuration_validation():
         bd.simulate(spec, [0], -1.0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [2.5, -1])
+def test_simulate_rejects_seeds_numpy_rejects(seed):
+    with pytest.raises(bd.ValidationError, match="seed"):
+        bd.simulate(two_state_spec(), [0], 1.0, seed=seed)
+
+
+def test_simulate_takes_every_seed_form_numpy_takes():
+    spec = two_state_spec()
+    by_int = bd.simulate(spec, [0], 5.0, seed=7)
+    for seed in (np.random.SeedSequence(7), np.int64(7), [7]):
+        assert np.array_equal(bd.simulate(spec, [0], 5.0, seed=seed).times, by_int.times)
+    assert bd.simulate(spec, [0], 5.0, seed=None).t_end == 5.0
+
+
 def test_zero_horizon_gives_empty_trajectory():
     spec = two_state_spec()
     traj = bd.simulate(spec, [0], 0.0, seed=1)

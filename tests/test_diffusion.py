@@ -263,6 +263,12 @@ def test_euler_maruyama_terminal_rejects_non_integer_path_counts(n_paths):
         bd.euler_maruyama_terminal([[-1.0]], [0.0], n_paths=n_paths)
 
 
+@pytest.mark.parametrize("seed", [2.5, -1])
+def test_euler_maruyama_terminal_rejects_seeds_numpy_rejects(seed):
+    with pytest.raises(bd.ValidationError, match="seed"):
+        bd.euler_maruyama_terminal([[-1.0]], [0.0], t_end=0.01, n_paths=3, seed=seed)
+
+
 @pytest.mark.parametrize("n_paths", [3, np.int32(3), np.int64(3)])
 def test_euler_maruyama_terminal_takes_python_and_numpy_integers(n_paths):
     out = bd.euler_maruyama_terminal([[-1.0]], [0.0], t_end=0.01, n_paths=n_paths, seed=0)
