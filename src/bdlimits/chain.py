@@ -8,7 +8,8 @@ This module provides the event-driven simulator, the exact sparse generator
 and its stationary solve by sparse LU, the closed-form Gibbs measure (the
 stationary law of every spec with symmetric A_b - A_d), and the
 detailed-balance residual of that measure under the chain's own rates.
-Every rate of the exact-law functions comes from one kernel, _rate_blocks.
+The exact-law functions share _gibbs_table (states, Gibbs log weights) and
+_jumps (every jump and both its rates, from one pass of _rate_blocks).
 scipy.sparse is imported inside build_generator and stationary_solve, so
 importing this module, or simulating, loads no scipy module.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, islice
 
 import numpy as np
@@ -160,7 +161,7 @@ class Trajectory:
     def states_at(self, sample_times) -> np.ndarray:
         """States at the given times (right-continuous path), shape (T, n)."""
         ts = np.atleast_1d(np.asarray(sample_times, dtype=float))
-        if ts.size and (ts.min() < 0 or ts.max() > self.t_end):
+        if not ((ts >= 0) & (ts <= self.t_end)).all():  # nan fails it too
             raise ValidationError("sample times must lie in [0, t_end]")
         idx = np.searchsorted(self.times, ts, side="right")
         order, values, bounds = self._vertex_walks()
@@ -443,7 +444,7 @@ def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     module uses it.
     """
     count = spec.num_states()
-    if count > cap:
+    if count > require_integer("cap", cap):
         raise StateSpaceTooLargeError(f"{count} configurations exceed the cap of {cap}")
     n = spec.num_vertices
     base = spec.num_spin_values
@@ -477,30 +478,44 @@ def _rate_blocks(spec: ChainSpec, states: np.ndarray):
         yield x, up, np.exp(be[up]), down, np.exp(de[down])
 
 
-def _generator_entries(spec: ChainSpec, states: np.ndarray):
-    """COO entries (rows, cols, rates) of the generator Q over states, the
-    canonical enumeration of spec.
+def _per_spec(table):
+    """lru_cache(maxsize=1) of table(spec, cap), keyed on cap only once
+    require_integer has passed it: a nan cap compares False with every
+    count and would switch the state cap off, and a list is unhashable."""
+    cached = lru_cache(maxsize=1)(table)
+    return wraps(table)(lambda spec, cap: cached(spec, require_integer("cap", cap)))
 
-    The off-diagonal jumps come first, then one diagonal entry per state,
-    minus its total out-rate, so every row sums to zero.  A jump at vertex
-    x moves the canonical index by base**x.
+
+@_per_spec
+def _jumps(spec: ChainSpec, cap: int) -> tuple[np.ndarray, ...]:
+    """(up, down, up_rate, down_rate) over every jump of the chain: state
+    up[i] jumps to down[i] at rate up_rate[i], and back at rate down_rate[i].
+
+    The blocks of _rate_blocks on the states of _gibbs_table, concatenated
+    over the vertices: in canonical order the rows that can rise at x and
+    those that can fall at x are the same states one step apart, in the same
+    order.  Read-only and kept for the last (spec, cap).
     """
-    count = states.shape[0]
-    base = spec.num_spin_values
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for x, up, up_rate, down, down_rate in _rate_blocks(spec, states):
-        stride = base**x
-        rows += [up, down]
-        cols += [up + stride, down - stride]
-        data += [up_rate, down_rate]
-    diag = np.arange(count)
-    all_rows = np.concatenate(rows + [diag])
-    all_cols = np.concatenate(cols + [diag])
-    off = np.concatenate(data)
-    out_rate = np.bincount(all_rows[: off.size], weights=off, minlength=count)
-    return all_rows, all_cols, np.concatenate((off, -out_rate))
+    states, _ = _gibbs_table(spec, cap)
+    blocks = [block[1:] for block in _rate_blocks(spec, states)]
+    up, up_rate, down, down_rate = (np.concatenate(b) for b in zip(*blocks))
+    for a in (up, down, up_rate, down_rate):
+        a.setflags(write=False)
+    return up, down, up_rate, down_rate
+
+
+def _generator_entries(spec: ChainSpec, cap: int):
+    """COO entries (rows, cols, rates) of the generator Q in canonical order.
+
+    Every jump up -> down, then every jump down -> up, then one diagonal
+    entry per state, minus its total out-rate, so every row sums to zero.
+    """
+    up, down, up_rate, down_rate = _jumps(spec, cap)
+    diag = np.arange(spec.num_states())
+    rows = np.concatenate((up, down, diag))
+    off = np.concatenate((up_rate, down_rate))
+    out_rate = np.bincount(rows[: off.size], weights=off, minlength=diag.size)
+    return rows, np.concatenate((down, up, diag)), np.concatenate((off, -out_rate))
 
 
 def build_generator(
@@ -513,24 +528,23 @@ def build_generator(
     """
     import scipy.sparse as sp
 
-    states = enumerate_states(spec, cap)
-    count = states.shape[0]
-    rows, cols, rates = _generator_entries(spec, states)
+    rows, cols, rates = _generator_entries(spec, cap)
+    count = spec.num_states()
     return sp.csr_matrix((rates, (rows, cols)), shape=(count, count))
 
 
 def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """Stationary distribution from pi Q = 0, sum(pi) = 1, by sparse LU.
 
-    One state p is pinned to pi_p = 1: its balance equation and unknown
-    leave Q^T pi = 0, and its column of Q^T moves to the right-hand side.
-    The remaining (N - 1)-system is factored by SuperLU in symmetric mode
-    under the MMD_AT_PLUS_A ordering (the generator's pattern is the
-    structurally symmetric grid), solved with one step of iterative
-    refinement, and normalised.  p is the mode of the Gibbs weight
-    exp((1/2)[(A_s xi, xi) - (alpha, xi)] - (delta, xi)), with A_s the
-    symmetric part of A = A_b - A_d: the exact mode for a reversible spec
-    and a guess otherwise.  A pin of low mass would scale the other
+    One state p is pinned to pi_p = 1: row p of Q^T becomes the unit row
+    e_p, column p moves to the right-hand side, and the N-system is factored
+    by SuperLU in symmetric mode under the MMD_AT_PLUS_A ordering (the
+    generator's pattern is the structurally symmetric grid; cleared of its
+    row and column, p is a lone diagonal entry and adds no fill), solved
+    with one step of iterative refinement, and normalised.  p is the mode
+    of the Gibbs weight exp((1/2)[(A_s xi, xi) - (alpha, xi)] - (delta, xi)),
+    with A_s the symmetric part of A = A_b - A_d: the exact mode for a
+    reversible spec and a guess otherwise.  A pin of low mass would scale the other
     unknowns past float64: on a single vertex with A_b = 0, A_d = 1 and
     l = r = 30, a pin at either end leaves an exactly singular factor.
     Works for any (possibly asymmetric) interaction matrices; the chain is
@@ -549,44 +563,37 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
 
     Memory is set by the fill of the factor, not by N^2.  Measured on
     cycle(4) with l = r and coefficients of the size used by the benchmark,
-    on a 2-vCPU host: L + U hold about 3.0 M nonzeros at 6561 states (a
-    0.5 s solve), and 12.7 M at 14 641 states (a 3.6 s solve, about
-    0.34 GB peak RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP,
+    on a 2-vCPU host: L + U hold about 2.9 M nonzeros at 6561 states (a
+    0.45 s solve), and 12.4 M at 14 641 states (a 3.3 s solve, about
+    0.33 GB peak RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP,
     a count of states, does not bound this memory; a cap by memory is still
     open (ROADMAP item 3).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    states, log_weight = _gibbs_table(spec, cap)
-    count = states.shape[0]
-    rows, cols, rates = _generator_entries(spec, states)
+    _, log_weight = _gibbs_table(spec, cap)
+    rows, cols, rates = _generator_entries(spec, cap)
+    count = log_weight.size
     # (A xi, xi) = (A_s xi, xi), so the Gibbs log weight needs no A_s
     p = int(np.argmax(log_weight))
-    # Q[i, j] is M[j, i] for i, j != p, with indices past p shifted down;
-    # row p of Q, times pi_p = 1, is minus the right-hand side
-    pinned_row = rows == p
-    free_col = cols != p
-    keep = free_col & ~pinned_row
-    to_rhs = free_col & pinned_row
-    free_rows = rows - (rows > p)
-    free_cols = cols - (cols > p)
-    m = sp.csc_matrix(
-        (rates[keep], (free_cols[keep], free_rows[keep])),
-        shape=(count - 1, count - 1),
-    )
-    rhs = np.zeros(count - 1)
-    rhs[free_cols[to_rhs]] = -rates[to_rhs]
+    # Q[i, j] is Q^T[j, i].  Row p of Q^T becomes e_p, and column p, times
+    # pi_p = 1, moves to the right-hand side, so p leaves the factor's graph
+    from_p = rows == p
+    pinned = np.where(from_p | (cols == p), rows == cols, rates)
+    m = sp.csc_matrix((pinned, (cols, rows)), shape=(count, count))
+    m.eliminate_zeros()
+    rhs = np.bincount(cols, weights=np.where(from_p, -rates, 0.0), minlength=count)
+    rhs[p] = 1.0
     try:
         lu = splu(m, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
         raise SingularSystemError(
             "balance system is singular; the chain should be irreducible"
         ) from exc
-    x = lu.solve(rhs)
+    pi = lu.solve(rhs)
     # one step of iterative refinement sharpens ill-conditioned solves
-    x += lu.solve(rhs - m @ x)
-    pi = np.concatenate((x[:p], [1.0], x[p:]))
+    pi += lu.solve(rhs - m @ pi)
     pi /= pi.sum()
     balance = np.bincount(cols, weights=rates * pi[rows], minlength=count)
     residual = float(np.abs(balance).max())
@@ -645,15 +652,15 @@ def gibbs_measure(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> GibbsDistrib
     return GibbsDistribution(probabilities=probs, log_partition=log_z)
 
 
-@lru_cache(maxsize=1)
+@_per_spec
 def _gibbs_table(spec: ChainSpec, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """(enumerate_states, unnormalised log Gibbs weight of each state), the
     weight being gibbs_exponent - (delta, xi) with delta the diagonal of A_d.
 
-    Both are read-only and kept for the last (spec, cap), so that
-    stationary_solve (for its rates and its pin), gibbs_measure and
-    check_detailed_balance on one spec enumerate and weigh once; a spec
-    never changes, and neither do its states.
+    Both are read-only and kept for the last (spec, cap), so that _jumps
+    (for its states), stationary_solve (for its pin) and gibbs_measure on
+    one spec enumerate and weigh once; a spec never changes, and neither do
+    its states.
     """
     states = enumerate_states(spec, cap)
     weight = gibbs_exponent(spec, states) - states @ np.diag(spec.death_matrix)
@@ -664,17 +671,9 @@ def _gibbs_table(spec: ChainSpec, cap: int) -> tuple[np.ndarray, np.ndarray]:
 
 def check_detailed_balance(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> float:
     """Max |q(xi, xi + e_x) mu(xi) - q(xi + e_x, xi) mu(xi + e_x)| over every
-    jump of the chain, for mu the Gibbs law.
-
-    Both rates are the chain's own, from _rate_blocks.  In canonical order
-    the rows that can rise at x and the rows that can fall at x are the same
-    configurations one step apart, in the same order, so up[i] and down[i]
-    are the two ends of one jump.
+    jump of the chain, for mu the Gibbs law; both rates are the chain's own,
+    from _jumps.
     """
     mu = gibbs_measure(spec, cap).probabilities
-    states, _ = _gibbs_table(spec, cap)
-    worst = 0.0
-    for _, up, up_rate, down, down_rate in _rate_blocks(spec, states):
-        residual = up_rate * mu[up] - down_rate * mu[down]
-        worst = max(worst, float(np.abs(residual).max(initial=0.0)))
-    return worst
+    up, down, up_rate, down_rate = _jumps(spec, cap)
+    return float(np.abs(up_rate * mu[up] - down_rate * mu[down]).max())

@@ -57,7 +57,7 @@ class SamplePath:
     def at(self, sample_times) -> np.ndarray:
         """Linear interpolation of each component at the given times."""
         ts = np.atleast_1d(np.asarray(sample_times, dtype=float))
-        if ts.size and (ts.min() < 0 or ts.max() > self.times[-1]):
+        if not ((ts >= 0) & (ts <= self.times[-1])).all():  # nan fails it too
             raise ValidationError("sample times outside the path's time range")
         out = np.empty((ts.shape[0], self.dimension))
         for j in range(self.dimension):

@@ -151,6 +151,14 @@ def test_trajectory_times_strictly_increasing_and_in_box():
     assert np.array_equal(traj.states_at([traj.t_end])[0], traj.final_state())
 
 
+@pytest.mark.parametrize("times", [[-0.1], [11.0], [np.nan], [0.5, np.nan]])
+def test_states_at_rejects_times_outside_the_path(times):
+    spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=1, r=1)
+    traj = bd.simulate(spec, [0], 10.0, seed=3)
+    with pytest.raises(bd.ValidationError, match="t_end"):
+        traj.states_at(times)
+
+
 def test_simulate_deterministic_given_seed():
     g = bd.path_graph(3)
     spec = bd.ChainSpec(

@@ -91,8 +91,9 @@ def test_sample_path_validation():
         bd.SamplePath(times=np.array([0.5, 1.0]), states=np.zeros((2, 1)))
     path = bd.SamplePath(times=np.array([0.0, 1.0]), states=np.array([[0.0], [2.0]]))
     assert path.at([0.5])[0, 0] == pytest.approx(1.0)
-    with pytest.raises(bd.ValidationError):
-        path.at([2.0])
+    for times in ([2.0], [-0.5], [np.nan], [0.5, np.nan]):
+        with pytest.raises(bd.ValidationError):
+            path.at(times)
 
 
 def test_overflow_on_death_side_reports_its_vertex():

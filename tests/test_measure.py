@@ -46,6 +46,18 @@ def test_state_cap():
         bd.build_generator(spec, cap=100)
     with pytest.raises(bd.StateSpaceTooLargeError):
         bd.gibbs_measure(spec, cap=100)
+    # a nan cap compares False with every count, and a list one is unhashable
+    exact_laws = (
+        bd.enumerate_states,
+        bd.build_generator,
+        bd.stationary_solve,
+        bd.gibbs_measure,
+        bd.check_detailed_balance,
+    )
+    for cap in (float("nan"), "10", None, [10]):
+        for function in exact_laws:
+            with pytest.raises(bd.ValidationError, match="cap must be an integer"):
+                function(spec, cap=cap)
 
 
 def test_state_enumeration_order():
@@ -234,7 +246,7 @@ def test_balance_check_rejects_the_untilted_measure(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_rate_blocks_pair_each_jump_with_its_reverse(seed):
-    # check_detailed_balance reads up[i] -> down[i] as one jump
+    # _jumps reads up[i] -> down[i] as one jump, and its reverse
     spec = _random_symmetric_spec(seed, zero_death_diagonal=False)
     states = bd.enumerate_states(spec)
     base = spec.num_spin_values
@@ -242,6 +254,31 @@ def test_rate_blocks_pair_each_jump_with_its_reverse(seed):
     for x, up, _, down, _ in chain._rate_blocks(spec, states):
         assert np.array_equal(down, up + base**x)
         assert (states[down] - states[up] == unit[x]).all()
+
+
+def test_exact_laws_share_one_rate_pass(monkeypatch):
+    calls = []
+    rate_blocks = chain._rate_blocks
+
+    def counted(spec, states):
+        calls.append(len(states))
+        return rate_blocks(spec, states)
+
+    monkeypatch.setattr(chain, "_rate_blocks", counted)
+    spec = _random_symmetric_spec(1, zero_death_diagonal=False)
+    bd.gibbs_measure(spec)
+    assert calls == []
+    bd.build_generator(spec)
+    bd.stationary_solve(spec)
+    bd.gibbs_measure(spec)
+    bd.check_detailed_balance(spec)
+    assert calls == [spec.num_states()]
+    # so rates past the exponent bound leave the Gibbs law alone
+    steep = bd.ChainSpec(bd.single_vertex(), [[30.0]], [[30.0]], l=30, r=30)
+    tilt = np.exp(-30.0 * np.arange(61))
+    assert np.allclose(bd.gibbs_measure(steep).probabilities, tilt / tilt.sum())
+    with pytest.raises(bd.RateOverflowError):
+        bd.check_detailed_balance(steep)
 
 
 def _loaded_by_import(package: str) -> str:
