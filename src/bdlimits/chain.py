@@ -49,6 +49,10 @@ _RNG_BUFFER = 8192
 # take 2.6 GB
 _LOCKSTEP_CHUNK = 64
 
+# rows of uniforms a lockstep replica draws at a time; it divides
+# _RNG_BUFFER, so a replica that reaches the block's end has drawn it whole
+_UNIFORM_ROWS = 512
+
 
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
@@ -344,7 +348,13 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     replicas).  Every live replica of a chunk sits at the same row k, so one
     numpy step moves all of them by one event; a replica drops out when its
     next event would pass t_end, and the live ones refill when k reaches
-    8192.  Rates come from per-spin tables of math.exp(b * spin) and
+    8192.  The exponentials are drawn whole, since the ziggurat takes a
+    variable number of generator outputs, but the uniforms come in
+    sub-blocks of _UNIFORM_ROWS rows, drawn for the replicas still live when
+    k reaches them: a float64 uniform is exactly one PCG64 output, so a
+    replica that reaches row 8192 has drawn the same stream as one whole
+    fill, and one that drops out earlier never reads the rows it skipped.
+    Rates come from per-spin tables of math.exp(b * spin) and
     math.exp(d * spin).  simulate instead adds b or d to the exponent at
     each jump; the two give the same floats whenever those multiples are
     exact (any dyadic coefficient, such as the schedule-scaled fixtures) and
@@ -398,13 +408,13 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
         t = np.zeros(count)
         h = np.zeros(count, dtype=np.int64)
         step = used = 0
-        k = _RNG_BUFFER
+        # ubuf holds rows [0, filled) of the live replicas' uniform blocks
+        k = filled = _RNG_BUFFER
         while True:
             if k == _RNG_BUFFER:
                 for j in live.tolist():
                     rngs[j].standard_exponential(out=ebuf[:, j])
-                    rngs[j].random(out=ubuf[:, j])
-                k = 0
+                k = filled = 0
             total = total_t[pos]
             t_next = ebuf[k, cols] / total
             t_next += t
@@ -417,6 +427,10 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
                 cols = live
                 if not live.size:
                     break
+            if k == filled:
+                filled += _UNIFORM_ROWS
+                for j in live.tolist():
+                    rngs[j].random(out=ubuf[k:filled, j])
             total *= ubuf[k, cols]
             pos = next_t[pos + (total < birth_t[pos])]
             h += hit_t[pos]

@@ -3,16 +3,21 @@
 A is the net interaction matrix A_b - A_d.  The module provides the drift,
 an Euler-Maruyama ensemble, the exact Gaussian transition law (mean and
 covariance from one block matrix exponential), and the stationary Gaussian
-law for Hurwitz A (a Lyapunov solve).  When the diagonal of A is negative
-the components are interacting Ornstein-Uhlenbeck processes with
-unit-variance-rate noise.  scipy.linalg is imported inside
-stationary_gaussian; exact_transition reaches scipy only through
-spectral.matrix_exp.
+law for Hurwitz A (a Lyapunov solve).  The ensemble runs the linear
+recursion x_{k+1} = x_k B + sqrt(2 dt) z_k, B = I + dt A', in blocks of
+up to 64 steps: one normal draw and two matrix products per block, on two
+buffers of at most 2^16 normals each that last the whole call.  It draws
+the same normals in the same order as a per-step loop and equals it up to
+rounding.  When the diagonal of A is negative the components are
+interacting Ornstein-Uhlenbeck processes with unit-variance-rate noise.
+scipy.linalg is imported inside stationary_gaussian; exact_transition
+reaches scipy only through spectral.matrix_exp.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -28,6 +33,10 @@ from .paths import step_count
 from .spectral import as_square_matrix, as_state, is_hurwitz, is_symmetric, matrix_exp
 
 DEFAULT_DT = 1e-3
+
+# Euler-Maruyama steps per block, and the most normals one block may hold
+_EM_BLOCK = 64
+_EM_BLOCK_VALUES = 2**16
 
 
 def drift(a, u) -> np.ndarray:
@@ -46,9 +55,18 @@ def euler_maruyama_terminal(
 ) -> np.ndarray:
     """Terminal states of n_paths independent Euler-Maruyama paths, (N, d).
 
-    One vectorized sweep over replicas; deterministic given the seed, with
-    replicas filled in a fixed order.  A seed that numpy.random.default_rng
-    rejects raises ValidationError.
+    With rows as states, one step is x_{k+1} = x_k B + sqrt(2 dt) z_k with
+    B = I + dt A', so K steps are x_{k+K} = x_k B^K + sum_j sqrt(2 dt)
+    z_{k+j} B^{K-1-j}.  The paths advance K steps at a time (K = 64, fewer
+    when a block of K * N * d normals would pass 2^16 values): one
+    standard_normal fills a (K, N, d) buffer, which gives the same normals
+    in the same order as K per-step draws, a copy moves them to an (N, K, d)
+    buffer, and two matrix products take the block.  The leftover steps
+    (steps mod K) use the leading part of both buffers and the trailing
+    rows of the stacked powers.  The result equals the per-step recursion
+    up to rounding, not bit for bit.  Both buffers are allocated once per
+    call, about 0.9 MB in all at N = 300, d = 3.  A seed that
+    numpy.random.default_rng rejects raises ValidationError.
     """
     m = as_square_matrix(a)
     u = as_state(m, u0)
@@ -57,11 +75,24 @@ def euler_maruyama_terminal(
         raise ValidationError("n_paths must be positive")
     rng = seeded_rng(seed)
     states = np.tile(u, (n_paths, 1))
-    amp = np.sqrt(2.0 * dt)
-    mt = m.T
-    for _ in range(steps):
-        states += (states @ mt) * dt
-        states += amp * rng.standard_normal(states.shape)
+    d = m.shape[0]
+    block = min(steps, _EM_BLOCK, max(1, _EM_BLOCK_VALUES // (n_paths * d)))
+    # powers[i] = B^i; weights stacks sqrt(2 dt) B^{block-1-j} for j < block
+    powers = np.empty((block + 1, d, d))
+    powers[0] = np.eye(d)
+    b = powers[0] + dt * m.T
+    for i in range(block):
+        np.matmul(powers[i], b, out=powers[i + 1])
+    weights = np.sqrt(2.0 * dt) * powers[block - 1 :: -1].reshape(block * d, d)
+    zbuf = np.empty(block * n_paths * d)
+    flat = np.empty_like(zbuf)
+    full, tail = divmod(steps, block)
+    for k in chain(repeat(block, full), repeat(tail, 1 if tail else 0)):
+        z = zbuf[: k * n_paths * d].reshape(k, n_paths, d)
+        noise = flat[: k * n_paths * d].reshape(n_paths, k, d)
+        rng.standard_normal(out=z)
+        np.copyto(noise, z.transpose(1, 0, 2))
+        states = states @ powers[k] + noise.reshape(n_paths, k * d) @ weights[(block - k) * d :]
     return states
 
 

@@ -274,8 +274,9 @@ class DiffusionExperimentConfig(_ScaledModel):
     def __post_init__(self):
         super().__post_init__()
         self._require("diffusion", t=self.t)
-        if self.t <= 0 or require_integer("replicas", self.replicas) < 1:
-            raise ValidationError("need t > 0 and at least one replica")
+        # the tabled covariance and standard errors divide by replicas - 1
+        if self.t <= 0 or require_integer("replicas", self.replicas) < 2:
+            raise ValidationError("need t > 0 and at least two replicas")
         _require_seed_and_budget(self.seed, self.event_budget)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -161,6 +163,62 @@ def test_euler_maruyama_matches_exact_transition():
         for j in range(i, 2):
             se = np.sqrt((emp_cov[i, i] * emp_cov[j, j] + emp_cov[i, j] ** 2) / (n - 1))
             assert abs(emp_cov[i, j] - cov[i, j]) < 4 * se
+
+
+def per_step_em(a, u0, dt, steps, n_paths, seed):
+    """The Euler-Maruyama recursion one step and one normal draw at a time."""
+    m = np.asarray(a, dtype=float)
+    rng = np.random.default_rng(seed)
+    states = np.tile(np.asarray(u0, dtype=float), (n_paths, 1))
+    amp = np.sqrt(2.0 * dt)
+    for _ in range(steps):
+        states = states + dt * (states @ m.T) + amp * rng.standard_normal(states.shape)
+    return states
+
+
+_NON_SYMMETRIC = np.array([[-1.0, 0.7, 0.0], [-0.3, -2.0, 0.5], [0.2, 0.0, -0.5]])
+
+
+@pytest.mark.parametrize(
+    "a, u0, steps, n_paths",
+    [
+        ([[-1.0]], [0.5], 100, 7),
+        ([[0.3]], [-2.0], 64, 1),
+        (_NON_SYMMETRIC, [1.0, -0.5, 2.0], 150, 1),
+        (_NON_SYMMETRIC, [1.0, -0.5, 2.0], 130, 40),
+        # 2^16 normals hold 43 steps of 500 paths in 3 dimensions
+        (_NON_SYMMETRIC, [0.0, 1.0, 0.0], 100, 500),
+        # more than 2^16 normals per step: blocks of one step
+        (_NON_SYMMETRIC, [0.0, 1.0, 0.0], 5, 30_000),
+    ],
+    ids=["d1", "d1-one-block", "d3-one-path", "d3-tail", "d3-short-block", "d3-unit-block"],
+)
+def test_blocked_euler_maruyama_matches_per_step_loop(a, u0, steps, n_paths):
+    dt = 1e-2
+    seed = 17
+    blocked = bd.euler_maruyama_terminal(
+        a, u0, dt=dt, t_end=steps * dt, n_paths=n_paths, seed=seed
+    )
+    reference = per_step_em(a, u0, dt, steps, n_paths, seed)
+    assert blocked.shape == reference.shape == (n_paths, len(u0))
+    # the same normals, summed in another order: equal up to rounding
+    assert np.abs(blocked - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_euler_maruyama_temporaries_stay_within_the_block_buffers():
+    n_paths, d, block = 300, 3, 64
+    a = bd.alpha_beta_matrix(bd.path_graph(d), -2.0, 0.5)
+    # warm up numpy's lazy state (np.random, the BLAS) outside the trace
+    bd.euler_maruyama_terminal(a, np.zeros(d), dt=1e-3, t_end=0.2, n_paths=n_paths, seed=1)
+    tracemalloc.start()
+    try:
+        bd.euler_maruyama_terminal(a, np.zeros(d), dt=1e-3, t_end=5.0, n_paths=n_paths, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * block * n_paths * d
+    state_bytes = 8 * n_paths * d
+    assert peak <= 2 * block_bytes + 8 * state_bytes
 
 
 def test_log_density_values():

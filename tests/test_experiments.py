@@ -243,6 +243,13 @@ def test_diffusion_experiment_budget_guard():
         bd.run_diffusion_experiment(cfg)
 
 
+@pytest.mark.parametrize("replicas", [1, 0])
+def test_diffusion_experiment_needs_two_replicas(replicas):
+    # one replica has no sample covariance: the table would hold nan
+    with pytest.raises(bd.ValidationError, match="at least two replicas"):
+        _tiny_diffusion_config(replicas=replicas)
+
+
 def test_diffusion_experiment_regime_check():
     with pytest.raises(bd.ValidationError):
         bd.DiffusionExperimentConfig(

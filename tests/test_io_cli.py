@@ -311,6 +311,18 @@ def test_exp_diffusion_rejects_fractional_box_sizes(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_exp_diffusion_rejects_one_replica(tmp_path, capsys):
+    (tmp_path / "single.g").write_text("n 1\n")
+    cfg = write(
+        tmp_path, "one.cfg",
+        "schema=1\ngraph = single.g\nab = zero\nad = diag:1\nu = 1.0\nt = 0.5\n"
+        "levels = 2\nreplicas = 1\n",
+    )
+    assert run_cli(["exp-diffusion", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "at least two replicas" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exp_diffusion_deterministic(tmp_path):
     cfg_text = (
         "schema=1\ngraph = single.g\nab = zero\nad = diag:1\nu = 1.0\nt = 0.5\n"
