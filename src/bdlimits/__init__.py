@@ -58,7 +58,6 @@ from .experiments import (
     ScalingSchedule,
     generator_convergence_check,
     geometric_schedule,
-    rescaled_chain_spec,
     run_diffusion_experiment,
     run_fluid_experiment,
 )
@@ -69,7 +68,6 @@ from .graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
-    graph_to_text,
     load_graph,
     parse_graph_text,
     path_graph,

@@ -563,17 +563,19 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     l = r = 30, a pin at either end leaves an exactly singular factor.
     Works for any (possibly asymmetric) interaction matrices; the chain is
     irreducible because all interior rates are positive.  Raises
-    SingularSystemError when the factor is singular or the balance residual
-    max |Q^T pi| exceeds 1e-10.
+    SingularSystemError when the factor is singular, when the balance
+    residual max |Q^T pi| exceeds 1e-10, when an entry is below -1e-12, or,
+    for a reversible spec, when pi is more than 1e-9 off the Gibbs law,
+    which is exact there; the law returned is always the solve's own.
 
     Known limit: a metastable double well whose barrier passes float64
-    defeats every pin.  On a single vertex with A_b = 0.1, A_d = 0 and
-    l = r = 40 the result is a nonnegative law about 0.96 off the Gibbs
-    law, and the residual gate does not see it.  Rates spanning about ten
-    decades cost accuracy the gate cannot see either: on path(2) with
+    defeats every pin, and the residual gate does not see it.  On a single
+    vertex with A_b = 0.1, A_d = 0 and l = r = 40 the solve is about 0.96
+    off the Gibbs law; that spec is reversible, so it raises.  An
+    irreversible spec has no exact law to check against: on path(2) with
     l = r = 3, A_b = [[2.74, -0.81], [3.2, -0.88]] and A_d = [[-1.27, -1.01],
-    [-0.6, 2.46]] the law is 2e-6 off at a residual of 2e-14.  For a
-    reversible spec, gibbs_measure is the route to use.
+    [-0.6, 2.46]], rates spanning about ten decades leave the law 2.2e-6 off
+    at a residual of 2e-14, and no error is raised.
 
     Memory is set by the fill of the factor, not by N^2.  Measured on
     cycle(4) with l = r and coefficients of the size used by the benchmark,
@@ -616,6 +618,19 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
             f"stationary residual {residual:.3e} exceeds 1e-10; "
             "conditioning is off for this spec"
         )
+    low = float(pi.min())
+    if not low >= -1e-12:
+        raise SingularSystemError(
+            f"stationary entry {low:.3e} is below -1e-12; conditioning is off "
+            "for this spec"
+        )
+    if is_symmetric(spec.drift_matrix):
+        gap = float(np.abs(pi - gibbs_measure(spec, cap).probabilities).max())
+        if not gap <= 1e-9:
+            raise SingularSystemError(
+                f"stationary law is {gap:.3e} off the exact Gibbs law, past "
+                "1e-9; conditioning is off for this spec"
+            )
     return pi
 
 

@@ -278,13 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        pairs = args.handler(args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        pairs = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

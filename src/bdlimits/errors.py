@@ -4,8 +4,9 @@ Two branches matter for callers (and for CLI exit codes): ValidationError
 for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.  Each rule has one check here: require_integer for
 counts, require_seed for seeds (the CLI's too), seeded_rng for the seeds
-the simulators hand to numpy, and check_exponents for the bound on the
-rate exponents that the chain and the fluid field share.
+the simulators hand to numpy, check_exponents for the bound on the rate
+exponents that the chain and the fluid field share, and read_text for the
+config and graph files.
 """
 
 import numpy as np
@@ -100,6 +101,21 @@ class SupportNotCoveredError(ValidationError):
 
 class ConfigError(ValidationError):
     """Config file is malformed; message names the offending field."""
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; a file that is missing,
+    unreadable or not UTF-8 raises ConfigError naming what it is and path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        reason = "not found"
+    except OSError as exc:
+        reason = f"unreadable ({exc.strerror})"
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise ConfigError(f"{what} {reason}: {path}")
 
 
 class RateOverflowError(NumericError):

@@ -187,7 +187,9 @@ class _ScaledModel:
                 raise ValidationError(f"{name} must be finite, got {value}")
 
     def _level_chain(self, level: int) -> tuple[ChainSpec, np.ndarray]:
-        """rescaled_chain_spec of this model at one level."""
+        """ChainSpec at one level (matrices times eps^2 in the diffusion
+        regime, eps in the fluid one) and its start configuration: u/eps
+        rounded componentwise and clamped into the box."""
         eps = float(self.schedule.epsilons[level])
         scale = _time_scale(self.schedule.regime, eps)
         box = int(self.schedule.box_sizes[level])
@@ -196,24 +198,6 @@ class _ScaledModel:
         )
         start = np.rint(self.schedule.initial_point / eps)
         return spec, np.clip(start, -box, box).astype(np.int64)
-
-
-def rescaled_chain_spec(
-    graph: Graph,
-    birth_matrix,
-    death_matrix,
-    schedule: ScalingSchedule,
-    level: int,
-) -> tuple[ChainSpec, np.ndarray]:
-    """ChainSpec at one schedule level plus its discretized start configuration.
-
-    Matrices scale by eps^2 in the diffusion regime and by eps in the fluid
-    regime; the start configuration is the componentwise nearest integer to
-    u/eps, clamped into the box.
-    """
-    if not 0 <= level < schedule.num_levels:
-        raise ValidationError(f"level {level} outside schedule of {schedule.num_levels}")
-    return _ScaledModel(graph, birth_matrix, death_matrix, schedule)._level_chain(level)
 
 
 def _replica_seed(seed: int, level: int, replica: int) -> np.random.SeedSequence:
@@ -423,8 +407,8 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
 
     For each level: E_n = max over a grid of u in the bump's support of
     |L_n f(eps * round(u/eps)) - L f(u)| where L_n applies the jump-rate
-    finite differences of the eps^2-scaled chain (the rates of
-    rescaled_chain_spec, under the chain's exponent guard) and L is the
+    finite differences of the eps^2-scaled chain (the rates of the level's
+    ChainSpec, under the chain's exponent guard) and L is the
     limit operator sum_x f''_xx + sum_x (A u)_x f'_x.  Also reports
     E_n / eps_n, which stays bounded under the first-order error expansion.
     Raises RateOverflowError if a rate exponent on the grid exceeds

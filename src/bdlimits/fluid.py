@@ -47,24 +47,6 @@ def vector_field(birth_matrix, death_matrix, gamma, time: float | None = None) -
     return field(g, time)
 
 
-def _rk4(field, gamma0: np.ndarray, dt: float, t_end: float) -> SamplePath:
-    # Integration core; `field` is injectable for closed-form validation in
-    # the test suite; rk4_integrate passes the field built by _field.
-    steps = step_count(dt, t_end)
-    states = np.empty((steps + 1, gamma0.shape[0]))
-    states[0] = gamma0
-    g = gamma0.astype(float).copy()
-    for k in range(steps):
-        t = k * dt
-        k1 = field(g, t)
-        k2 = field(g + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = field(g + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = field(g + dt * k3, t + dt)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = g
-    return SamplePath(times=np.arange(steps + 1) * dt, states=states)
-
-
 def rk4_integrate(
     birth_matrix,
     death_matrix,
@@ -78,5 +60,16 @@ def rk4_integrate(
     Overflowing exponents abort with the offending time and vertex; no
     global-existence claim is made for arbitrary matrices.
     """
-    field, g0 = _field(birth_matrix, death_matrix, gamma0)
-    return _rk4(field, g0, dt, t_end)
+    field, g = _field(birth_matrix, death_matrix, gamma0)
+    steps = step_count(dt, t_end)
+    states = np.empty((steps + 1, g.shape[0]))
+    states[0] = g
+    for k in range(steps):
+        t = k * dt
+        k1 = field(g, t)
+        k2 = field(g + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = field(g + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = field(g + dt * k3, t + dt)
+        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k + 1] = g
+    return SamplePath(times=np.arange(steps + 1) * dt, states=states)

@@ -21,6 +21,7 @@ from .errors import (
     InvalidEdgeError,
     PatternViolationError,
     ValidationError,
+    read_text,
     require_integer,
 )
 
@@ -45,6 +46,11 @@ class Graph:
             if key in seen:
                 raise InvalidEdgeError(f"duplicate edge ({u}, {v})")
             seen.add(key)
+        # checked before anything is built per vertex: n may be huge
+        if len(seen) < num_vertices - 1:
+            raise DisconnectedGraphError(
+                f"{len(seen)} edges cannot connect {num_vertices} vertices"
+            )
         self.num_vertices = num_vertices
         self.edges = frozenset(seen)
         self._check_connected()
@@ -80,14 +86,9 @@ class Graph:
         """Symmetric 0/1 matrix with zero diagonal; entry (x,y)=1 iff {x,y} is an edge."""
         return self._adjacency
 
-    def degree(self, x: int) -> int:
-        """Number of edges incident to x."""
-        if not (0 <= x < self.num_vertices):
-            raise IndexError(f"vertex {x} out of range [0, {self.num_vertices})")
-        return int(self._adjacency[x].sum())
-
     @property
     def degrees(self) -> np.ndarray:
+        """Number of edges incident to each vertex."""
         return self._adjacency.sum(axis=1).astype(np.int64)
 
     def __eq__(self, other) -> bool:
@@ -195,17 +196,21 @@ def parse_graph_text(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "n" and len(parts) == 2:
+        kind, *tokens = line.split()
+        if (kind, len(tokens)) not in (("n", 1), ("e", 2)):
+            raise InvalidEdgeError(f"line {lineno}: unrecognized line {line!r}")
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError:
+            raise InvalidEdgeError(f"line {lineno}: non-integer in {line!r}") from None
+        if kind == "n":
             if num_vertices is not None:
                 raise InvalidEdgeError(f"line {lineno}: repeated 'n' line")
-            num_vertices = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            if num_vertices is None:
-                raise InvalidEdgeError(f"line {lineno}: 'e' before 'n'")
-            edges.append((int(parts[1]), int(parts[2])))
+            num_vertices = values[0]
+        elif num_vertices is None:
+            raise InvalidEdgeError(f"line {lineno}: 'e' before 'n'")
         else:
-            raise InvalidEdgeError(f"line {lineno}: unrecognized line {line!r}")
+            edges.append(tuple(values))
     if num_vertices is None:
         raise InvalidEdgeError("missing 'n <num_vertices>' line")
     return Graph(num_vertices, edges)
@@ -213,12 +218,5 @@ def parse_graph_text(text: str) -> Graph:
 
 def load_graph(path) -> Graph:
     """Read a graph from a text file in the 'n/e' format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"n {g.num_vertices}"]
-    lines += [f"e {u} {v}" for u, v in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
+    return parse_graph_text(read_text(path, "graph file"))
 

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .chain import ChainSpec, Trajectory, enumerate_states
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, read_text
 from .experiments import ConvergenceTable
 from .graphs import Graph, alpha_beta_matrix, load_graph, validate_interaction
 from .spectral import SpectralReport
@@ -101,10 +101,7 @@ def write_scalar_csv(path, name: str, value: float) -> None:
 
 def read_config(path) -> dict[str, str]:
     """Parse a flat key=value config file with the schema=1 header."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, "config file").splitlines()
     entries: dict[str, str] = {}
     saw_header = False
     for lineno, raw in enumerate(lines, start=1):
@@ -138,7 +135,7 @@ class ConfigView:
         self.base_dir = base_dir
         self.used: set[str] = set()
 
-    def _raw(self, key: str, default=None, required: bool = False) -> str | None:
+    def get_str(self, key: str, default=None, required: bool = False) -> str | None:
         if key in self.entries:
             self.used.add(key)
             return self.entries[key]
@@ -146,11 +143,8 @@ class ConfigView:
             raise ConfigError(f"missing required field {key!r}")
         return default
 
-    def get_str(self, key, default=None, required=False):
-        return self._raw(key, default, required)
-
     def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, None, required)
         if raw is None:
             return default
         try:
@@ -159,7 +153,7 @@ class ConfigView:
             raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from exc
 
     def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, None, required)
         if raw is None:
             return default
         try:
@@ -171,7 +165,7 @@ class ConfigView:
         return value
 
     def get_vector(self, key, default=None, required=False) -> np.ndarray | None:
-        raw = self._raw(key, None, required)
+        raw = self.get_str(key, None, required)
         if raw is None:
             return default
         try:
@@ -185,7 +179,7 @@ class ConfigView:
         return values
 
     def get_path(self, key, default=None, required=False):
-        raw = self._raw(key, default, required)
+        raw = self.get_str(key, default, required)
         if raw is None:
             return None
         return raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)

@@ -81,10 +81,11 @@ def test_rescaled_spec_scaling_rules():
     g = bd.single_vertex()
     ab, ad = np.array([[0.8]]), np.array([[0.3]])
     diff_sched = bd.ScalingSchedule([0.5], [8], [1.0], "diffusion")
-    spec, xi0 = bd.rescaled_chain_spec(g, ab, ad, diff_sched, 0)
+    config = bd.DiffusionExperimentConfig(g, ab, ad, diff_sched, t=1.0)
+    spec, xi0 = config._level_chain(0)
     assert spec.birth_matrix[0, 0] == pytest.approx(0.8 * 0.25)  # eps^2
     fluid_sched = bd.ScalingSchedule([0.5], [8], [1.0], "fluid")
-    spec2, _ = bd.rescaled_chain_spec(g, ab, ad, fluid_sched, 0)
+    spec2, _ = bd.FluidExperimentConfig(g, ab, ad, fluid_sched, t=1.0)._level_chain(0)
     assert spec2.birth_matrix[0, 0] == pytest.approx(0.8 * 0.5)  # eps
     assert spec2.l == spec2.r == 8
 
@@ -92,13 +93,13 @@ def test_rescaled_spec_scaling_rules():
 def test_rescaled_spec_initial_rounding_and_clamp():
     g = bd.single_vertex()
     sched = bd.ScalingSchedule([0.25], [16], [1.0], "diffusion")
-    _, xi0 = bd.rescaled_chain_spec(g, [[0.0]], [[0.0]], sched, 0)
+    config = bd.DiffusionExperimentConfig(g, [[0.0]], [[0.0]], sched, t=1.0)
+    _, xi0 = config._level_chain(0)
     assert xi0[0] == 4
     tight = bd.ScalingSchedule([0.25], [2], [1.0], "diffusion")
-    _, clamped = bd.rescaled_chain_spec(g, [[0.0]], [[0.0]], tight, 0)
+    config = bd.DiffusionExperimentConfig(g, [[0.0]], [[0.0]], tight, t=1.0)
+    _, clamped = config._level_chain(0)
     assert clamped[0] == 2  # round(4) clamped into the box
-    with pytest.raises(bd.ValidationError):
-        bd.rescaled_chain_spec(g, [[0.0]], [[0.0]], sched, 3)
 
 
 def test_bump_value_support():

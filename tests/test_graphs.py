@@ -14,14 +14,19 @@ def test_two_path_is_smallest_connected_graph():
 
 def test_star_construction():
     g = bd.build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert g.degree(0) == 4
-    assert [g.degree(x) for x in range(1, 5)] == [1, 1, 1, 1]
+    assert g.degrees.tolist() == [4, 1, 1, 1, 1]
     assert g == bd.star_graph(4)
 
 
 def test_isolated_vertex_rejected():
     with pytest.raises(bd.DisconnectedGraphError):
         bd.build_graph(3, [(0, 1)])
+    with pytest.raises(bd.DisconnectedGraphError):
+        bd.build_graph(4, [(0, 1), (1, 2), (0, 2)])
+    # fewer than n - 1 edges cannot connect n vertices, and the count is
+    # checked before anything is built per vertex
+    with pytest.raises(bd.DisconnectedGraphError, match="0 edges cannot connect"):
+        bd.parse_graph_text(f"n {10**20}\n")
 
 
 @pytest.mark.parametrize(
@@ -88,11 +93,11 @@ def test_chain_spec_rejects_non_finite_interaction(bad):
 
 def test_degrees():
     star = bd.star_graph(4)
-    assert star.degree(0) == 4
-    assert star.degree(3) == 1
-    assert all(bd.cycle_graph(3).degree(x) == 2 for x in range(3))
+    assert star.degrees[0] == 4
+    assert star.degrees[3] == 1
+    assert bd.cycle_graph(3).degrees.tolist() == [2, 2, 2]
     with pytest.raises(IndexError):
-        star.degree(9)
+        star.degrees[9]
 
 
 def _random_connected_graph(rng: np.random.Generator, n: int) -> bd.Graph:
@@ -141,9 +146,9 @@ def test_linear_combination_is_interaction(n, seed, w1, w2):
     bd.validate_interaction(g, combo)  # must not raise
 
 
-def test_graph_text_round_trip(tmp_path):
+def test_graph_text_parse_and_load(tmp_path):
     g = bd.star_graph(3)
-    text = bd.graph_to_text(g)
+    text = "# star with 3 leaves\nn 4\n\ne 0 1\ne 0 2\ne 3 0\n"
     assert bd.parse_graph_text(text) == g
     path = tmp_path / "star.g"
     path.write_text(text)
@@ -169,6 +174,19 @@ def test_graph_text_errors():
         bd.parse_graph_text("n 2\nwhat 0 1\n")
     with pytest.raises(bd.InvalidEdgeError):
         bd.parse_graph_text("# only a comment\n")
+    for text, line in (("n x\n", 1), ("n 2\ne 0 1.5\n", 2), ("n 2\ne a 1\n", 2)):
+        with pytest.raises(bd.InvalidEdgeError, match=f"line {line}: non-integer"):
+            bd.parse_graph_text(text)
+
+
+def test_unreadable_graph_file_is_config_error(tmp_path):
+    (tmp_path / "latin1.g").write_bytes(b"n 1\n# caf\xe9\n")
+    for name, reason in (
+        ("missing.g", "not found"), ("", "unreadable"), ("latin1.g", "not UTF-8")
+    ):
+        path = tmp_path / name
+        with pytest.raises(bd.ConfigError, match=f"graph file {reason}.*{path.name}"):
+            bd.load_graph(path)
 
 
 def test_alpha_beta_matrix():

@@ -202,6 +202,24 @@ def test_missing_config_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_graph_or_config_file_exits_one(tmp_path, capsys):
+    write(tmp_path, "letters.g", "n x\n")
+    write(tmp_path, "fraction.g", "n 2\ne 0 1.5\n")
+    spectral = ["--alpha", "-3", "--beta", "1", "--out", tmp_path / "out"]
+    for name, message in (
+        ("letters.g", "line 1: non-integer"),
+        ("fraction.g", "line 2: non-integer"),
+        ("missing.g", "graph file not found"),
+        ("", "graph file unreadable"),
+    ):
+        assert run_cli(["classify", "--graph", tmp_path / name, *spectral]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert run_cli(["gibbs", "--config", tmp_path]) == 1
+    assert "config file unreadable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert run_cli(["no-such-command"]) == 1
     assert run_cli([]) == 1

@@ -106,7 +106,8 @@ def test_single_vertex_product_formula_oracle():
     "ab, ad, box, tol",
     [
         # the law sits near spin 0 and both ends weigh below 1e-188 of its
-        # mode, so a pin at either end leaves an exactly singular factor
+        # mode, so a pin at either end leaves an exactly singular factor; at
+        # box 30 an end comes out as -3e-84, which the sign gate lets pass
         (0.0, 1.0, 30, 1e-12),
         (0.0, 1.0, 60, 1e-12),
         (0.0, 1.0, 300, 1e-12),
@@ -324,9 +325,9 @@ PUBLIC_NAMES = [
     "diffusion", "drift", "eigen_sym", "enumerate_states", "errors",
     "euler_maruyama_terminal", "exact_transition", "experiments", "fluid",
     "generator_convergence_check", "geometric_schedule", "gibbs_measure",
-    "graph_to_text", "graphs", "is_hurwitz", "load_graph", "lyapunov_residual",
+    "graphs", "is_hurwitz", "load_graph", "lyapunov_residual",
     "matrix_exp", "numeric_report", "parse_graph_text", "path_graph", "path_spectrum",
-    "paths", "rescaled_chain_spec", "rk4_integrate", "run_diffusion_experiment",
+    "paths", "rk4_integrate", "run_diffusion_experiment",
     "run_fluid_experiment", "simulate", "single_vertex", "spectral", "star_graph",
     "star_spectrum", "state_index", "stationary_gaussian",
     "stationary_log_density_unnormalized", "stationary_solve",
@@ -398,3 +399,32 @@ def test_singular_factor_is_a_typed_error(monkeypatch):
     spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=0, r=1)
     with pytest.raises(bd.SingularSystemError, match="singular"):
         bd.stationary_solve(spec)
+
+
+def _wide_bench_style_spec(seed):
+    # the benchmark's reversible recipe (symmetric A, zero death diagonal,
+    # coefficients shrunk by 2/l) on a box too wide for the sparse solve
+    g = bd.path_graph(2)
+    rng = np.random.default_rng(seed)
+    pattern = g.adjacency_matrix() + np.eye(2)
+    sym = rng.uniform(-0.75, 0.75, size=(2, 2)) * (2 / 40)
+    sym = 0.5 * (sym + sym.T) * pattern
+    split = rng.uniform(-0.5, 0.5, size=(2, 2)) * (2 / 40) * g.adjacency_matrix()
+    return bd.ChainSpec(g, sym + split, split, l=40, r=40)
+
+
+@pytest.mark.parametrize(
+    "make, gate",
+    [
+        # a double well whose barrier passes float64: 0.96 off the Gibbs law
+        (lambda: bd.ChainSpec(bd.single_vertex(), [[0.1]], [[0.0]], l=40, r=40), "Gibbs"),
+        (lambda: _wide_bench_style_spec(1), "Gibbs"),  # 2.1e-4 off
+        (lambda: _wide_bench_style_spec(4), "below -1e-12"),  # an entry of -0.157
+        (lambda: _wide_bench_style_spec(5), "Gibbs"),  # 3.9e-7 off
+    ],
+    ids=["double-well", "bench-rng1", "bench-rng4", "bench-rng5"],
+)
+def test_lost_stationary_law_is_a_typed_error(make, gate):
+    # each solve passes the residual gate; the sign or the Gibbs gate stops it
+    with pytest.raises(bd.SingularSystemError, match=gate):
+        bd.stationary_solve(make())
