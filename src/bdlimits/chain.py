@@ -203,34 +203,31 @@ def simulate(
     Raises ValidationError for a negative or non-finite t_end, a
     max_events that is neither None nor a nonnegative integer, or a seed
     that numpy.random.default_rng rejects, RateOverflowError when the path
-    reaches a state where a rate exponent exceeds magnitude 700, and
-    BudgetExceededError once max_events events happen before t_end.
+    reaches a state where a rate exponent exceeds magnitude 700 (it names
+    the first such exponent the jump changed: births before deaths, and
+    vertices in increasing order), and BudgetExceededError once max_events
+    events happen before t_end.
     """
     if max_events is not None and require_integer("max_events", max_events) < 0:
         raise ValidationError(f"max_events must be nonnegative, got {max_events}")
-    xi0, guarded = _start(spec, initial, t_end)
+    xi0 = _start(spec, initial, t_end)
     rng = seeded_rng(seed)
-    return _simulate_vector(spec, xi0, t_end, rng, guarded, max_events)
+    return _simulate_vector(spec, xi0, t_end, rng, max_events)
 
 
-def _start(spec: ChainSpec, initial, t_end: float) -> tuple[np.ndarray, bool]:
-    """The checked start configuration, and whether an exponent can pass
-    MAX_EXPONENT anywhere in the box (if not, the per-event guard is skipped).
+def _start(spec: ChainSpec, initial, t_end: float) -> np.ndarray:
+    """The checked start configuration.
 
     Raises ValidationError for a negative or non-finite t_end and
-    RateOverflowError if an exponent at the start already passes the bound.
+    RateOverflowError if an exponent at the start already passes
+    MAX_EXPONENT; the event loops check every exponent they change.
     """
     xi0 = spec.validate_configuration(initial)
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
-    ab, ad = spec.birth_matrix, spec.death_matrix
-    check_exponents(ab @ xi0)
-    check_exponents(ad @ xi0)
-    bound = max(
-        float(np.abs(ab).sum(axis=1).max(initial=0.0)),
-        float(np.abs(ad).sum(axis=1).max(initial=0.0)),
-    ) * max(spec.l, spec.r)
-    return xi0, bound > MAX_EXPONENT
+    check_exponents(spec.birth_matrix @ xi0)
+    check_exponents(spec.death_matrix @ xi0)
+    return xi0
 
 
 def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
@@ -239,18 +236,12 @@ def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
     return [(y, float(matrix[y, x])) for y in ys]
 
 
-def _worst_exponent(exponents: list[float], column) -> None:
-    # check_exponents on the touched entries, without building an array
-    w = max((y for y, _ in column), key=lambda y: abs(exponents[y]))
-    if abs(exponents[w]) > MAX_EXPONENT:
-        raise RateOverflowError(w, exponents[w])
-
-
-def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
+def _simulate_vector(spec, xi0, t_end, rng, max_events):
     # Rates sit in one list, the n births first and then the n deaths.  The
     # total is the last running sum and the pick bisects the same sums, so
     # the pick cannot run past the last index.  Only exponents touched by
-    # the jump can newly leave the safe range, so the guard checks those.
+    # the jump can newly leave the safe range, so each is checked as its
+    # rate is recomputed, births before deaths.
     n = spec.num_vertices
     l, r = spec.l, spec.r
     ab, ad = spec.birth_matrix, spec.death_matrix
@@ -261,7 +252,7 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
     dexp = (ad @ xi0.astype(float)).tolist()
     rates = [math.exp(e) if v < r else 0.0 for e, v in zip(bexp, spins)]
     rates += [math.exp(e) if v > -l else 0.0 for e, v in zip(dexp, spins)]
-    exp = math.exp
+    exp, top = math.exp, MAX_EXPONENT
     cap = math.inf if max_events is None else max_events
 
     times: list[float] = []
@@ -286,18 +277,16 @@ def _simulate_vector(spec, xi0, t_end, rng, guarded, max_events):
         t = t_next
         x, s = (i, 1) if i < n else (i - n, -1)
         spins[x] += s
-        bcol, dcol = bcols[x], dcols[x]
-        for y, c in bcol:
-            bexp[y] += s * c
-        for y, c in dcol:
-            dexp[y] += s * c
-        if guarded:
-            _worst_exponent(bexp, bcol)
-            _worst_exponent(dexp, dcol)
-        for y, _ in bcol:
-            rates[y] = exp(bexp[y]) if spins[y] < r else 0.0
-        for y, _ in dcol:
-            rates[n + y] = exp(dexp[y]) if spins[y] > -l else 0.0
+        for y, c in bcols[x]:
+            e = bexp[y] = bexp[y] + s * c
+            if not -top <= e <= top:
+                raise RateOverflowError(y, e)
+            rates[y] = exp(e) if spins[y] < r else 0.0
+        for y, c in dcols[x]:
+            e = dexp[y] = dexp[y] + s * c
+            if not -top <= e <= top:
+                raise RateOverflowError(y, e)
+            rates[n + y] = exp(e) if spins[y] > -l else 0.0
         times.append(t)
         verts.append(x)
         signs.append(s)
@@ -324,13 +313,13 @@ def _run_replicas(spec, xi0, t_end, seeds, budget, statistic=None):
     if statistic is None and spec.num_vertices == 1:
         finals, events, hits = _simulate_lockstep(spec, xi0, t_end, seeds, budget)
         return finals[:, None], int(hits.sum()), int(events.sum())
-    xi0, guarded = _start(spec, xi0, t_end)
+    xi0 = _start(spec, xi0, t_end)
     statistic = statistic or Trajectory.final_state
     values = []
     hits = used = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        traj = _simulate_vector(spec, xi0, t_end, rng, guarded, budget - used)
+        traj = _simulate_vector(spec, xi0, t_end, rng, budget - used)
         used += traj.num_events
         hits += traj.boundary_hits(spec.l, spec.r)
         values.append(statistic(traj))
@@ -361,10 +350,12 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     can otherwise differ in the last bit.
 
     Raises BudgetExceededError once the replicas' events together reach
-    max_events, and RateOverflowError (vertex 0) when a replica reaches a
-    spin whose exponent passes MAX_EXPONENT.
+    max_events, and RateOverflowError (vertex 0, the birth exponent if both
+    pass) when a replica reaches a spin whose exponent passes MAX_EXPONENT.
+    The per-step check of the landed spins runs only when the table holds
+    such a spin.
     """
-    xi0, guarded = _start(spec, xi0, t_end)
+    xi0 = _start(spec, xi0, t_end)
     l, r = spec.l, spec.r
     b = float(spec.birth_matrix[0, 0])
     d = float(spec.death_matrix[0, 0])
@@ -384,6 +375,7 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
             birth = math.exp(b * v) if v < r else 0.0
             death = math.exp(d * v) if v > -l else 0.0
             birth_t[2 * i], total_t[2 * i] = birth, birth + death
+    guarded = bool(unsafe.any())
     next_t = np.empty(2 * m, dtype=np.int64)
     next_t[0::2] = 2 * np.maximum(np.arange(m) - 1, 0)
     next_t[1::2] = 2 * np.minimum(np.arange(m) + 1, m - 1)

@@ -72,4 +72,4 @@ def rk4_integrate(
         k4 = field(g + dt * k3, t + dt)
         g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = g
-    return SamplePath(times=np.arange(steps + 1) * dt, states=states)
+    return SamplePath(times=np.append(np.arange(steps) * dt, t_end), states=states)

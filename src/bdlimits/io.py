@@ -169,7 +169,7 @@ class ConfigView:
         if raw is None:
             return default
         try:
-            values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
+            values = np.array([float(tok) for tok in raw.split(",")])
         except ValueError as exc:
             raise ConfigError(
                 f"field {key!r} must be comma-separated numbers, got {raw!r}"

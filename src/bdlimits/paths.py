@@ -12,12 +12,16 @@ from .errors import ValidationError
 
 
 def step_count(dt: float, t_end: float) -> int:
-    """Fixed steps of size dt that cover [0, t_end]; needs 0 < dt <= t_end < inf."""
+    """Fixed steps of size dt that cover [0, t_end]; needs 0 < dt <= t_end < inf
+    and dt to divide t_end, to within 1e-9 of t_end."""
     if not 0 < dt <= t_end < math.inf:
         raise ValidationError(
             f"need 0 < dt <= t_end and t_end finite, got dt={dt}, t_end={t_end}"
         )
-    return int(round(t_end / dt))
+    steps = int(round(t_end / dt))
+    if abs(steps * dt - t_end) > 1e-9 * t_end:
+        raise ValidationError(f"dt={dt} does not divide t_end={t_end}")
+    return steps
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,6 +92,22 @@ def test_rate_overflow_guard_on_coupled_path():
     assert seen == {(2, 720.0), (1, 1050.0)}
 
 
+def test_rate_overflow_names_first_exponent_of_the_jump():
+    # a jump of vertex 1 to +-2 pushes the birth exponents of both 0
+    # (400 xi_1) and 2 (500 xi_1) past 700; the error names the first one
+    # the jump changed, vertex 0, not the largest
+    g = bd.path_graph(3)
+    ab = np.zeros((3, 3))
+    ab[0, 1], ab[2, 1] = 400.0, 500.0
+    spec = bd.ChainSpec(g, ab, np.zeros((3, 3)), l=2, r=2)
+    seen = set()
+    for seed in range(20):
+        with pytest.raises(bd.RateOverflowError) as exc:
+            bd.simulate(spec, [0, 1, 0], 100.0, seed=seed, max_events=10_000)
+        seen.add((exc.value.vertex, exc.value.exponent))
+    assert seen == {(0, 800.0), (0, -800.0)}
+
+
 def test_configuration_validation():
     spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=1, r=3)
     assert np.array_equal(spec.validate_configuration([2]), [2])
@@ -345,9 +361,7 @@ def test_local_updates_replay_from_scratch_rates():
     spec = bd.ChainSpec(g, ab, ad, l=2, r=2)
     xi0 = spec.validate_configuration([0, 1, -1])
     seed = 314
-    traj = _simulate_vector(
-        spec, xi0, 40.0, np.random.default_rng(seed), False, None
-    )
+    traj = _simulate_vector(spec, xi0, 40.0, np.random.default_rng(seed), None)
     assert traj.num_events > 100
 
     rng = np.random.default_rng(seed)

@@ -315,6 +315,12 @@ def test_non_finite_input_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("dt", [0.3, 0.6])
+def test_euler_maruyama_rejects_a_step_that_misses_the_horizon(dt):
+    with pytest.raises(bd.ValidationError, match=f"dt={dt} does not divide t_end=1.0"):
+        bd.euler_maruyama_terminal([[-1.0]], [0.0], dt=dt, t_end=1.0, n_paths=3, seed=0)
+
+
 @pytest.mark.parametrize("n_paths", [2.5, np.float64(3.0), "3", True, None])
 def test_euler_maruyama_terminal_rejects_non_integer_path_counts(n_paths):
     with pytest.raises(bd.ValidationError, match="n_paths must be an integer"):

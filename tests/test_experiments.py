@@ -330,6 +330,13 @@ def _fluid_config(**kw):
     return bd.FluidExperimentConfig(**{**args, **kw})
 
 
+def test_fluid_experiment_step_ending_at_an_inexact_horizon():
+    # 3 * 0.3 falls short of 0.9 in floating point; the reference path must
+    # still reach the last observation time
+    table = bd.run_fluid_experiment(_fluid_config(t=0.9, ode_dt=0.3))
+    assert len(table.statistic("sup_distance")) == 2
+
+
 def _generator_config(**kw):
     args = dict(
         graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[1.0]],

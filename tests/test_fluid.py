@@ -26,6 +26,19 @@ def test_field_overflow():
     assert exc.value.vertex == 0
 
 
+@pytest.mark.parametrize("dt", [0.3, 0.6])
+def test_rk4_rejects_a_step_that_misses_the_horizon(dt):
+    with pytest.raises(bd.ValidationError, match=f"dt={dt} does not divide t_end=1.0"):
+        bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=dt, t_end=1.0)
+
+
+def test_rk4_grid_ends_exactly_at_the_horizon():
+    # 3 * 0.3 is 0.8999999999999999 in floating point
+    path = bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=0.3, t_end=0.9)
+    assert path.times[-1] == 0.9
+    assert path.at([0.9])[0, 0] == path.terminal[0]
+
+
 def test_field_dimension_checks():
     with pytest.raises(bd.DimensionMismatchError):
         bd.vector_field(np.zeros((2, 2)), np.zeros((3, 3)), [0.0, 0.0])

@@ -55,6 +55,10 @@ def test_config_view_typing_and_unknown_fields():
     bad = bio.ConfigView({"n": "three"})
     with pytest.raises(bd.ConfigError, match="integer"):
         bad.get_int("n")
+    # every entry of a vector must parse; none is dropped
+    for raw in ("1.0,,0.5", ",", "1.0,"):
+        with pytest.raises(bd.ConfigError, match="'v' must be comma-separated numbers"):
+            bio.ConfigView({"v": raw}).get_vector("v")
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
