@@ -135,9 +135,10 @@ class RateOverflowError(NumericError):
 
 def check_exponents(e, vertex: int | None = None, time: float | None = None) -> None:
     """Raise RateOverflowError if an exponent in e passes MAX_EXPONENT in
-    magnitude, naming vertex, or else the index of the largest one."""
+    magnitude or is nan, naming vertex, or else the index of the first nan
+    or the largest one (argmax puts nan first)."""
     worst = int(np.abs(e).argmax())
-    if abs(e[worst]) > MAX_EXPONENT:
+    if not abs(e[worst]) <= MAX_EXPONENT:
         raise RateOverflowError(
             worst if vertex is None else vertex, float(e[worst]), time
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bdlimits as bd
+from bdlimits.errors import check_exponents
 
 
 def test_field_cancels_for_equal_matrices():
@@ -96,8 +97,7 @@ def test_overflow_reports_time_and_vertex():
     # explosive field: gamma' = e^gamma, blows past exp range in finite time
     with pytest.raises(bd.RateOverflowError) as exc:
         bd.rk4_integrate([[1.0]], [[0.0]], [5.0], dt=1e-3, t_end=50.0)
-    assert exc.value.time is not None and exc.value.time > 0
-    assert exc.value.vertex == 0
+    assert (exc.value.vertex, exc.value.time) == (0, 0.0075)
 
 
 def test_sample_path_validation():
@@ -119,9 +119,30 @@ def test_overflow_on_death_side_reports_its_vertex():
     ad = np.array([[0.0, 0.0], [0.0, -1.0]])
     with pytest.raises(bd.RateOverflowError) as exc:
         bd.rk4_integrate(np.zeros((2, 2)), ad, [0.0, -5.0], dt=1e-3, t_end=50.0)
-    assert exc.value.vertex == 1
+    assert (exc.value.vertex, exc.value.time) == (1, 0.0075)
     assert exc.value.exponent > 700
-    assert exc.value.time is not None and exc.value.time > 0
+
+
+def _stage_four_crossing():
+    # gamma_0' = 1 - e^{-10 gamma_0} is about 1, so vertex 1's birth exponent
+    # K gamma_0 passes 700 near t = 6.07: after the half-step stages of the
+    # step from t = 6.0 (698) and before its full-step stage (703)
+    ab = np.array([[0.0, 0.0], [700 / 7.07, 0.0]])
+    ad = np.array([[-10.0, 0.0], [0.0, 0.0]])
+    return ab, ad, [1.0, 0.0], 10.0
+
+
+@pytest.mark.parametrize(
+    "spec, vertex, time",
+    [(lambda: ([[1000.0]], [[0.0]], [1.0], 1.0), 0, 0.0), (_stage_four_crossing, 1, 6.1)],
+    ids=["first-stage", "fourth-stage"],
+)
+def test_overflow_reports_its_stage_time(spec, vertex, time):
+    ab, ad, gamma0, t_end = spec()
+    with pytest.raises(bd.RateOverflowError) as exc:
+        bd.rk4_integrate(ab, ad, gamma0, dt=0.1, t_end=t_end)
+    assert exc.value.vertex == vertex
+    assert exc.value.time == pytest.approx(time, abs=1e-12)
 
 
 @pytest.mark.parametrize("t_end", [np.inf, np.nan])
@@ -139,3 +160,64 @@ def test_rk4_rejects_non_finite_horizon(t_end):
 def test_non_finite_input_is_rejected(entry, ab, ad, gamma):
     with pytest.raises(bd.ValidationError, match="non-finite"):
         entry(ab, ad, gamma)
+
+
+def _per_stage_rk4(ab, ad, gamma0, dt, steps):
+    # the textbook scheme on the state, one field call per stage
+    def field(g):
+        return np.exp(ab @ g) - np.exp(ad @ g)
+
+    g = np.asarray(gamma0, dtype=float)
+    states = [g]
+    for _ in range(steps):
+        k1 = field(g)
+        k2 = field(g + 0.5 * dt * k1)
+        k3 = field(g + 0.5 * dt * k2)
+        k4 = field(g + dt * k3)
+        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(g)
+    return np.array(states)
+
+
+def _cycle10_spec():
+    # the benchmark's fluid spec on cycle(10)
+    g = bd.cycle_graph(10)
+    ab, ad = bd.alpha_beta_matrix(g, 0.0, 0.2), bd.alpha_beta_matrix(g, 1.0, 0.0)
+    return ab, ad, np.linspace(-0.5, 0.5, 10)
+
+
+def _random_spec():
+    # dense and non-symmetric, so every exponent couples to every vertex
+    rng = np.random.default_rng(4)
+    return rng.normal(0.0, 0.4, (4, 4)), rng.normal(0.0, 0.4, (4, 4)), rng.normal(0.0, 0.5, 4)
+
+
+@pytest.mark.parametrize("spec, dt, t_end", [(_cycle10_spec, 4e-4, 2.0), (_random_spec, 1e-3, 1.0)],
+                         ids=["cycle10", "random4"])
+def test_exponent_route_matches_per_stage_rk4(spec, dt, t_end):
+    ab, ad, gamma0 = spec()
+    path = bd.rk4_integrate(ab, ad, gamma0, dt=dt, t_end=t_end)
+    reference = _per_stage_rk4(ab, ad, gamma0, dt, round(t_end / dt))
+    assert np.abs(path.states - reference).max() < 1e-12
+    assert np.abs(path.states[-1] - path.states[0]).max() > 1e-2
+
+
+def test_exponents_within_bound_with_large_norm_integrate():
+    # every exponent is 600, so e.e = 4 * 600^2 fails the dot-product guard,
+    # but no single exponent passes 700: the path must go on, and stay put
+    m = np.eye(2)
+    gamma0 = [600.0, 600.0]
+    path = bd.rk4_integrate(m, m, gamma0, dt=0.1, t_end=1.0)
+    assert np.array_equal(path.states, np.full((11, 2), 600.0))
+    assert np.array_equal(bd.vector_field(m, m, gamma0), np.zeros(2))
+
+
+def test_check_exponents_raises_on_nan():
+    with pytest.raises(bd.RateOverflowError) as exc:
+        check_exponents(np.array([1.0, np.nan]))
+    assert exc.value.vertex == 1
+
+
+def test_rk4_refuses_a_grid_past_physical_memory():
+    with pytest.raises(bd.ValidationError, match="10000000000000 RK4 steps: .* bytes"):
+        bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=1e-13, t_end=1.0)

@@ -281,6 +281,20 @@ def test_fluid_overflow_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_fluid_grid_past_memory_exits_one(tmp_path, capsys):
+    # 10^13 RK4 steps cannot be stored, so exp-fluid refuses before allocating
+    cfg = write(
+        tmp_path, "fine.cfg",
+        "schema=1\ngraph = s.g\nab = zero\nad = diag:1\nu = 1.0\nt = 1.0\n"
+        "ode_dt = 1e-13\nlevels = 2\n",
+    )
+    (tmp_path / "s.g").write_text("n 1\n")
+    assert run_cli(["exp-fluid", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "10000000000000 RK4 steps" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_deterministic_csv(tmp_path, capsys):
     cfg = os.path.join(CONFIG_DIR, "sim_two_site.cfg")
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "a"]) == 0
