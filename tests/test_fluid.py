@@ -221,3 +221,55 @@ def test_check_exponents_raises_on_nan():
 def test_rk4_refuses_a_grid_past_physical_memory():
     with pytest.raises(bd.ValidationError, match="10000000000000 RK4 steps: .* bytes"):
         bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=1e-13, t_end=1.0)
+
+
+def _reference_rk4(ab, ad, gamma0, dt, t_end):
+    # the step loop of 851a78d, kept verbatim bar its guards (which read the
+    # exponents and change no float): each stage's exponents are formed
+    # with fresh temporaries, in the order the buffered loop must keep
+    stacked = np.concatenate([np.asarray(ab, dtype=float), np.asarray(ad, dtype=float)])
+    g = np.asarray(gamma0, dtype=float)
+    steps, n = round(t_end / dt), g.shape[0]
+    jump = np.concatenate([stacked, -stacked], axis=1)
+    half, full = (0.5 * dt) * jump, dt * jump
+    weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    rates = np.empty((4, 2 * n))
+    r1, r2, r3, r4 = rates
+    states = np.empty((steps + 1, n))
+    states[0] = g
+    for k in range(steps):
+        e = stacked.dot(g)
+        np.exp(e, out=r1)
+        s = e + half.dot(r1)
+        np.exp(s, out=r2)
+        s = e + half.dot(r2)
+        np.exp(s, out=r3)
+        s = e + full.dot(r3)
+        np.exp(s, out=r4)
+        w = weights.dot(rates)
+        g = g + (w[:n] - w[n:])
+        states[k + 1] = g
+    return np.append(np.arange(steps) * dt, t_end), states
+
+
+def _bench_spec(graph):
+    # the benchmark's fluid coefficients
+    def spec():
+        n = graph.num_vertices
+        ab, ad = bd.alpha_beta_matrix(graph, 0.0, 0.2), bd.alpha_beta_matrix(graph, 1.0, 0.0)
+        return ab, ad, np.linspace(-0.5, 0.5, n)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec, dt, t_end",
+    [(_bench_spec(bd.path_graph(2)), 4e-4, 0.4), (_bench_spec(bd.cycle_graph(10)), 4e-4, 0.4),
+     (_bench_spec(bd.cycle_graph(50)), 4e-4, 0.4), (_random_spec, 1e-3, 1.0)],
+    ids=["path2", "cycle10", "cycle50", "random4"],
+)
+def test_rk4_path_is_bit_identical_to_reference_loop(spec, dt, t_end):
+    ab, ad, gamma0 = spec()
+    path = bd.rk4_integrate(ab, ad, gamma0, dt=dt, t_end=t_end)
+    times, states = _reference_rk4(ab, ad, gamma0, dt, t_end)
+    assert np.array_equal(path.times, times)
+    assert np.array_equal(path.states, states)
