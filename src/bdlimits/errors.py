@@ -5,9 +5,12 @@ for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.  Each rule has one check here: require_integer for
 counts, require_seed for seeds (the CLI's too), seeded_rng for the seeds
 the simulators hand to numpy, check_exponents for the bound on the rate
-exponents that the chain and the fluid field share, and read_text for the
-config and graph files.
+exponents that the chain and the fluid field share, require_memory for the
+arrays sized by an input (the graph's adjacency, the fluid grid), and
+read_text for the config and graph files.
 """
+
+import os
 
 import numpy as np
 
@@ -17,6 +20,12 @@ MAX_EXPONENT = 700.0
 
 # seeds are unsigned 64-bit integers
 MAX_SEED = 2**64
+
+# bytes of physical memory, where the platform reports it
+_PHYSICAL_MEMORY = (
+    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if hasattr(os, "sysconf") else np.inf
+)
 
 
 class BdlimitsError(Exception):
@@ -46,6 +55,13 @@ def require_seed(value) -> int:
     if not 0 <= seed < MAX_SEED:
         raise ValidationError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ValidationError, naming what needs nbytes, if nbytes pass
+    physical memory: an array that large cannot be built."""
+    if nbytes > _PHYSICAL_MEMORY:
+        raise ValidationError(f"{what}: {nbytes} bytes, past physical memory")
 
 
 def seeded_rng(seed) -> "np.random.Generator":

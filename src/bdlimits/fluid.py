@@ -4,28 +4,22 @@ b(x) = (A_b gamma)_x and d(x) = (A_d gamma)_x come from the same
 interaction matrices as the chain.  Fixed-step classical RK4 (so runs land
 on a deterministic grid) works on the 2n rate exponents e = S gamma,
 S = [A_b; A_d]: the field is [I, -I] exp(e), so a stage state gamma + c dt k
-has exponents e + c dt [S, -S] r, r the previous stage's rates.  Each stage
-is guarded by one dot product, e.e <= 700^2, which implies |e_i| <= 700;
-only when it fails (or is nan) is each exponent checked.
+has exponents e + c dt [S, -S] r, r the previous stage's rates.  Each step
+writes its four stages into buffers made once per call and is guarded by
+one dot product over all of their exponents, sum e.e <= 700^2, which implies
+|e_i| <= 700; only when it fails (or is nan) is each stage checked, in
+order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import MAX_EXPONENT, DimensionMismatchError, ValidationError, check_exponents
+from .errors import MAX_EXPONENT, DimensionMismatchError, check_exponents, require_memory
 from .paths import SamplePath, step_count
 from .spectral import as_square_matrix, as_state
 
 DEFAULT_DT = 1e-3
-
-# bytes of physical memory, where the platform reports it
-_PHYSICAL_MEMORY = (
-    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if hasattr(os, "sysconf") else np.inf
-)
 
 
 def _system(birth_matrix, death_matrix, gamma):
@@ -49,11 +43,22 @@ def _check_stage(e, time):
 def vector_field(birth_matrix, death_matrix, gamma, time: float | None = None) -> np.ndarray:
     """Componentwise exp((A_b gamma)_x) - exp((A_d gamma)_x)."""
     stacked, g = _system(birth_matrix, death_matrix, gamma)
-    e = stacked.dot(g)
-    if not e.dot(e) <= MAX_EXPONENT**2:
-        _check_stage(e, time)
+    # an exponent near 1e154 or past it overflows the guard's dot product
+    # to inf, which fails the guard as it should
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        e = stacked.dot(g)
+        if not e.dot(e) <= MAX_EXPONENT**2:
+            _check_stage(e, time)
     rates, n = np.exp(e), g.shape[0]
     return rates[:n] - rates[n:]
+
+
+def _check_step(exponents, t: float, dt: float) -> None:
+    """The per-stage guard and check_exponents, in stage order, on the four
+    rows of exponents of the step from t."""
+    for e, time in zip(exponents, (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)):
+        if not e.dot(e) <= MAX_EXPONENT**2:
+            _check_stage(e, time)
 
 
 def rk4_integrate(
@@ -66,48 +71,55 @@ def rk4_integrate(
     """Classical fixed-step RK4 for the fluid ODE, on the rate exponents.
 
     Each step recomputes e from gamma (so nothing drifts), writes the four
-    stage rates into a (4, 2n) buffer R and adds (dt/6)(1, 2, 2, 1) R,
-    births minus deaths.  With A_b = A_d the path is constant.  An exponent
-    past the bound, or nan, raises RateOverflowError with the stage time
+    stage exponents into a (4, 2n) buffer E and their rates into a (4, 2n)
+    buffer R, and adds (dt/6)(1, 2, 2, 1) R, births minus deaths; every
+    intermediate goes into a buffer made once per call.  With A_b = A_d the
+    path is constant.  One dot product over all of E guards the step; when
+    it fails, each stage is checked in order, and an exponent past the
+    bound, or nan, raises RateOverflowError with the first such stage's time
     (t, t + dt/2, t + dt/2 or t + dt) and vertex; no global-existence claim
-    is made.  A grid larger than physical memory raises ValidationError.
+    is made.  Later stages are formed before earlier ones are checked, so
+    the loop runs with numpy's overflow, invalid and underflow reports off:
+    an inf or nan stage is never returned, as the check raises first.  The
+    buffers change no float operation: the path is bit for bit that of the
+    same scheme with a fresh array and a guard per stage, as at 851a78d.
+    A grid larger than physical memory raises ValidationError.
     """
     stacked, g = _system(birth_matrix, death_matrix, gamma0)
     steps, n = step_count(dt, t_end), g.shape[0]
-    grid_bytes = (steps + 1) * (n + 1) * 8  # the states and the times
-    if grid_bytes > _PHYSICAL_MEMORY:
-        raise ValidationError(
-            f"dt={dt} needs {steps} RK4 steps: {grid_bytes} bytes, past physical memory"
-        )
+    # the states and the times
+    require_memory((steps + 1) * (n + 1) * 8, f"dt={dt} needs {steps} RK4 steps")
     jump = np.concatenate([stacked, -stacked], axis=1)
     half, full = (0.5 * dt) * jump, dt * jump
     weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
-    rates = np.empty((4, 2 * n))
+    exponents, rates = np.empty((4, 2 * n)), np.empty((4, 2 * n))
+    e1, e2, e3, e4 = exponents
     r1, r2, r3, r4 = rates
+    flat = exponents.reshape(-1)
+    tmp, w, dg = np.empty(2 * n), np.empty(2 * n), np.empty(n)
+    births, deaths = w[:n], w[n:]
     limit = MAX_EXPONENT**2
     states = np.empty((steps + 1, n))
     states[0] = g
-    # ndarray.dot, not @: on operands this small the matmul ufunc's dispatch
-    # costs more than the arithmetic
-    for k in range(steps):
-        t = k * dt
-        e = stacked.dot(g)
-        if not e.dot(e) <= limit:
-            _check_stage(e, t)
-        np.exp(e, out=r1)
-        s = e + half.dot(r1)
-        if not s.dot(s) <= limit:
-            _check_stage(s, t + 0.5 * dt)
-        np.exp(s, out=r2)
-        s = e + half.dot(r2)
-        if not s.dot(s) <= limit:
-            _check_stage(s, t + 0.5 * dt)
-        np.exp(s, out=r3)
-        s = e + full.dot(r3)
-        if not s.dot(s) <= limit:
-            _check_stage(s, t + dt)
-        np.exp(s, out=r4)
-        w = weights.dot(rates)
-        g = g + (w[:n] - w[n:])
-        states[k + 1] = g
+    # ndarray.dot, not @, and every out positional: on operands this small
+    # numpy's dispatch costs more than the arithmetic
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for k in range(steps):
+            g = states[k]
+            stacked.dot(g, e1)
+            np.exp(e1, r1)
+            half.dot(r1, tmp)
+            np.add(e1, tmp, e2)
+            np.exp(e2, r2)
+            half.dot(r2, tmp)
+            np.add(e1, tmp, e3)
+            np.exp(e3, r3)
+            full.dot(r3, tmp)
+            np.add(e1, tmp, e4)
+            np.exp(e4, r4)
+            if not flat.dot(flat) <= limit:
+                _check_step(exponents, k * dt, dt)
+            weights.dot(rates, w)
+            np.subtract(births, deaths, dg)
+            np.add(g, dg, states[k + 1])
     return SamplePath(times=np.append(np.arange(steps) * dt, t_end), states=states)

@@ -23,11 +23,17 @@ from .errors import (
     ValidationError,
     read_text,
     require_integer,
+    require_memory,
 )
 
 
 class Graph:
-    """Finite connected simple graph on vertices 0..num_vertices-1."""
+    """Finite connected simple graph on vertices 0..num_vertices-1.
+
+    The adjacency is a dense float n x n array, built once; a graph whose
+    8 n^2 bytes would pass physical memory raises ValidationError before
+    anything per vertex is built.
+    """
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
         num_vertices = require_integer("num_vertices", num_vertices)
@@ -51,6 +57,9 @@ class Graph:
             raise DisconnectedGraphError(
                 f"{len(seen)} edges cannot connect {num_vertices} vertices"
             )
+        require_memory(
+            8 * num_vertices**2, f"the dense adjacency of {num_vertices} vertices"
+        )
         self.num_vertices = num_vertices
         self.edges = frozenset(seen)
         self._check_connected()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,20 @@ def test_rk4_path_is_bit_identical_to_reference_loop(spec, dt, t_end):
     times, states = _reference_rk4(ab, ad, gamma0, dt, t_end)
     assert np.array_equal(path.times, times)
     assert np.array_equal(path.states, states)
+
+
+@pytest.mark.parametrize(
+    "entry, time",
+    [(lambda: bd.rk4_integrate([[1.0]], [[0.0]], [699.9], dt=0.1, t_end=1.0), 0.05),
+     (lambda: bd.vector_field([[1.0]], [[0.0]], [1e200]), None)],
+    ids=["rk4", "vector_field"],
+)
+def test_guard_overflow_is_a_rate_overflow_under_strict_float_errors(entry, time):
+    # e^699.9 puts the second stage's exponent near 1e303 and 1e200 is past
+    # 1e154, so each guard's dot product overflows; that must be neither a
+    # warning nor a FloatingPointError, but the exponent check's verdict
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(bd.RateOverflowError) as exc:
+            entry()
+    assert (exc.value.vertex, exc.value.time) == (0, time)

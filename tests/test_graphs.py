@@ -29,6 +29,18 @@ def test_isolated_vertex_rejected():
         bd.parse_graph_text(f"n {10**20}\n")
 
 
+def test_adjacency_past_physical_memory_is_refused(monkeypatch):
+    # the dense adjacency of 3 vertices takes 72 bytes: a cap one byte
+    # short refuses the graph before np.zeros is reached
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 71)
+    monkeypatch.setattr("bdlimits.graphs.np.zeros", None)
+    with pytest.raises(bd.ValidationError, match="adjacency of 3 vertices: 72 bytes, past physical memory"):
+        bd.path_graph(3)
+    monkeypatch.undo()
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 72)
+    assert bd.path_graph(3).degrees.tolist() == [1, 2, 1]
+
+
 @pytest.mark.parametrize(
     "edges",
     [[(0, 0)], [(0, 3)], [(0, 1), (1, 0)]],

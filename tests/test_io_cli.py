@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,33 @@ def test_fluid_grid_past_memory_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "10000000000000 RK4 steps" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_fluid_guard_overflow_exits_two_with_warnings_as_errors(tmp_path, capsys):
+    # the second RK4 stage from gamma = 699.9 has an exponent near 1e303,
+    # whose square overflows the guard: still a numeric failure, not a crash
+    cfg = write(
+        tmp_path, "edge.cfg",
+        "schema=1\ngraph = s.g\nab = diag:1\nad = zero\nu = 699.9\nt = 1.0\n"
+        "ode_dt = 0.1\nlevels = 2\n",
+    )
+    (tmp_path / "s.g").write_text("n 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["exp-fluid", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "at t=0.05" in capsys.readouterr().err
+
+
+def test_classify_graph_past_physical_memory_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 8 * 5**2 - 1)
+    code = run_cli(
+        ["classify", "--graph", os.path.join(CONFIG_DIR, "star5.g"),
+         "--alpha", "-3", "--beta", "1", "--out", tmp_path / "out"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "200 bytes, past physical memory" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_deterministic_csv(tmp_path, capsys):
