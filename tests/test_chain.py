@@ -1,10 +1,25 @@
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 import bdlimits as bd
-from bdlimits.chain import _rate_blocks, _run_replicas, _simulate_lockstep, _simulate_vector
+from bdlimits.chain import (
+    _RNG_BUFFER,
+    _rate_blocks,
+    _run_replicas,
+    _simulate_lockstep,
+    _simulate_vector,
+    _start,
+)
+from bdlimits.errors import (
+    MAX_EXPONENT,
+    BudgetExceededError,
+    RateOverflowError,
+    SingularSystemError,
+)
 
 
 def two_state_spec():
@@ -383,6 +398,122 @@ def test_local_updates_replay_from_scratch_rates():
         state[x] += s
         t = traj.times[k]
     assert np.array_equal(traj.final_state(), state)
+
+
+# A frozen copy of the event loop with one column loop for the births and
+# one for the deaths, kept as the oracle that _simulate_vector must match
+# path for path and error for error.
+def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
+    """(y, matrix[y, x]) for y = x and every y with a nonzero in column x."""
+    ys = sorted(set(np.flatnonzero(matrix[:, x]).tolist()) | {x})
+    return [(y, float(matrix[y, x])) for y in ys]
+
+
+def _reference_simulate_vector(spec, xi0, t_end, rng, max_events):
+    # Rates sit in one list, the n births first and then the n deaths.  The
+    # total is the last running sum and the pick bisects the same sums, so
+    # the pick cannot run past the last index.  Only exponents touched by
+    # the jump can newly leave the safe range, so each is checked as its
+    # rate is recomputed, births before deaths.
+    n = spec.num_vertices
+    l, r = spec.l, spec.r
+    ab, ad = spec.birth_matrix, spec.death_matrix
+    bcols = [_column_support(ab, x) for x in range(n)]
+    dcols = [_column_support(ad, x) for x in range(n)]
+    spins = xi0.tolist()
+    bexp = (ab @ xi0.astype(float)).tolist()
+    dexp = (ad @ xi0.astype(float)).tolist()
+    rates = [math.exp(e) if v < r else 0.0 for e, v in zip(bexp, spins)]
+    rates += [math.exp(e) if v > -l else 0.0 for e, v in zip(dexp, spins)]
+    exp, top = math.exp, MAX_EXPONENT
+    cap = math.inf if max_events is None else max_events
+
+    times: list[float] = []
+    verts: list[int] = []
+    signs: list[int] = []
+    t = 0.0
+    k = _RNG_BUFFER
+    while True:
+        cum = list(accumulate(rates))
+        total = cum[-1]
+        if not total > 0.0:  # unreachable: every vertex always has a move
+            raise SingularSystemError("total rate vanished; this is a bug")
+        if k == _RNG_BUFFER:
+            ebuf = rng.standard_exponential(_RNG_BUFFER).tolist()
+            ubuf = rng.random(_RNG_BUFFER).tolist()
+            k = 0
+        t_next = t + ebuf[k] / total
+        if t_next > t_end:
+            break
+        i = bisect_right(cum, ubuf[k] * total)
+        k += 1
+        t = t_next
+        x, s = (i, 1) if i < n else (i - n, -1)
+        spins[x] += s
+        for y, c in bcols[x]:
+            e = bexp[y] = bexp[y] + s * c
+            if not -top <= e <= top:
+                raise RateOverflowError(y, e)
+            rates[y] = exp(e) if spins[y] < r else 0.0
+        for y, c in dcols[x]:
+            e = dexp[y] = dexp[y] + s * c
+            if not -top <= e <= top:
+                raise RateOverflowError(y, e)
+            rates[n + y] = exp(e) if spins[y] > -l else 0.0
+        times.append(t)
+        verts.append(x)
+        signs.append(s)
+        if len(times) >= cap:
+            raise BudgetExceededError(
+                f"simulation exceeded max_events={max_events} before t_end"
+            )
+    return bd.Trajectory(
+        initial=xi0,
+        times=np.asarray(times, dtype=float),
+        vertices=np.asarray(verts, dtype=np.int64),
+        signs=np.asarray(signs, dtype=np.int64),
+        t_end=float(t_end),
+    )
+
+
+def _outcome(run, spec, xi0, seed):
+    """The (times, vertices, signs) of run on one draw, or the class,
+    vertex and exponent of the error it raises."""
+    try:
+        traj = run(spec, xi0, 20.0, np.random.default_rng(seed), 5_000)
+    except bd.NumericError as exc:
+        return type(exc), getattr(exc, "vertex", None), getattr(exc, "exponent", None)
+    return traj.times.tolist(), traj.vertices.tolist(), traj.signs.tolist()
+
+
+def test_event_loop_matches_reference_loop():
+    # random specs on four graphs and four coefficient scales; large scales
+    # reach RateOverflowError and fast ones the event budget, and every
+    # outcome, path or error, must be the reference loop's
+    rng = np.random.default_rng(20)
+    graphs = [bd.single_vertex(), bd.path_graph(2), bd.path_graph(5), bd.cycle_graph(12)]
+    kinds = {}
+    for draw in range(100):
+        g = graphs[draw % 4]
+        n = g.num_vertices
+        scale = (0.01, 0.3, 3.0, 150.0)[(draw // 4) % 4]
+        pattern = np.eye(n) + g.adjacency_matrix()
+        ab = scale * rng.standard_normal((n, n)) * pattern
+        ad = scale * rng.standard_normal((n, n)) * pattern
+        l, r = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        spec = bd.ChainSpec(g, ab, ad, l=l, r=r)
+        start = rng.integers(-l, r + 1, size=n)
+        seed = int(rng.integers(2**32))
+        try:
+            xi0 = _start(spec, start, 20.0)
+        except bd.RateOverflowError:
+            continue
+        got = _outcome(_simulate_vector, spec, xi0, seed)
+        assert got == _outcome(_reference_simulate_vector, spec, xi0, seed), f"draw {draw}"
+        kind = got[0] if isinstance(got[0], type) else list
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # the draws reach all three outcomes
+    assert set(kinds) == {list, RateOverflowError, BudgetExceededError}, kinds
 
 
 def test_state_index_is_exact_past_int64():
