@@ -8,6 +8,9 @@ This module provides the event-driven simulator, the exact sparse generator
 and its stationary solve by sparse LU, the closed-form Gibbs measure (the
 stationary law of every spec with symmetric A_b - A_d), and the
 detailed-balance residual of that measure under the chain's own rates.
+The simulator keeps the 2n rate exponents [A_b; A_d] xi stacked, births
+first, as the fluid integrator does, and one loop per event re-rates the
+entries the jump changes.
 The exact-law functions share _gibbs_table (states, Gibbs log weights) and
 _jumps (every jump and both its rates, from one pass of _rate_blocks).
 scipy.sparse is imported inside build_generator and stationary_solve, so
@@ -195,7 +198,7 @@ def simulate(
     Waiting times are exponential in the total rate and events are chosen
     proportionally to their rates (Gillespie's direct method).  Rates are
     updated locally: a jump at x changes only the exponents in column x of
-    A_b and A_d, which the adjacency pattern confines to x and its
+    [A_b; A_d], which the adjacency pattern confines to x and its
     neighbours, so an event costs O(deg x) updates plus one O(n) running
     sum.  Each event consumes one exponential and one uniform, drawn in
     blocks of 8192 of each.  Deterministic given (spec, initial, seed).
@@ -230,28 +233,26 @@ def _start(spec: ChainSpec, initial, t_end: float) -> np.ndarray:
     return xi0
 
 
-def _column_support(matrix: np.ndarray, x: int) -> list[tuple[int, float]]:
-    """(y, matrix[y, x]) for y = x and every y with a nonzero in column x."""
-    ys = sorted(set(np.flatnonzero(matrix[:, x]).tolist()) | {x})
-    return [(y, float(matrix[y, x])) for y in ys]
-
-
 def _simulate_vector(spec, xi0, t_end, rng, max_events):
-    # Rates sit in one list, the n births first and then the n deaths.  The
-    # total is the last running sum and the pick bisects the same sums, so
-    # the pick cannot run past the last index.  Only exponents touched by
-    # the jump can newly leave the safe range, so each is checked as its
-    # rate is recomputed, births before deaths.
+    # The 2n exponents [A_b; A_d] xi and their rates sit in two lists, the
+    # n births first and then the n deaths.  cols[x] holds (j, y, c, wall)
+    # for j = x, j = n + x and every other nonzero row j of column x of
+    # [A_b; A_d]: entry j belongs to vertex y, has coefficient c, and its
+    # rate is 0 while spins[y] is at wall.  A jump at x updates, checks and
+    # re-rates them in stack order.  The total is the last running sum and
+    # the pick bisects the same sums, so it cannot run past the last index.
     n = spec.num_vertices
     l, r = spec.l, spec.r
     ab, ad = spec.birth_matrix, spec.death_matrix
-    bcols = [_column_support(ab, x) for x in range(n)]
-    dcols = [_column_support(ad, x) for x in range(n)]
+    stacked = np.concatenate([ab, ad])
+    walls = [r] * n + [-l] * n
+    cols = []
+    for x in range(n):
+        rows = sorted(set(np.flatnonzero(stacked[:, x]).tolist()) | {x, n + x})
+        cols.append([(j, j % n, float(stacked[j, x]), walls[j]) for j in rows])
     spins = xi0.tolist()
-    bexp = (ab @ xi0.astype(float)).tolist()
-    dexp = (ad @ xi0.astype(float)).tolist()
-    rates = [math.exp(e) if v < r else 0.0 for e, v in zip(bexp, spins)]
-    rates += [math.exp(e) if v > -l else 0.0 for e, v in zip(dexp, spins)]
+    exps = (ab @ xi0.astype(float)).tolist() + (ad @ xi0.astype(float)).tolist()
+    rates = [math.exp(e) if v != w else 0.0 for e, v, w in zip(exps, spins * 2, walls)]
     exp, top = math.exp, MAX_EXPONENT
     cap = math.inf if max_events is None else max_events
 
@@ -263,8 +264,6 @@ def _simulate_vector(spec, xi0, t_end, rng, max_events):
     while True:
         cum = list(accumulate(rates))
         total = cum[-1]
-        if not total > 0.0:  # unreachable: every vertex always has a move
-            raise SingularSystemError("total rate vanished; this is a bug")
         if k == _RNG_BUFFER:
             ebuf = rng.standard_exponential(_RNG_BUFFER).tolist()
             ubuf = rng.random(_RNG_BUFFER).tolist()
@@ -277,16 +276,11 @@ def _simulate_vector(spec, xi0, t_end, rng, max_events):
         t = t_next
         x, s = (i, 1) if i < n else (i - n, -1)
         spins[x] += s
-        for y, c in bcols[x]:
-            e = bexp[y] = bexp[y] + s * c
+        for j, y, c, wall in cols[x]:
+            e = exps[j] = exps[j] + s * c
             if not -top <= e <= top:
                 raise RateOverflowError(y, e)
-            rates[y] = exp(e) if spins[y] < r else 0.0
-        for y, c in dcols[x]:
-            e = dexp[y] = dexp[y] + s * c
-            if not -top <= e <= top:
-                raise RateOverflowError(y, e)
-            rates[n + y] = exp(e) if spins[y] > -l else 0.0
+            rates[j] = exp(e) if spins[y] != wall else 0.0
         times.append(t)
         verts.append(x)
         signs.append(s)

@@ -6,7 +6,8 @@ to proceed at runtime.  Each rule has one check here: require_integer for
 counts, require_seed for seeds (the CLI's too), seeded_rng for the seeds
 the simulators hand to numpy, check_exponents for the bound on the rate
 exponents that the chain and the fluid field share, require_memory for the
-arrays sized by an input (the graph's adjacency, the fluid grid), and
+arrays sized by an input (the graph's adjacency, the RK4 grid, the fluid
+experiment's observation grid and the generator check's mesh), and
 read_text for the config and graph files.
 """
 

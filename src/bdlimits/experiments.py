@@ -35,6 +35,7 @@ from .errors import (
     SupportNotCoveredError,
     ValidationError,
     require_integer,
+    require_memory,
     require_seed,
 )
 from .fluid import rk4_integrate
@@ -112,10 +113,21 @@ def geometric_schedule(
     """eps_n = 2^(coarsest - n*step) with boxes l_n = ceil(eps_n^-2).
 
     The default start 2^-2 and unit step give eps_n = 2^(-n-2), for which
-    l_n * eps_n = eps_n^-1 doubles every level.
+    l_n * eps_n = eps_n^-1 doubles every level.  Before any array is made,
+    raises ValidationError for a step_log2 <= 0 over two or more levels (eps
+    would not decrease) and for a finest eps of 2^-31.5 or less, whose box
+    would not fit int64.
     """
-    if require_integer("num_levels", num_levels) < 1:
+    levels = require_integer("num_levels", num_levels)
+    if levels < 1:
         raise ValidationError("need at least one level")
+    if levels >= 2 and not step_log2 > 0:
+        raise ValidationError(f"step_log2 must be positive over {levels} levels")
+    finest = coarsest_log2_eps - step_log2 * (levels - 1)
+    if not finest > -31.5:
+        raise ValidationError(
+            f"finest eps 2^{finest} is too small: its box ceil(eps^-2) passes int64"
+        )
     eps = 2.0 ** (coarsest_log2_eps - step_log2 * np.arange(num_levels, dtype=float))
     boxes = np.ceil(eps**-2.0).astype(np.int64)
     return ScalingSchedule(
@@ -313,6 +325,10 @@ class FluidExperimentConfig(_ScaledModel):
         if self.t <= 0 or replicas < 1 or grid_points < 2:
             raise ValidationError("need t > 0, replicas >= 1, grid_points >= 2")
         _require_seed_and_budget(self.seed, self.event_budget)
+        # the grid, the reference and each replica's states on it peak at
+        # about 3.7 arrays of grid_points * (n + 1) floats (tracemalloc)
+        n = self.graph.num_vertices
+        require_memory(4 * 8 * grid_points * (n + 1), f"grid_points={grid_points}")
 
 
 def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
@@ -396,8 +412,15 @@ class GeneratorCheckConfig(_ScaledModel):
         self._require("diffusion", center=c, radius=self.radius)
         if c.shape[0] != self.graph.num_vertices:
             raise ValidationError("bump center does not match the number of vertices")
-        if self.radius <= 0 or require_integer("grid_points", self.grid_points) < 3:
+        grid_points = require_integer("grid_points", self.grid_points)
+        if self.radius <= 0 or grid_points < 3:
             raise ValidationError("need radius > 0 and grid_points >= 3")
+        # the mesh, its points and the bump's derivatives peak at about 10
+        # arrays of grid_points^d * (d + 1) floats (tracemalloc)
+        d = self.graph.num_vertices
+        require_memory(
+            10 * 8 * grid_points**d * (d + 1), f"grid_points={grid_points} on {d} vertices"
+        )
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 

@@ -7,8 +7,9 @@ S = [A_b; A_d]: the field is [I, -I] exp(e), so a stage state gamma + c dt k
 has exponents e + c dt [S, -S] r, r the previous stage's rates.  Each step
 writes its four stages into buffers made once per call and is guarded by
 one dot product over all of their exponents, sum e.e <= 700^2, which implies
-|e_i| <= 700; only when it fails (or is nan) is each stage checked, in
-order.
+|e_i| <= 700.  Only when it fails (or is nan) does the step go through
+_check_stages, which vector_field calls on every evaluation: births, then
+deaths, stage by stage, so the first exponent past the bound is named.
 """
 
 from __future__ import annotations
@@ -33,32 +34,23 @@ def _system(birth_matrix, death_matrix, gamma):
     return np.concatenate([ab, ad]), as_state(ab, gamma)
 
 
-def _check_stage(e, time):
-    """check_exponents on the births of e, then on its deaths."""
-    n = e.shape[0] // 2
-    check_exponents(e[:n], time=time)
-    check_exponents(e[n:], time=time)
+def _check_stages(exponents, times) -> None:
+    """check_exponents on the births and then the deaths of each row of
+    exponents, row by row, naming that row's time."""
+    n = exponents.shape[1] // 2
+    for e, time in zip(exponents, times):
+        check_exponents(e[:n], time=time)
+        check_exponents(e[n:], time=time)
 
 
 def vector_field(birth_matrix, death_matrix, gamma, time: float | None = None) -> np.ndarray:
     """Componentwise exp((A_b gamma)_x) - exp((A_d gamma)_x)."""
     stacked, g = _system(birth_matrix, death_matrix, gamma)
-    # an exponent near 1e154 or past it overflows the guard's dot product
-    # to inf, which fails the guard as it should
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         e = stacked.dot(g)
-        if not e.dot(e) <= MAX_EXPONENT**2:
-            _check_stage(e, time)
+    _check_stages(e[None], (time,))
     rates, n = np.exp(e), g.shape[0]
     return rates[:n] - rates[n:]
-
-
-def _check_step(exponents, t: float, dt: float) -> None:
-    """The per-stage guard and check_exponents, in stage order, on the four
-    rows of exponents of the step from t."""
-    for e, time in zip(exponents, (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)):
-        if not e.dot(e) <= MAX_EXPONENT**2:
-            _check_stage(e, time)
 
 
 def rk4_integrate(
@@ -118,7 +110,8 @@ def rk4_integrate(
             np.add(e1, tmp, e4)
             np.exp(e4, r4)
             if not flat.dot(flat) <= limit:
-                _check_step(exponents, k * dt, dt)
+                t = k * dt
+                _check_stages(exponents, (t, t + 0.5 * dt, t + 0.5 * dt, t + dt))
             weights.dot(rates, w)
             np.subtract(births, deaths, dg)
             np.add(g, dg, states[k + 1])

@@ -526,3 +526,34 @@ def test_seeds_budgets_and_event_caps_checked_on_entry(call):
     # checked when the config is built or simulate is called
     with pytest.raises(bd.ValidationError, match="seed must be|must be nonnegative"):
         call()
+
+
+def test_geometric_schedule_refuses_before_it_allocates():
+    # a trillion levels would ask numpy for 7.28 TiB of epsilons, and 1100
+    # unit steps reach eps = 2^-1101, whose box ceil(eps^-2) passes int64
+    for levels in (10**12, 1100):
+        with pytest.raises(bd.ValidationError, match="passes int64"):
+            bd.geometric_schedule("diffusion", [0.0], levels)
+    # the finest level at 2^-31 has a box of 2^62, which int64 holds
+    sched = bd.geometric_schedule("diffusion", [0.0], 30, coarsest_log2_eps=-2)
+    assert sched.box_sizes[-1] == 2**62
+    with pytest.raises(bd.ValidationError, match="passes int64"):
+        bd.geometric_schedule("diffusion", [0.0], 31, coarsest_log2_eps=-2)
+    # a step that does not shrink eps is refused over two or more levels
+    for step in (0, -1):
+        with pytest.raises(bd.ValidationError, match="step_log2 must be positive"):
+            bd.geometric_schedule("diffusion", [0.0], 10**12, step_log2=step)
+        assert bd.geometric_schedule("diffusion", [0.0], 1, step_log2=step).num_levels == 1
+
+
+def test_grid_sized_configs_check_physical_memory(monkeypatch):
+    # 4 arrays of grid_points * (n + 1) floats for the fluid observation
+    # grid, and 10 of grid_points^d * (d + 1) for the generator check's mesh
+    fluid_bytes = 4 * 8 * 200 * 2
+    mesh_bytes = 10 * 8 * 41 * 2
+    for config, nbytes in ((_fluid_config, fluid_bytes), (_generator_config, mesh_bytes)):
+        monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", nbytes)
+        config()
+        monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", nbytes - 1)
+        with pytest.raises(bd.ValidationError, match="past physical memory"):
+            config()

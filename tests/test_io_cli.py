@@ -296,6 +296,40 @@ def test_fluid_grid_past_memory_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# configs whose schedule or grid would be allocated at a size no machine
+# holds: each must be refused with an error: line before numpy is asked
+_OVERSIZED_CONFIGS = {
+    "levels-trillion": ("exp-diffusion", "s.g", "u = 1.0\nt = 1.0\nlevels = 1000000000000\n"),
+    "levels-past-int64": ("exp-diffusion", "s.g", "u = 1.0\nt = 1.0\nlevels = 1100\n"),
+    "fluid-grid-points": (
+        "exp-fluid", "s.g", "u = 1.0\nt = 2.0\nlevels = 2\ngrid_points = 1000000000000\n"
+    ),
+    "gen-check-grid-points": (
+        "gen-check", "p.g",
+        "center = 0.0,0.0,0.0\nradius = 2.0\nlevels = 2\ncoarsest_log2_eps = -3\n"
+        "grid_points = 10000000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED_CONFIGS))
+def test_oversized_schedule_or_grid_exits_one(tmp_path, capsys, case):
+    sub, graph, body = _OVERSIZED_CONFIGS[case]
+    (tmp_path / "s.g").write_text("n 1\n")
+    (tmp_path / "p.g").write_text("n 3\ne 0 1\ne 1 2\n")
+    ad = "diag:1" if graph == "s.g" else "diag:1,1,1"
+    cfg = write(
+        tmp_path, "big.cfg", f"schema=1\ngraph = {graph}\nab = zero\nad = {ad}\n{body}"
+    )
+    # numpy's overflow and cast warnings would be raised as errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fluid_guard_overflow_exits_two_with_warnings_as_errors(tmp_path, capsys):
     # the second RK4 stage from gamma = 699.9 has an exponent near 1e303,
     # whose square overflows the guard: still a numeric failure, not a crash
