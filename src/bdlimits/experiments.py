@@ -128,7 +128,7 @@ def geometric_schedule(
         raise ValidationError(
             f"finest eps 2^{finest} is too small: its box ceil(eps^-2) passes int64"
         )
-    eps = 2.0 ** (coarsest_log2_eps - step_log2 * np.arange(num_levels, dtype=float))
+    eps = 2.0 ** (coarsest_log2_eps - step_log2 * np.arange(levels, dtype=float))
     boxes = np.ceil(eps**-2.0).astype(np.int64)
     return ScalingSchedule(
         epsilons=eps, box_sizes=boxes, initial_point=initial_point, regime=regime

@@ -492,7 +492,7 @@ def test_event_loop_matches_reference_loop():
     # outcome, path or error, must be the reference loop's
     rng = np.random.default_rng(20)
     graphs = [bd.single_vertex(), bd.path_graph(2), bd.path_graph(5), bd.cycle_graph(12)]
-    kinds = {}
+    outcomes = set()
     for draw in range(100):
         g = graphs[draw % 4]
         n = g.num_vertices
@@ -510,10 +510,9 @@ def test_event_loop_matches_reference_loop():
             continue
         got = _outcome(_simulate_vector, spec, xi0, seed)
         assert got == _outcome(_reference_simulate_vector, spec, xi0, seed), f"draw {draw}"
-        kind = got[0] if isinstance(got[0], type) else list
-        kinds[kind] = kinds.get(kind, 0) + 1
+        outcomes.add(got[0] if isinstance(got[0], type) else "path")
     # the draws reach all three outcomes
-    assert set(kinds) == {list, RateOverflowError, BudgetExceededError}, kinds
+    assert outcomes == {"path", RateOverflowError, BudgetExceededError}
 
 
 def test_state_index_is_exact_past_int64():
