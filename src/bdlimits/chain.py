@@ -115,12 +115,12 @@ class ChainSpec:
             )
         if not np.all(xi == np.floor(xi)):
             raise ValidationError("configuration must be integer-valued")
-        xi = xi.astype(np.int64)
+        # before the cast, which would wrap a value past int64
         if xi.min() < -self.l or xi.max() > self.r:
             raise ValidationError(
                 f"configuration leaves the box [-{self.l}, {self.r}]: {xi.tolist()}"
             )
-        return xi
+        return xi.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,8 +568,7 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     on a 2-vCPU host: L + U hold about 2.9 M nonzeros at 6561 states (a
     0.45 s solve), and 12.4 M at 14 641 states (a 3.3 s solve, about
     0.33 GB peak RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP,
-    a count of states, does not bound this memory; a cap by memory is still
-    open (ROADMAP item 3).
+    a count of states, does not bound this memory; a cap by memory is still open.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu

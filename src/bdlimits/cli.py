@@ -151,15 +151,13 @@ def _cmd_classify(args):
 
 
 def _schedule_from(view: bio.ConfigView, regime: str, u: np.ndarray) -> ScalingSchedule:
+    # reject_unknown refuses box_sizes next to levels, and levels next to epsilons
     eps = view.get_vector("epsilons")
-    boxes = view.get_vector("box_sizes")
     if eps is None:
         levels = view.get_int("levels", required=True)
         steps = view.optional(coarsest_log2_eps=int, step_log2=int)
         return geometric_schedule(regime, u, levels, **steps)
-    if boxes is None:
-        boxes = np.ceil(eps**-2.0)
-    return ScalingSchedule(epsilons=eps, box_sizes=boxes, initial_point=u, regime=regime)
+    return ScalingSchedule(eps, view.get_vector("box_sizes"), u, regime)
 
 
 def _experiment_inputs(view: bio.ConfigView, regime: str) -> dict:

@@ -29,10 +29,8 @@ from .errors import (
     require_integer,
     seeded_rng,
 )
-from .paths import step_count
+from .paths import DEFAULT_DT, step_count
 from .spectral import as_square_matrix, as_state, is_hurwitz, is_symmetric, matrix_exp
-
-DEFAULT_DT = 1e-3
 
 # Euler-Maruyama steps per block, and the most normals one block may hold
 _EM_BLOCK = 64

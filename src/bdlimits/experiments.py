@@ -38,12 +38,15 @@ from .errors import (
     require_memory,
     require_seed,
 )
-from .fluid import rk4_integrate
+from .fluid import DEFAULT_DT, rk4_integrate
 from .graphs import Graph, validate_interaction
 
 DEFAULT_EVENT_BUDGET = 100_000_000
 
 REGIMES = ("diffusion", "fluid")
+
+# an eps at or below 2^-31.5 has a box ceil(eps^-2) of 2^63 or more, past int64
+_LOG2_EPS_FLOOR = -31.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +55,12 @@ class ScalingSchedule:
 
     eps_n must decrease strictly while l_n * eps_n increases strictly, so
     the truncation box grows faster than the space rescaling shrinks it.
+    box_sizes None means l_n = ceil(eps_n^-2), which needs every eps_n
+    above 2^-31.5 to fit int64.
     """
 
     epsilons: np.ndarray
-    box_sizes: np.ndarray
+    box_sizes: np.ndarray | None
     initial_point: np.ndarray
     regime: str
 
@@ -63,15 +68,10 @@ class ScalingSchedule:
         # copies, so that freezing them leaves the caller's arrays writable
         try:
             eps = np.array(self.epsilons, dtype=float)
-            raw = np.asarray(self.box_sizes)
+            raw = None if self.box_sizes is None else np.asarray(self.box_sizes)
             u = np.atleast_1d(np.array(self.initial_point, dtype=float))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"schedule entries must be numbers: {exc}") from None
-        # strings and bools cast cleanly, and ints past int64 not at all
-        if raw.dtype.kind not in "iuf":
-            raise ValidationError("box sizes must be finite integers")
-        with np.errstate(invalid="ignore"):
-            boxes = raw.astype(np.int64)
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if eps.ndim != 1 or eps.size == 0:
@@ -80,13 +80,24 @@ class ScalingSchedule:
             raise ValidationError("initial_point must be a 1-d vector")
         if not (np.isfinite(eps).all() and np.isfinite(u).all()):
             raise ValidationError("epsilons and initial_point must be finite")
-        # a cast that changes a value would run a box the caller did not ask for
-        if not np.array_equal(boxes, raw):
+        if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+            raise ValidationError("epsilons must be positive and strictly decreasing")
+        if raw is None:
+            too_fine = eps[~(np.log2(eps) > _LOG2_EPS_FLOOR)].tolist()
+            if too_fine:
+                raise ValidationError(
+                    f"epsilons {too_fine} are at or below 2^{_LOG2_EPS_FLOOR}: "
+                    "their boxes ceil(eps^-2) pass int64"
+                )
+            raw = np.ceil(eps**-2.0)
+        # strings and bools cast cleanly, and ints past int64 not at all; a
+        # cast that changes a value would run a box the caller did not ask for
+        with np.errstate(invalid="ignore"):
+            boxes = raw.astype(np.int64) if raw.dtype.kind in "iuf" else None
+        if boxes is None or not np.array_equal(boxes, raw):
             raise ValidationError("box sizes must be finite integers")
         if boxes.shape != eps.shape:
             raise ValidationError("box_sizes must match epsilons in length")
-        if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValidationError("epsilons must be positive and strictly decreasing")
         if np.any(boxes < 1):
             raise ValidationError("box sizes must be positive")
         scaled = eps * boxes
@@ -115,8 +126,8 @@ def geometric_schedule(
     The default start 2^-2 and unit step give eps_n = 2^(-n-2), for which
     l_n * eps_n = eps_n^-1 doubles every level.  Before any array is made,
     raises ValidationError for a step_log2 <= 0 over two or more levels (eps
-    would not decrease) and for a finest eps of 2^-31.5 or less, whose box
-    would not fit int64.
+    would not decrease), for a finest eps of 2^-31.5 or less, whose box
+    would not fit int64, and for a coarsest eps past the float range.
     """
     levels = require_integer("num_levels", num_levels)
     if levels < 1:
@@ -124,15 +135,14 @@ def geometric_schedule(
     if levels >= 2 and not step_log2 > 0:
         raise ValidationError(f"step_log2 must be positive over {levels} levels")
     finest = coarsest_log2_eps - step_log2 * (levels - 1)
-    if not finest > -31.5:
+    if not (finest > _LOG2_EPS_FLOOR and coarsest_log2_eps < 1024):
         raise ValidationError(
-            f"finest eps 2^{finest} is too small: its box ceil(eps^-2) passes int64"
+            f"eps from 2^{coarsest_log2_eps} to 2^{finest} is not a float, or its "
+            "box ceil(eps^-2) passes int64"
         )
-    eps = 2.0 ** (coarsest_log2_eps - step_log2 * np.arange(levels, dtype=float))
-    boxes = np.ceil(eps**-2.0).astype(np.int64)
-    return ScalingSchedule(
-        epsilons=eps, box_sizes=boxes, initial_point=initial_point, regime=regime
-    )
+    # both ends are now floats, and one level never reads the step
+    eps = 2.0 ** np.linspace(coarsest_log2_eps, finest, levels)
+    return ScalingSchedule(eps, None, initial_point, regime)
 
 
 @dataclass(frozen=True)
@@ -244,10 +254,12 @@ def _replica_table(config, tabulate, path_statistic=None) -> ConvergenceTable:
         # benchmark specs stay near this rate for their whole run
         blocks = _rate_blocks(spec, xi0[None, :])
         rate = sum(float(up.sum() + down.sum()) for _, _, up, _, down in blocks)
-        projected = rate * horizon * config.replicas
-        if projected > left:
+        # per replica, so that no count of replicas overflows a float
+        projected = rate * horizon
+        if projected > left / config.replicas:
             raise BudgetExceededError(
-                f"projected {projected:.3g} events exceed the budget of {left}"
+                f"projected {projected:.3g} events per replica times "
+                f"{config.replicas} replicas exceed the budget of {left}"
             )
         # built as the replicas run, so a level holds at most one chunk of them
         seeds = (_replica_seed(config.seed, level, rep) for rep in range(config.replicas))
@@ -313,7 +325,7 @@ class FluidExperimentConfig(_ScaledModel):
     t: float
     replicas: int = 1
     grid_points: int = 200
-    ode_dt: float = 1e-3
+    ode_dt: float = DEFAULT_DT
     seed: int = 0
     event_budget: int = DEFAULT_EVENT_BUDGET
 
@@ -415,6 +427,13 @@ class GeneratorCheckConfig(_ScaledModel):
         grid_points = require_integer("grid_points", self.grid_points)
         if self.radius <= 0 or grid_points < 3:
             raise ValidationError("need radius > 0 and grid_points >= 3")
+        # l_n * eps_n increases strictly, so the coarsest scaled box is the narrowest
+        half_width = self.schedule.epsilons[0] * self.schedule.box_sizes[0]
+        if np.any(np.abs(c) + self.radius > half_width):
+            raise SupportNotCoveredError(
+                f"bump support radius {self.radius} around {c.tolist()} exceeds the "
+                f"scaled box half-width {half_width} at level 0"
+            )
         # the mesh, its points and the bump's derivatives peak at about 10
         # arrays of grid_points^d * (d + 1) floats (tracemalloc)
         d = self.graph.num_vertices
@@ -455,12 +474,6 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
     for level in range(config.schedule.num_levels):
         eps = float(config.schedule.epsilons[level])
         spec, _ = config._level_chain(level)
-        half_width = eps * spec.r
-        if np.any(c - rho < -half_width) or np.any(c + rho > half_width):
-            raise SupportNotCoveredError(
-                f"bump support radius {rho} around {c.tolist()} exceeds the "
-                f"scaled box half-width {half_width} at level {level}"
-            )
         xi = np.rint(points / eps).astype(np.int64)
         f0 = bump_value(eps * xi, c, rho)
         ln = np.zeros(points.shape[0])

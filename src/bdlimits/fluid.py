@@ -17,10 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MAX_EXPONENT, DimensionMismatchError, check_exponents, require_memory
-from .paths import SamplePath, step_count
+from .paths import DEFAULT_DT, SamplePath, step_count
 from .spectral import as_square_matrix, as_state
-
-DEFAULT_DT = 1e-3
 
 
 def _system(birth_matrix, death_matrix, gamma):

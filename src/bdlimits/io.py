@@ -11,8 +11,8 @@ keys may not repeat.  The documented schema lives in docs/config-schema.md.
 from __future__ import annotations
 
 import csv
-import math
 import os
+from functools import partialmethod
 
 import numpy as np
 
@@ -127,6 +127,14 @@ def read_config(path) -> dict[str, str]:
     return entries
 
 
+def _floats(raw: str) -> np.ndarray:
+    return np.array([float(tok) for tok in raw.split(",")])
+
+
+# what each kind of ConfigView._parse reads, for its error message
+_KINDS = {int: "an integer", float: "a number", _floats: "comma-separated numbers"}
+
+
 class ConfigView:
     """Typed accessors over one config dict; tracks which keys were read."""
 
@@ -143,40 +151,23 @@ class ConfigView:
             raise ConfigError(f"missing required field {key!r}")
         return default
 
-    def get_int(self, key, default=None, required=False):
+    def _parse(self, kind, key, default=None, required=False):
+        """The value of key read by kind (int, float or _floats), or default."""
         raw = self.get_str(key, None, required)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = kind(raw)
         except ValueError as exc:
-            raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from exc
-
-    def get_float(self, key, default=None, required=False):
-        raw = self.get_str(key, None, required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"field {key!r} must be a number, got {raw!r}") from exc
-        if not math.isfinite(value):
+            raise ConfigError(f"field {key!r} must be {_KINDS[kind]}, got {raw!r}") from exc
+        # np.isfinite cannot take an int past int64, and every int is finite
+        if kind is not int and not np.all(np.isfinite(value)):
             raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
         return value
 
-    def get_vector(self, key, default=None, required=False) -> np.ndarray | None:
-        raw = self.get_str(key, None, required)
-        if raw is None:
-            return default
-        try:
-            values = np.array([float(tok) for tok in raw.split(",")])
-        except ValueError as exc:
-            raise ConfigError(
-                f"field {key!r} must be comma-separated numbers, got {raw!r}"
-            ) from exc
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
-        return values
+    get_int = partialmethod(_parse, int)
+    get_float = partialmethod(_parse, float)
+    get_vector = partialmethod(_parse, _floats)
 
     def get_path(self, key, default=None, required=False):
         raw = self.get_str(key, default, required)
@@ -188,9 +179,8 @@ class ConfigView:
         """{key: value} for each key of kinds (int or float) that the file
         sets, as keyword arguments; a key it leaves out keeps the default of
         the function or config class it is passed to."""
-        getters = {int: self.get_int, float: self.get_float}
         return {
-            key: getters[kind](key) for key, kind in kinds.items() if key in self.entries
+            key: self._parse(kind, key) for key, kind in kinds.items() if key in self.entries
         }
 
     def reject_unknown(self) -> None:

@@ -10,13 +10,16 @@ import numpy as np
 
 from .errors import ValidationError
 
+# the step of both integrators, and of the fluid experiment's reference path
+DEFAULT_DT = 1e-3
+
 
 def step_count(dt: float, t_end: float) -> int:
-    """Fixed steps of size dt that cover [0, t_end]; needs 0 < dt <= t_end < inf
-    and dt to divide t_end, to within 1e-9 of t_end."""
-    if not 0 < dt <= t_end < math.inf:
+    """Fixed steps of size dt that cover [0, t_end]; needs 0 < dt <= t_end,
+    t_end / dt finite, and dt to divide t_end, to within 1e-9 of t_end."""
+    if not (0 < dt <= t_end and t_end / dt < math.inf):
         raise ValidationError(
-            f"need 0 < dt <= t_end and t_end finite, got dt={dt}, t_end={t_end}"
+            f"need 0 < dt <= t_end and t_end / dt finite, got dt={dt}, t_end={t_end}"
         )
     steps = int(round(t_end / dt))
     if abs(steps * dt - t_end) > 1e-9 * t_end:

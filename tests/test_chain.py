@@ -1,4 +1,5 @@
 import math
+import warnings
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -134,6 +135,11 @@ def test_configuration_validation():
         spec.validate_configuration([0, 0])  # wrong length
     with pytest.raises(bd.ValidationError):
         spec.validate_configuration([0.5])  # not integer
+    # checked against the box before the int64 cast, which would wrap 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bd.ValidationError, match=r"\[-1, 3\]: \[1e\+300\]"):
+            bd.simulate(spec, [1e300], 1.0, seed=0)
     with pytest.raises(bd.ValidationError):
         bd.simulate(spec, [0], -1.0, seed=0)
 

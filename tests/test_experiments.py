@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_schedule_takes_integral_float_box_sizes():
 def test_schedule_rejects_ragged_or_non_numeric_vectors(epsilons, boxes, point):
     with pytest.raises(bd.ValidationError):
         bd.ScalingSchedule(epsilons, boxes, point, "diffusion")
+
+
+def test_schedule_default_boxes_fit_int64():
+    # box_sizes None means ceil(eps^-2): 2^62 at eps = 2^-31, while eps =
+    # 2^-32 (and 2^-31.5, the bound) would need a box past int64
+    sched = bd.ScalingSchedule([2.0**-30, 2.0**-31], None, [0.0], "diffusion")
+    assert sched.box_sizes.tolist() == [2**60, 2**62]
+    for finest in (-32, -31.5):
+        with pytest.raises(bd.ValidationError, match=r"epsilons \[.*\] are at or below 2\^-31.5"):
+            bd.ScalingSchedule([2.0**-31, 2.0**finest], None, [0.0], "diffusion")
 
 
 def test_geometric_schedule_defaults():
@@ -193,12 +205,31 @@ def test_generator_check_two_vertices():
 def test_generator_check_support_guard():
     g = bd.single_vertex()
     sched = bd.ScalingSchedule([0.25], [4], [0.0], "diffusion")  # eps*box = 1 < radius
-    cfg = bd.GeneratorCheckConfig(
-        graph=g, birth_matrix=[[0.0]], death_matrix=[[1.0]],
-        schedule=sched, center=[0.0], radius=2.0,
-    )
     with pytest.raises(bd.SupportNotCoveredError):
-        bd.generator_convergence_check(cfg)
+        bd.GeneratorCheckConfig(
+            graph=g, birth_matrix=[[0.0]], death_matrix=[[1.0]],
+            schedule=sched, center=[0.0], radius=2.0,
+        )
+
+
+@pytest.mark.parametrize(
+    "center, radius, covered",
+    [([0.0], 1e308, False), ([0.5], 0.5, True), ([-0.5], 0.5, True),
+     ([0.75], 0.5, False), ([-0.75], 0.5, False)],
+)
+def test_generator_check_support_is_checked_on_the_coarsest_box(center, radius, covered):
+    # scaled half-widths 1 then 2: the bump must fit in the first, and a
+    # radius of 1e308 is refused before its square overflows
+    sched = bd.ScalingSchedule([0.25, 0.125], [4, 16], [0.0], "diffusion")
+    build = partial(
+        bd.GeneratorCheckConfig, graph=bd.single_vertex(), birth_matrix=[[0.0]],
+        death_matrix=[[1.0]], schedule=sched, center=center, radius=radius,
+    )
+    if covered:
+        assert bd.generator_convergence_check(build()).rows
+    else:
+        with pytest.raises(bd.SupportNotCoveredError, match="half-width 1.0 at level 0"):
+            build()
 
 
 def _tiny_diffusion_config(replicas=300, levels=2, seed=5, **kw):
@@ -539,6 +570,12 @@ def test_geometric_schedule_refuses_before_it_allocates():
     assert sched.box_sizes[-1] == 2**62
     with pytest.raises(bd.ValidationError, match="passes int64"):
         bd.geometric_schedule("diffusion", [0.0], 31, coarsest_log2_eps=-2)
+    # exponents past the float range are refused before numpy sees them
+    with pytest.raises(bd.ValidationError, match="passes int64"):
+        bd.geometric_schedule("diffusion", [0.0], 2, step_log2=10**400)
+    with pytest.raises(bd.ValidationError, match="is not a float"):
+        bd.geometric_schedule("diffusion", [0.0], 2, coarsest_log2_eps=10**400)
+    assert bd.geometric_schedule("diffusion", [1.0], 1, step_log2=10**400).num_levels == 1
     # a step that does not shrink eps is refused over two or more levels
     for step in (0, -1):
         with pytest.raises(bd.ValidationError, match="step_log2 must be positive"):

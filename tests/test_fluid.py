@@ -35,6 +35,17 @@ def test_rk4_rejects_a_step_that_misses_the_horizon(dt):
         bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=dt, t_end=1.0)
 
 
+@pytest.mark.parametrize(
+    "integrate",
+    [lambda **kw: bd.rk4_integrate([[0.0]], [[1.0]], [0.0], **kw),
+     lambda **kw: bd.euler_maruyama_terminal([[-1.0]], [0.0], n_paths=3, seed=0, **kw)],
+    ids=["rk4_integrate", "euler_maruyama_terminal"],
+)
+def test_step_count_past_the_float_range_is_refused(integrate):
+    with pytest.raises(bd.ValidationError, match=r"dt=0.001, t_end=1e\+308"):
+        integrate(dt=1e-3, t_end=1e308)
+
+
 def test_rk4_grid_ends_exactly_at_the_horizon():
     # 3 * 0.3 is 0.8999999999999999 in floating point
     path = bd.rk4_integrate([[0.0]], [[1.0]], [1.0], dt=0.3, t_end=0.9)

@@ -56,6 +56,9 @@ def test_config_view_typing_and_unknown_fields():
     bad = bio.ConfigView({"n": "three"})
     with pytest.raises(bd.ConfigError, match="integer"):
         bad.get_int("n")
+    # an int past int64 parses, as no finite test applies to it
+    huge = bio.ConfigView({"cap": "9" * 400})
+    assert huge.optional(cap=int) == {"cap": int("9" * 400)}
     # every entry of a vector must parse; none is dropped
     for raw in ("1.0,,0.5", ",", "1.0,"):
         with pytest.raises(bd.ConfigError, match="'v' must be comma-separated numbers"):
@@ -327,6 +330,48 @@ def test_oversized_schedule_or_grid_exits_one(tmp_path, capsys, case):
         assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# configs that break one schedule or experiment rule on a one-vertex model,
+# with the exit code and a text of the message; none may leave a traceback
+_REFUSED_CONFIGS = {
+    "default-box-past-int64": (
+        "exp-diffusion", "u = 1.0\nt = 0.5\nepsilons = 0.5,1e-10\n", 1,
+        "epsilons [1e-10] are at or below 2^-31.5",
+    ),
+    "box-sizes-with-levels": (
+        "exp-diffusion", "u = 1.0\nt = 0.5\nlevels = 2\nbox_sizes = 5,7\n", 1,
+        "unknown field(s): box_sizes",
+    ),
+    "fluid-horizon-past-float": (
+        "exp-fluid", "u = 1.0\nt = 1e308\nlevels = 2\n", 1, "dt=0.001, t_end=1e+308",
+    ),
+    "bump-past-the-box": (
+        "gen-check", "radius = 1e308\nlevels = 2\n", 1, "half-width 4.0 at level 0",
+    ),
+    "diffusion-replicas-past-float": (
+        "exp-diffusion", f"u = 1.0\nt = 0.5\nlevels = 2\nreplicas = {'9' * 400}\n", 2,
+        "projected",
+    ),
+    "fluid-replicas-past-float": (
+        "exp-fluid", f"u = 1.0\nt = 0.5\nlevels = 2\nreplicas = {'9' * 400}\n", 2,
+        "projected",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_CONFIGS))
+def test_refused_config_exits_with_its_error(tmp_path, capsys, case):
+    sub, body, code, text = _REFUSED_CONFIGS[case]
+    (tmp_path / "s.g").write_text("n 1\n")
+    cfg = write(tmp_path, "c.cfg", f"schema=1\ngraph = s.g\nab = zero\nad = diag:1\n{body}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if code == 1 else "numeric failure:")
+    assert text in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
