@@ -47,13 +47,14 @@ DEFAULT_STATE_CAP = 200_000
 
 _RNG_BUFFER = 8192
 
-# replicas per lockstep chunk: its two (8192, chunk) float buffers then take
-# 8.4 MB, where the 20 000 replicas of the acceptance test at once would
-# take 2.6 GB
-_LOCKSTEP_CHUNK = 64
+# replicas per lockstep chunk, enough for 100 in one: its (8192, chunk)
+# exponential and (512, chunk) uniform buffers then take 8.9 MB, where the
+# 20 000 replicas of the acceptance test at once would take 1.4 GB
+_LOCKSTEP_CHUNK = 128
 
-# rows of uniforms a lockstep replica draws at a time; it divides
-# _RNG_BUFFER, so a replica that reaches the block's end has drawn it whole
+# rows of uniforms a lockstep replica draws at a time, held in a ring of
+# that many rows; it divides _RNG_BUFFER, so a replica that reaches the
+# block's end has drawn it whole
 _UNIFORM_ROWS = 512
 
 
@@ -326,17 +327,19 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     seeds may be any iterable; it is read one chunk at a time.
 
     Replica j draws from default_rng(seeds[j]) exactly as simulate does: a
-    block of 8192 exponentials and then one of 8192 uniforms, which fill its
-    column of two Fortran-order (8192, chunk) buffers (8.4 MB at 64
+    block of 8192 exponentials and then one of 8192 uniforms.  They fill its
+    column of two Fortran-order buffers, (8192, chunk) for the exponentials
+    and a ring of (_UNIFORM_ROWS, chunk) for the uniforms (8.9 MB at 128
     replicas).  Every live replica of a chunk sits at the same row k, so one
     numpy step moves all of them by one event; a replica drops out when its
     next event would pass t_end, and the live ones refill when k reaches
     8192.  The exponentials are drawn whole, since the ziggurat takes a
     variable number of generator outputs, but the uniforms come in
-    sub-blocks of _UNIFORM_ROWS rows, drawn for the replicas still live when
-    k reaches them: a float64 uniform is exactly one PCG64 output, so a
-    replica that reaches row 8192 has drawn the same stream as one whole
-    fill, and one that drops out earlier never reads the rows it skipped.
+    sub-blocks of _UNIFORM_ROWS rows, drawn into the ring for the replicas
+    still live when k reaches them and read at row k % _UNIFORM_ROWS: a
+    float64 uniform is exactly one PCG64 output, so a replica that reaches
+    row 8192 has drawn the same stream as one whole fill, and one that
+    drops out earlier never reads the rows it skipped.
     Rates come from per-spin tables of math.exp(b * spin) and
     math.exp(d * spin).  simulate instead adds b or d to the exponent at
     each jump; the two give the same floats whenever those multiples are
@@ -378,7 +381,7 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
 
     # a buffer column is touched only once a replica fills it
     ebuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
-    ubuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
+    ubuf = np.empty((_UNIFORM_ROWS, _LOCKSTEP_CHUNK), order="F")
     seeds = iter(seeds)
     # per chunk, the final doubled index, events and hits of each replica
     chunks = []
@@ -394,7 +397,8 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
         t = np.zeros(count)
         h = np.zeros(count, dtype=np.int64)
         step = used = 0
-        # ubuf holds rows [0, filled) of the live replicas' uniform blocks
+        # ubuf holds rows [filled - _UNIFORM_ROWS, filled) of the live
+        # replicas' uniform blocks, row k at k % _UNIFORM_ROWS
         k = filled = _RNG_BUFFER
         while True:
             if k == _RNG_BUFFER:
@@ -416,8 +420,8 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
             if k == filled:
                 filled += _UNIFORM_ROWS
                 for j in live.tolist():
-                    rngs[j].random(out=ubuf[k:filled, j])
-            total *= ubuf[k, cols]
+                    rngs[j].random(out=ubuf[:, j])
+            total *= ubuf[k % _UNIFORM_ROWS, cols]
             pos = next_t[pos + (total < birth_t[pos])]
             h += hit_t[pos]
             t = t_next

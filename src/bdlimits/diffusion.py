@@ -5,7 +5,8 @@ an Euler-Maruyama ensemble, the exact Gaussian transition law (mean and
 covariance from one block matrix exponential), and the stationary Gaussian
 law for Hurwitz A (a Lyapunov solve).  The ensemble runs the linear
 recursion x_{k+1} = x_k B + sqrt(2 dt) z_k, B = I + dt A', in blocks of
-up to 64 steps: one normal draw and two matrix products per block, on two
+up to 64 steps: one normal draw, one batched product of each step's
+normals with its weight, and a sum over the steps per block, on two
 buffers of at most 2^16 normals each that last the whole call.  It draws
 the same normals in the same order as a per-step loop and equals it up to
 rounding.  When the diagonal of A is negative the components are
@@ -58,13 +59,15 @@ def euler_maruyama_terminal(
     z_{k+j} B^{K-1-j}.  The paths advance K steps at a time (K = 64, fewer
     when a block of K * N * d normals would pass 2^16 values): one
     standard_normal fills a (K, N, d) buffer, which gives the same normals
-    in the same order as K per-step draws, a copy moves them to an (N, K, d)
-    buffer, and two matrix products take the block.  The leftover steps
-    (steps mod K) use the leading part of both buffers and the trailing
-    rows of the stacked powers.  The result equals the per-step recursion
-    up to rounding, not bit for bit.  Both buffers are allocated once per
-    call, about 0.9 MB in all at N = 300, d = 3.  A seed that
-    numpy.random.default_rng rejects raises ValidationError.
+    in the same order as K per-step draws.  One batched matmul takes step
+    j's (N, d) normals times its (d, d) weight sqrt(2 dt) B^(K-1-j) into a
+    second (K, N, d) buffer, and its sum over j is the block's noise, so
+    the normals are never copied.  The leftover steps (steps mod K) use the
+    leading part of both buffers and the trailing weights.  The result
+    equals the per-step recursion up to rounding, not bit for bit.  Both
+    buffers are allocated once per call, about 0.9 MB in all at N = 300,
+    d = 3.  A seed that numpy.random.default_rng rejects raises
+    ValidationError.
     """
     m = as_square_matrix(a)
     u = as_state(m, u0)
@@ -75,22 +78,22 @@ def euler_maruyama_terminal(
     states = np.tile(u, (n_paths, 1))
     d = m.shape[0]
     block = min(steps, _EM_BLOCK, max(1, _EM_BLOCK_VALUES // (n_paths * d)))
-    # powers[i] = B^i; weights stacks sqrt(2 dt) B^{block-1-j} for j < block
+    # powers[i] = B^i; weights[j] = sqrt(2 dt) B^{block-1-j} for j < block
     powers = np.empty((block + 1, d, d))
     powers[0] = np.eye(d)
     b = powers[0] + dt * m.T
     for i in range(block):
         np.matmul(powers[i], b, out=powers[i + 1])
-    weights = np.sqrt(2.0 * dt) * powers[block - 1 :: -1].reshape(block * d, d)
+    weights = np.sqrt(2.0 * dt) * powers[block - 1 :: -1]
     zbuf = np.empty(block * n_paths * d)
-    flat = np.empty_like(zbuf)
+    pbuf = np.empty_like(zbuf)
     full, tail = divmod(steps, block)
     for k in chain(repeat(block, full), repeat(tail, 1 if tail else 0)):
         z = zbuf[: k * n_paths * d].reshape(k, n_paths, d)
-        noise = flat[: k * n_paths * d].reshape(n_paths, k, d)
+        prod = pbuf[: k * n_paths * d].reshape(k, n_paths, d)
         rng.standard_normal(out=z)
-        np.copyto(noise, z.transpose(1, 0, 2))
-        states = states @ powers[k] + noise.reshape(n_paths, k * d) @ weights[(block - k) * d :]
+        np.matmul(z, weights[block - k :], out=prod)
+        states = states @ powers[k] + prod.sum(axis=0)
     return states
 
 

@@ -125,11 +125,15 @@ def geometric_schedule(
 
     The default start 2^-2 and unit step give eps_n = 2^(-n-2), for which
     l_n * eps_n = eps_n^-1 doubles every level.  Before any array is made,
-    raises ValidationError for a step_log2 <= 0 over two or more levels (eps
-    would not decrease), for a finest eps of 2^-31.5 or less, whose box
-    would not fit int64, and for a coarsest eps past the float range.
+    raises ValidationError for a count or exponent that is not an integer
+    (integral floats such as 1.0 too), for a step_log2 <= 0 over two or more
+    levels (eps would not decrease), for a finest eps of 2^-31.5 or less,
+    whose box would not fit int64, and for a coarsest eps past the float
+    range.
     """
     levels = require_integer("num_levels", num_levels)
+    coarsest_log2_eps = require_integer("coarsest_log2_eps", coarsest_log2_eps)
+    step_log2 = require_integer("step_log2", step_log2)
     if levels < 1:
         raise ValidationError("need at least one level")
     if levels >= 2 and not step_log2 > 0:

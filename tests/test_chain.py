@@ -8,7 +8,9 @@ import pytest
 
 import bdlimits as bd
 from bdlimits.chain import (
+    _LOCKSTEP_CHUNK,
     _RNG_BUFFER,
+    _UNIFORM_ROWS,
     _rate_blocks,
     _run_replicas,
     _simulate_lockstep,
@@ -224,8 +226,8 @@ def _seeds(base, count):
 # (b, d, l, r, start, t_end, replicas): single-vertex specs with A_b = [[b]]
 # and A_d = [[d]]
 LOCKSTEP_CASES = {
-    # 65 replicas: one full chunk of 64 and a chunk of one
-    "chunk-boundary": (0.0, 2.0**-4, 16, 16, 4, 16.0, 65),
+    # one full chunk and a chunk of one
+    "chunk-boundary": (0.0, 2.0**-4, 16, 16, 4, 16.0, _LOCKSTEP_CHUNK + 1),
     # multiples of -0.3 and 0.2 are inexact, so rates can differ in the
     # last bit from simulate's accumulated exponents
     "inexact-coefficients": (-0.3, 0.2, 2, 4, 1, 25.0, 40),
@@ -236,6 +238,10 @@ LOCKSTEP_CASES = {
     # |d| max(l, r) = 800 > 700 turns the guard on; the mean-reverting
     # replicas never reach an unsafe spin
     "guarded-safe": (0.0, 2.0, 400, 400, 0, 50.0, 30),
+    # two wells: replicas that settle near r = 64 jump about ten times as
+    # often as those near -64, so they stop after 300 to 2 700 events, in
+    # four or more of the 512-row uniform sub-blocks
+    "uniform-ring": (2.0**-5, 2.0**-7, 64, 64, 0, 800.0, 20),
 }
 
 
@@ -252,6 +258,8 @@ def test_lockstep_matches_sequential_simulate(case, base):
         assert np.array_equal(hits, events)
     if case == "refill":
         assert events.min() > 8192
+    if case == "uniform-ring":
+        assert len(set((events // _UNIFORM_ROWS).tolist())) >= 4
 
 
 def test_lockstep_budget_is_the_running_total():
@@ -259,7 +267,7 @@ def test_lockstep_budget_is_the_running_total():
     # budget, so a budget of exactly the total raises and one more does not
     b, d, l, r, start, t_end, _ = LOCKSTEP_CASES["chunk-boundary"]
     spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
-    seeds = _seeds(5, 65)
+    seeds = _seeds(5, _LOCKSTEP_CHUNK + 1)
     xi0 = np.array([start])
     total = sum(events for _, events, _ in _sequential_finals(spec, start, t_end, seeds))
     routes = (

@@ -177,6 +177,7 @@ def per_step_em(a, u0, dt, steps, n_paths, seed):
 
 
 _NON_SYMMETRIC = np.array([[-1.0, 0.7, 0.0], [-0.3, -2.0, 0.5], [0.2, 0.0, -0.5]])
+_WIDE = -2.0 * np.eye(12) + 0.3 * np.random.default_rng(4).standard_normal((12, 12))
 
 
 @pytest.mark.parametrize(
@@ -190,8 +191,18 @@ _NON_SYMMETRIC = np.array([[-1.0, 0.7, 0.0], [-0.3, -2.0, 0.5], [0.2, 0.0, -0.5]
         (_NON_SYMMETRIC, [0.0, 1.0, 0.0], 100, 500),
         # more than 2^16 normals per step: blocks of one step
         (_NON_SYMMETRIC, [0.0, 1.0, 0.0], 5, 30_000),
+        # 12 x 12 weights per step: two blocks of 64 steps and a tail of 22
+        (_WIDE, np.linspace(-1.0, 1.0, 12), 150, 50),
     ],
-    ids=["d1", "d1-one-block", "d3-one-path", "d3-tail", "d3-short-block", "d3-unit-block"],
+    ids=[
+        "d1",
+        "d1-one-block",
+        "d3-one-path",
+        "d3-tail",
+        "d3-short-block",
+        "d3-unit-block",
+        "d12-tail",
+    ],
 )
 def test_blocked_euler_maruyama_matches_per_step_loop(a, u0, steps, n_paths):
     dt = 1e-2

@@ -583,6 +583,24 @@ def test_geometric_schedule_refuses_before_it_allocates():
         assert bd.geometric_schedule("diffusion", [0.0], 1, step_log2=step).num_levels == 1
 
 
+def test_geometric_schedule_refuses_fractional_exponents():
+    # a step of 1e-12 would pass the finest-eps bound and ask numpy for a
+    # trillion epsilons, and a step of 0.5 would give a sqrt(2) grid; both
+    # exponents must be integers, as the CLI already requires
+    for kwargs in (
+        dict(num_levels=10**12, step_log2=1e-12),
+        dict(num_levels=3, step_log2=0.5),
+        dict(num_levels=3, step_log2=1.0),
+        dict(num_levels=3, coarsest_log2_eps=-2.5),
+        dict(num_levels=3, coarsest_log2_eps=-2.0),
+    ):
+        name = "step_log2" if "step_log2" in kwargs else "coarsest_log2_eps"
+        with pytest.raises(bd.ValidationError, match=f"{name} must be an integer"):
+            bd.geometric_schedule("diffusion", [0.0], **kwargs)
+    sched = bd.geometric_schedule("diffusion", [0.0], 3, np.int64(-2), np.int64(1))
+    assert sched.epsilons.tolist() == [0.25, 0.125, 0.0625]
+
+
 def test_grid_sized_configs_check_physical_memory(monkeypatch):
     # 4 arrays of grid_points * (n + 1) floats for the fluid observation
     # grid, and 10 of grid_points^d * (d + 1) for the generator check's mesh
