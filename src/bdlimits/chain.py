@@ -13,6 +13,9 @@ first, as the fluid integrator does, and one loop per event re-rates the
 entries the jump changes.
 The exact-law functions share _gibbs_table (states, Gibbs log weights) and
 _jumps (every jump and both its rates, from one pass of _rate_blocks).
+Lockstep replicas refill their exponential blocks on every usable CPU
+(errors.thread_map, on the threading module that numpy already loads), so
+importing this module loads no new module.
 scipy.sparse is imported inside build_generator and stationary_solve, so
 importing this module, or simulating, loads no scipy module.
 """
@@ -39,6 +42,7 @@ from .errors import (
     check_exponents,
     require_integer,
     seeded_rng,
+    thread_map,
 )
 from .graphs import Graph, validate_interaction
 from .spectral import is_symmetric
@@ -334,12 +338,15 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     numpy step moves all of them by one event; a replica drops out when its
     next event would pass t_end, and the live ones refill when k reaches
     8192.  The exponentials are drawn whole, since the ziggurat takes a
-    variable number of generator outputs, but the uniforms come in
-    sub-blocks of _UNIFORM_ROWS rows, drawn into the ring for the replicas
-    still live when k reaches them and read at row k % _UNIFORM_ROWS: a
-    float64 uniform is exactly one PCG64 output, so a replica that reaches
-    row 8192 has drawn the same stream as one whole fill, and one that
-    drops out earlier never reads the rows it skipped.
+    variable number of generator outputs, and a refill runs on the usable
+    CPUs (errors.thread_map): each replica's generator fills only its own
+    column, so every replica draws the same values whatever the CPU count.
+    The uniforms come in sub-blocks of _UNIFORM_ROWS rows, drawn serially
+    (too small to gain from a thread) into the ring for the replicas still
+    live when k reaches them and read at row k % _UNIFORM_ROWS: a float64
+    uniform is exactly one PCG64 output, so a replica that reaches row 8192
+    has drawn the same stream as one whole fill, and one that drops out
+    earlier never reads the rows it skipped.
     Rates come from per-spin tables of math.exp(b * spin) and
     math.exp(d * spin).  simulate instead adds b or d to the exponent at
     each jump; the two give the same floats whenever those multiples are
@@ -402,8 +409,9 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
         k = filled = _RNG_BUFFER
         while True:
             if k == _RNG_BUFFER:
-                for j in live.tolist():
-                    rngs[j].standard_exponential(out=ebuf[:, j])
+                thread_map(
+                    lambda j: rngs[j].standard_exponential(out=ebuf[:, j]), live.tolist()
+                )
                 k = filled = 0
             total = total_t[pos]
             t_next = ebuf[k, cols] / total

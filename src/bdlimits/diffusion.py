@@ -4,15 +4,17 @@ A is the net interaction matrix A_b - A_d.  The module provides the drift,
 an Euler-Maruyama ensemble, the exact Gaussian transition law (mean and
 covariance from one block matrix exponential), and the stationary Gaussian
 law for Hurwitz A (a Lyapunov solve).  The ensemble runs the linear
-recursion x_{k+1} = x_k B + sqrt(2 dt) z_k, B = I + dt A', in blocks of
-up to 64 steps: one normal draw, one batched product of each step's
-normals with its weight, and a sum over the steps per block, on two
-buffers of at most 2^16 normals each that last the whole call.  It draws
-the same normals in the same order as a per-step loop and equals it up to
-rounding.  When the diagonal of A is negative the components are
-interacting Ornstein-Uhlenbeck processes with unit-variance-rate noise.
-scipy.linalg is imported inside stationary_gaussian; exact_transition
-reaches scipy only through spectral.matrix_exp.
+recursion x_{k+1} = x_k B + sqrt(2 dt) z_k, B = I + dt A', in groups of
+64 paths, each with its own normal stream, run on the usable CPUs, and in
+blocks of up to 64 steps: one normal draw, one batched product of each
+step's normals with its weight, and a sum over the steps per block, on two
+buffers of at most 2^16 normals per group that last the whole group.  Each
+group draws the same normals in the same order as a per-step loop on its
+stream and equals it up to rounding.  When the diagonal of A is negative
+the components are interacting Ornstein-Uhlenbeck processes with
+unit-variance-rate noise.  scipy.linalg is imported inside
+stationary_gaussian; exact_transition reaches scipy only through
+spectral.matrix_exp.
 """
 
 from __future__ import annotations
@@ -28,14 +30,18 @@ from .errors import (
     NumericError,
     ValidationError,
     require_integer,
+    require_memory,
     seeded_rng,
+    thread_map,
 )
 from .paths import DEFAULT_DT, step_count
 from .spectral import as_square_matrix, as_state, is_hurwitz, is_symmetric, matrix_exp
 
-# Euler-Maruyama steps per block, and the most normals one block may hold
+# Euler-Maruyama steps per block, the most normals one block may hold, and
+# the paths of one group, which draws from its own stream
 _EM_BLOCK = 64
 _EM_BLOCK_VALUES = 2**16
+_EM_GROUP = 64
 
 
 def drift(a, u) -> np.ndarray:
@@ -64,20 +70,30 @@ def euler_maruyama_terminal(
     second (K, N, d) buffer, and its sum over j is the block's noise, so
     the normals are never copied.  The leftover steps (steps mod K) use the
     leading part of both buffers and the trailing weights.  The result
-    equals the per-step recursion up to rounding, not bit for bit.  Both
-    buffers are allocated once per call, about 0.9 MB in all at N = 300,
-    d = 3.  A seed that numpy.random.default_rng rejects raises
-    ValidationError.
+    equals the per-step recursion up to rounding, not bit for bit.
+
+    The paths run in groups of _EM_GROUP = 64, the last one shorter, and K
+    is sized for a group of min(N, 64) paths.  Group 0 draws from the
+    seeded generator and group g >= 1 from the (g - 1)-th of its
+    rng.spawn(G - 1) children, and the groups' terminal rows are stacked in
+    group order.  So the result does not depend on how many CPUs run the
+    groups (errors.thread_map), and a call of at most 64 paths draws
+    exactly what the one-stream recursion drew before the groups.  Each
+    group has its own two buffers, allocated once per group, about 0.2 MB
+    at d = 3; at most one group per CPU is in flight.  N * d terminal
+    values past physical memory raise ValidationError before anything is
+    allocated, and so does a seed that numpy.random.default_rng rejects.
     """
     m = as_square_matrix(a)
     u = as_state(m, u0)
     steps = step_count(dt, t_end)
     if require_integer("n_paths", n_paths) < 1:
         raise ValidationError("n_paths must be positive")
-    rng = seeded_rng(seed)
-    states = np.tile(u, (n_paths, 1))
     d = m.shape[0]
-    block = min(steps, _EM_BLOCK, max(1, _EM_BLOCK_VALUES // (n_paths * d)))
+    require_memory(8 * n_paths * d, f"terminal states of {n_paths} paths in {d} dimensions")
+    rng = seeded_rng(seed)
+    width = min(n_paths, _EM_GROUP)
+    block = min(steps, _EM_BLOCK, max(1, _EM_BLOCK_VALUES // (width * d)))
     # powers[i] = B^i; weights[j] = sqrt(2 dt) B^{block-1-j} for j < block
     powers = np.empty((block + 1, d, d))
     powers[0] = np.eye(d)
@@ -85,16 +101,27 @@ def euler_maruyama_terminal(
     for i in range(block):
         np.matmul(powers[i], b, out=powers[i + 1])
     weights = np.sqrt(2.0 * dt) * powers[block - 1 :: -1]
-    zbuf = np.empty(block * n_paths * d)
-    pbuf = np.empty_like(zbuf)
     full, tail = divmod(steps, block)
-    for k in chain(repeat(block, full), repeat(tail, 1 if tail else 0)):
-        z = zbuf[: k * n_paths * d].reshape(k, n_paths, d)
-        prod = pbuf[: k * n_paths * d].reshape(k, n_paths, d)
-        rng.standard_normal(out=z)
-        np.matmul(z, weights[block - k :], out=prod)
-        states = states @ powers[k] + prod.sum(axis=0)
-    return states
+    out = np.empty((n_paths, d))
+
+    def run(group):
+        g, group_rng = group
+        rows = out[g * _EM_GROUP : (g + 1) * _EM_GROUP]
+        n = rows.shape[0]
+        states = np.tile(u, (n, 1))
+        zbuf = np.empty(block * n * d)
+        pbuf = np.empty_like(zbuf)
+        for k in chain(repeat(block, full), repeat(tail, 1 if tail else 0)):
+            z = zbuf[: k * n * d].reshape(k, n, d)
+            prod = pbuf[: k * n * d].reshape(k, n, d)
+            group_rng.standard_normal(out=z)
+            np.matmul(z, weights[block - k :], out=prod)
+            states = states @ powers[k] + prod.sum(axis=0)
+        rows[:] = states
+
+    groups = -(-n_paths // _EM_GROUP)
+    thread_map(run, enumerate([rng, *rng.spawn(groups - 1)]))
+    return out
 
 
 def exact_transition(a, u0, t: float) -> tuple[np.ndarray, np.ndarray]:

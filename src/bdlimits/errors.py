@@ -8,10 +8,13 @@ the simulators hand to numpy, check_exponents for the bound on the rate
 exponents that the chain and the fluid field share, require_memory for the
 arrays sized by an input (the graph's adjacency, the RK4 grid, the fluid
 experiment's observation grid and the generator check's mesh), and
-read_text for the config and graph files.
+read_text for the config and graph files.  thread_map is the one place
+that runs work on more than one CPU: the simulators hand it random-number
+fills, which numpy runs without the GIL when given out=.
 """
 
 import os
+import threading
 
 import numpy as np
 
@@ -77,6 +80,50 @@ def seeded_rng(seed) -> "np.random.Generator":
             "seed must be one that numpy.random.default_rng accepts (None, a "
             f"nonnegative integer or a sequence of them, a SeedSequence), got {seed!r}"
         ) from exc
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform
+    has one, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items], run on min(len(items), usable CPUs) threads.
+
+    Worker w takes items w, w + W, ... in order, and the calling thread is
+    worker 0, so one worker runs everything inline.  The other threads are
+    started by the call and joined before it returns, and the first
+    exception a worker raised is raised then.  Only work that releases the
+    GIL gains, and calls on different items must touch disjoint mutable
+    state.
+    """
+    items = list(items)
+    workers = min(len(items), _usable_cpus())
+    if workers <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    errors = []
+
+    def work(w):
+        try:
+            for i in range(w, len(items), workers):
+                results[i] = fn(items[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 class InvalidEdgeError(ValidationError):

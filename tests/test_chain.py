@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from bisect import bisect_right
 from itertools import accumulate
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import bdlimits as bd
+from bdlimits import errors
 from bdlimits.chain import (
     _LOCKSTEP_CHUNK,
     _RNG_BUFFER,
@@ -22,6 +25,7 @@ from bdlimits.errors import (
     BudgetExceededError,
     RateOverflowError,
     SingularSystemError,
+    thread_map,
 )
 
 
@@ -283,6 +287,42 @@ def test_lockstep_budget_is_the_running_total():
             else:
                 with pytest.raises(bd.BudgetExceededError):
                     route(budget)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_thread_map_keeps_item_order_on_every_worker_count(monkeypatch, cpus):
+    monkeypatch.setattr(errors, "_usable_cpus", lambda: cpus)
+    out = thread_map(lambda x: (x * x, threading.current_thread()), range(10))
+    assert [square for square, _ in out] == [x * x for x in range(10)]
+    assert len({thread for _, thread in out}) == cpus
+    assert out[0][1] is threading.current_thread()
+    with pytest.raises(ZeroDivisionError):
+        thread_map(lambda x: 1 / (x - 7), range(10))
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    a = bd.alpha_beta_matrix(bd.path_graph(3), -2.0, 0.5)
+    b, d, l, r, start, t_end, _ = LOCKSTEP_CASES["chunk-boundary"]
+    spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
+    seeds = _seeds(8, _LOCKSTEP_CHUNK + 1)
+    runs = []
+    # more workers than cores, switching threads as often as the
+    # interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr(errors, "_usable_cpus", lambda: cpus)
+            # 300 paths are five groups of 64 or fewer
+            terminal = bd.euler_maruyama_terminal(
+                a, np.ones(3), dt=1e-2, t_end=2.0, n_paths=300, seed=11
+            )
+            lockstep = _simulate_lockstep(spec, np.array([start]), t_end, seeds)
+            runs.append((terminal, *lockstep))
+    finally:
+        sys.setswitchinterval(interval)
+    for one, four in zip(*runs):
+        assert one.dtype == four.dtype and np.array_equal(one, four)
 
 
 def test_lockstep_rate_overflow_matches_sequential():

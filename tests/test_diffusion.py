@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import bdlimits as bd
+from bdlimits.diffusion import _EM_GROUP
 
 
 def test_drift_examples():
@@ -166,18 +167,27 @@ def test_euler_maruyama_matches_exact_transition():
 
 
 def per_step_em(a, u0, dt, steps, n_paths, seed):
-    """The Euler-Maruyama recursion one step and one normal draw at a time."""
+    """The Euler-Maruyama recursion one step and one normal draw at a time,
+    per group of _EM_GROUP paths: group 0 draws from default_rng(seed) and
+    group g >= 1 from the generator's (g - 1)-th spawned child."""
     m = np.asarray(a, dtype=float)
     rng = np.random.default_rng(seed)
-    states = np.tile(np.asarray(u0, dtype=float), (n_paths, 1))
     amp = np.sqrt(2.0 * dt)
-    for _ in range(steps):
-        states = states + dt * (states @ m.T) + amp * rng.standard_normal(states.shape)
-    return states
+    groups = -(-n_paths // _EM_GROUP)
+    parts = []
+    for g, group_rng in enumerate([rng, *rng.spawn(groups - 1)]):
+        width = min(_EM_GROUP, n_paths - g * _EM_GROUP)
+        states = np.tile(np.asarray(u0, dtype=float), (width, 1))
+        for _ in range(steps):
+            states = states + dt * (states @ m.T) + amp * group_rng.standard_normal(states.shape)
+        parts.append(states)
+    return np.concatenate(parts)
 
 
 _NON_SYMMETRIC = np.array([[-1.0, 0.7, 0.0], [-0.3, -2.0, 0.5], [0.2, 0.0, -0.5]])
 _WIDE = -2.0 * np.eye(12) + 0.3 * np.random.default_rng(4).standard_normal((12, 12))
+_D20 = -2.0 * np.eye(20) + 0.1 * np.random.default_rng(5).standard_normal((20, 20))
+_D513 = -2.0 * np.eye(513) + 0.01 * np.random.default_rng(6).standard_normal((513, 513))
 
 
 @pytest.mark.parametrize(
@@ -187,10 +197,12 @@ _WIDE = -2.0 * np.eye(12) + 0.3 * np.random.default_rng(4).standard_normal((12, 
         ([[0.3]], [-2.0], 64, 1),
         (_NON_SYMMETRIC, [1.0, -0.5, 2.0], 150, 1),
         (_NON_SYMMETRIC, [1.0, -0.5, 2.0], 130, 40),
-        # 2^16 normals hold 43 steps of 500 paths in 3 dimensions
-        (_NON_SYMMETRIC, [0.0, 1.0, 0.0], 100, 500),
-        # more than 2^16 normals per step: blocks of one step
-        (_NON_SYMMETRIC, [0.0, 1.0, 0.0], 5, 30_000),
+        # 2^16 normals hold 51 steps of a 64-path group in 20 dimensions:
+        # two blocks of 51 steps and a tail of 18, in groups of 64 and 36
+        (_D20, np.linspace(-1.0, 1.0, 20), 120, 100),
+        # more than 2^15 normals per step of a 64-path group: blocks of one
+        # step, in groups of 64 and 6
+        (_D513, np.linspace(-1.0, 1.0, 513), 3, 70),
         # 12 x 12 weights per step: two blocks of 64 steps and a tail of 22
         (_WIDE, np.linspace(-1.0, 1.0, 12), 150, 50),
     ],
@@ -199,8 +211,8 @@ _WIDE = -2.0 * np.eye(12) + 0.3 * np.random.default_rng(4).standard_normal((12, 
         "d1-one-block",
         "d3-one-path",
         "d3-tail",
-        "d3-short-block",
-        "d3-unit-block",
+        "d20-short-block-two-groups",
+        "d513-unit-block-two-groups",
         "d12-tail",
     ],
 )
@@ -230,6 +242,17 @@ def test_euler_maruyama_temporaries_stay_within_the_block_buffers():
     block_bytes = 8 * block * n_paths * d
     state_bytes = 8 * n_paths * d
     assert peak <= 2 * block_bytes + 8 * state_bytes
+
+
+def test_euler_maruyama_refuses_paths_past_memory_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(bd.ValidationError, match="past physical memory"):
+            bd.euler_maruyama_terminal([[-1.0]], [0.0], n_paths=10**12, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_log_density_values():
