@@ -40,7 +40,15 @@ class Graph:
         if num_vertices < 1:
             raise InvalidEdgeError(f"num_vertices must be positive, got {num_vertices}")
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        try:
+            entries = iter(edges)
+        except TypeError:
+            raise InvalidEdgeError(f"edges must be vertex pairs, got {edges!r}") from None
+        for entry in entries:
+            try:
+                u, v = entry
+            except (TypeError, ValueError):
+                raise InvalidEdgeError(f"edge {entry!r} is not a pair of vertices") from None
             u, v = require_integer("edge end", u), require_integer("edge end", v)
             if u == v:
                 raise InvalidEdgeError(f"self-loop at vertex {u}")

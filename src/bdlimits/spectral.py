@@ -35,10 +35,13 @@ GENERAL_SPECTRUM_DIM_CAP = 500
 
 
 def as_square_matrix(matrix) -> np.ndarray:
-    """matrix as a float array, checked to be square with finite entries."""
+    """matrix as a float array, checked to be square, non-empty and with
+    finite entries."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m

@@ -43,8 +43,8 @@ def test_adjacency_past_physical_memory_is_refused(monkeypatch):
 
 @pytest.mark.parametrize(
     "edges",
-    [[(0, 0)], [(0, 3)], [(0, 1), (1, 0)]],
-    ids=["self-loop", "out-of-range", "duplicate"],
+    [[(0, 0)], [(0, 3)], [(0, 1), (1, 0)], [(0, 1, 2), (1, 2)], [0, (1, 2)], None],
+    ids=["self-loop", "out-of-range", "duplicate", "triple", "bare-vertex", "none"],
 )
 def test_bad_edges_rejected(edges):
     with pytest.raises(bd.InvalidEdgeError):

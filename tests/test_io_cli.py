@@ -9,7 +9,7 @@ import pytest
 
 import bdlimits as bd
 from bdlimits import io as bio
-from bdlimits.cli import cli_main
+from bdlimits.cli import build_parser, cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -228,9 +228,30 @@ def test_bad_graph_or_config_file_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+SUBCOMMANDS = ("simulate", "stationary", "gibbs", "balance-check", "spectrum", "classify",
+               "exp-diffusion", "exp-fluid", "gen-check")
+
+
 def test_usage_error_exits_one(capsys):
+    # cli_main builds only the subparser that argv[0] names, and all nine
+    # otherwise: help and usage errors must still list every subcommand
     assert run_cli(["no-such-command"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'no-such-command'" in err
+    assert all(f"'{name}'" in err for name in SUBCOMMANDS)
     assert run_cli([]) == 1
+    assert "required: subcommand" in capsys.readouterr().err
+    assert run_cli(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bdlimits ") and all(name in out for name in SUBCOMMANDS)
+    for name in SUBCOMMANDS:
+        assert run_cli([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: bdlimits {name} ")
+    # a flag that only another subcommand takes
+    assert run_cli(["gibbs", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in build_parser().format_usage()
+    assert "{gibbs}" in build_parser("gibbs").format_usage()
 
 
 def test_seed_must_be_unsigned_64_bit(capsys):

@@ -19,6 +19,31 @@ def test_eigen_sym_rejects_asymmetric():
         bd.eigen_sym(np.zeros((2, 3)))
 
 
+_EMPTY, _NO_STATE = np.zeros((0, 0)), np.zeros(0)
+
+EMPTY_MATRIX_CALLS = {
+    "stationary_gaussian": lambda: bd.stationary_gaussian(_EMPTY),
+    "is_hurwitz": lambda: bd.is_hurwitz(_EMPTY),
+    "numeric_report": lambda: bd.numeric_report(_EMPTY),
+    "euler_maruyama_terminal": lambda: bd.euler_maruyama_terminal(
+        _EMPTY, _NO_STATE, dt=0.1, n_paths=2, seed=0
+    ),
+    "vector_field": lambda: bd.vector_field(_EMPTY, _EMPTY, _NO_STATE),
+    "lyapunov_residual": lambda: bd.lyapunov_residual(_EMPTY, _EMPTY),
+    "eigen_sym": lambda: bd.eigen_sym(_EMPTY),
+    "drift": lambda: bd.drift(_EMPTY, _NO_STATE),
+    "exact_transition": lambda: bd.exact_transition(_EMPTY, _NO_STATE, 1.0),
+    "rk4_integrate": lambda: bd.rk4_integrate(_EMPTY, _EMPTY, _NO_STATE, dt=0.1),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_MATRIX_CALLS.values(), ids=EMPTY_MATRIX_CALLS.keys())
+def test_empty_matrix_is_refused(call):
+    # a 0 x 0 matrix is square, but no entry point has a dimension to work in
+    with pytest.raises(bd.DimensionMismatchError, match="non-empty"):
+        call()
+
+
 def test_eigen_sym_against_lapack():
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 7, 20, 45):
