@@ -374,49 +374,45 @@ def run_fluid_experiment(config: FluidExperimentConfig) -> ConvergenceTable:
 
 
 def _bump_frame(points, center, radius: float):
-    """(p, c, g, inside): points as rows, the center, g = 1 - |p - c|^2 / rho^2
-    and the points where the bump is not negligibly small."""
+    """(inside, s, g, f): where the bump is not negligible, and there s = (u - c) / rho,
+    g = 1 - |s|^2 and f = exp(-1/g) as columns; no term overflows before 1/rho^2 does."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    c = np.asarray(center, dtype=float).reshape(-1)
-    g = 1.0 - ((p - c) ** 2).sum(axis=1) / radius**2
+    s = (p - np.asarray(center, dtype=float).reshape(-1)) / radius
+    g = 1.0 - (s**2).sum(axis=1)
     inside = g > 1e-8  # exp(-1/g) underflows to 0 long before this floor
-    return p, c, g, inside
+    g = g[inside][:, None]
+    return inside, s[inside], g, np.exp(-1.0 / g)
 
 
 def bump_value(points, center, radius: float) -> np.ndarray:
     """Smooth bump exp(-1/(1 - |u-c|^2/rho^2)) inside the ball, 0 outside."""
-    p, _, g, inside = _bump_frame(points, center, radius)
-    out = np.zeros(p.shape[0])
-    out[inside] = np.exp(-1.0 / g[inside])
+    inside, _, _, f = _bump_frame(points, center, radius)
+    out = np.zeros(inside.size)
+    out[inside] = f[:, 0]
     return out
 
 
 def bump_gradient(points, center, radius: float) -> np.ndarray:
     """Partial derivatives of the bump, shape (num_points, d)."""
-    p, c, g, inside = _bump_frame(points, center, radius)
-    out = np.zeros_like(p)
-    gi = g[inside]
-    f = np.exp(-1.0 / gi)
-    gprime = -2.0 * (p[inside] - c) / radius**2
-    out[inside] = (f / gi**2)[:, None] * gprime
+    inside, s, g, f = _bump_frame(points, center, radius)
+    out = np.zeros((inside.size, s.shape[1]))
+    out[inside] = -2.0 * f * s / (radius * g**2)
     return out
 
 
 def bump_second_diag(points, center, radius: float) -> np.ndarray:
     """Pure second partials d^2 f / du_x^2 of the bump, shape (num_points, d)."""
-    p, c, g, inside = _bump_frame(points, center, radius)
-    out = np.zeros_like(p)
-    gi = g[inside][:, None]
-    f = np.exp(-1.0 / gi)
-    gprime = -2.0 * (p[inside] - c) / radius**2
-    out[inside] = f * (
-        (gprime / gi**2) ** 2 - 2.0 / (radius**2 * gi**2) - 2.0 * gprime**2 / gi**3
-    )
+    inside, s, g, f = _bump_frame(points, center, radius)
+    out = np.zeros((inside.size, s.shape[1]))
+    out[inside] = f * (4.0 * s**2 / g**4 - 2.0 / g**2 - 8.0 * s**2 / g**3) / radius**2
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorCheckConfig(_ScaledModel):
+    """Bump center, radius (at least 1e-150: the second partials carry 1/rho^2)
+    and mesh of the generator check; the bump must fit the coarsest scaled box."""
+
     center: np.ndarray | None = None
     radius: float = 2.0
     grid_points: int = 41
@@ -429,8 +425,11 @@ class GeneratorCheckConfig(_ScaledModel):
         if c.shape[0] != self.graph.num_vertices:
             raise ValidationError("bump center does not match the number of vertices")
         grid_points = require_integer("grid_points", self.grid_points)
-        if self.radius <= 0 or grid_points < 3:
-            raise ValidationError("need radius > 0 and grid_points >= 3")
+        if not (self.radius >= 1e-150 and grid_points >= 3):
+            raise ValidationError(
+                f"need radius >= 1e-150 and grid_points >= 3, got radius={self.radius!r}, "
+                f"grid_points={grid_points}"
+            )
         # l_n * eps_n increases strictly, so the coarsest scaled box is the narrowest
         half_width = self.schedule.epsilons[0] * self.schedule.box_sizes[0]
         if np.any(np.abs(c) + self.radius > half_width):

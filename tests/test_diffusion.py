@@ -88,6 +88,12 @@ def test_exact_transition_pure_brownian():
     assert np.allclose(cov, 2.0 * np.eye(2), atol=1e-9)
 
 
+def test_exact_transition_overflow_is_a_numeric_error():
+    # e^{1000 t} passes the float range; the law is refused, not returned as inf
+    with pytest.raises(bd.NumericError, match="transition law overflows at t=10.0"):
+        bd.exact_transition([[1000.0]], [1.0], 10.0)
+
+
 def test_exact_transition_covariance_symmetric_psd():
     rng = np.random.default_rng(5)
     for _ in range(4):
@@ -358,6 +364,12 @@ def test_euler_maruyama_rejects_a_step_that_misses_the_horizon(dt):
 @pytest.mark.parametrize("n_paths", [2.5, np.float64(3.0), "3", True, None])
 def test_euler_maruyama_terminal_rejects_non_integer_path_counts(n_paths):
     with pytest.raises(bd.ValidationError, match="n_paths must be an integer"):
+        bd.euler_maruyama_terminal([[-1.0]], [0.0], n_paths=n_paths)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_euler_maruyama_terminal_rejects_path_counts_below_one(n_paths):
+    with pytest.raises(bd.ValidationError, match="n_paths must be positive"):
         bd.euler_maruyama_terminal([[-1.0]], [0.0], n_paths=n_paths)
 
 

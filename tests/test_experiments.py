@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -64,8 +65,14 @@ def test_schedule_takes_integral_float_box_sizes():
         ([0.5, 0.25], [4, 16], "x"),
         (["a", "b"], [4, 16], [0.0]),
         ([0.5, 0.25], [4, 16], [[0.0]]),
+        ([], [], [0.0]),
+        ([[0.5, 0.25]], [4, 16], [0.0]),
+        ([0.5, 0.25], [4], [0.0]),
+        ([0.5, 0.25], [0, 16], [0.0]),
+        ([0.5, 0.25], [-4, 16], [0.0]),
     ],
-    ids=["ragged-boxes", "ragged-eps", "ragged-point", "text-point", "text-eps", "2d-point"],
+    ids=["ragged-boxes", "ragged-eps", "ragged-point", "text-point", "text-eps", "2d-point",
+         "empty-eps", "2d-eps", "short-boxes", "zero-box", "negative-box"],
 )
 def test_schedule_rejects_ragged_or_non_numeric_vectors(epsilons, boxes, point):
     with pytest.raises(bd.ValidationError):
@@ -397,6 +404,38 @@ def test_experiment_configs_reject_non_finite(make, bad):
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _fluid_config(t=0.0), "need t > 0"),
+        (lambda: _fluid_config(replicas=0), "replicas >= 1"),
+        (lambda: _fluid_config(grid_points=1), "grid_points >= 2"),
+        (lambda: _generator_config(center=[0.0, 0.0]), "bump center does not match"),
+        (lambda: _generator_config(grid_points=2), "grid_points >= 3"),
+        (lambda: _generator_config(radius=0.0), "radius >= 1e-150"),
+        (lambda: _generator_config(radius=-1.0), r"radius=-1\.0"),
+        (lambda: _generator_config(radius=1e-153), "radius=1e-153"),
+        (lambda: _generator_config(radius=1e-200), "radius=1e-200"),
+    ],
+    ids=["fluid-t", "fluid-replicas", "fluid-grid", "gen-center-shape", "gen-grid",
+         "gen-radius-zero", "gen-radius-negative", "gen-radius-1e-153", "gen-radius-1e-200"],
+)
+def test_experiment_configs_refuse_out_of_range_values(make, message):
+    with pytest.raises(bd.ValidationError, match=message):
+        make()
+
+
+def test_generator_check_runs_at_the_radius_floor():
+    # in units of the radius no term overflows before 1/rho^2 does: at
+    # rho = 1e-150 the bump's second partials stay finite, warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid_points in (41, 2001):
+            config = _generator_config(radius=1e-150, grid_points=grid_points)
+            sups = bd.generator_convergence_check(config).errors("sup_error")
+            assert np.isfinite(sups).all() and (sups > 1e290).all()
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda sched: _fluid_config(schedule=sched("fluid")),
@@ -560,6 +599,8 @@ def test_seeds_budgets_and_event_caps_checked_on_entry(call):
 
 
 def test_geometric_schedule_refuses_before_it_allocates():
+    with pytest.raises(bd.ValidationError, match="need at least one level"):
+        bd.geometric_schedule("diffusion", [0.0], 0)
     # a trillion levels would ask numpy for 7.28 TiB of epsilons, and 1100
     # unit steps reach eps = 2^-1101, whose box ceil(eps^-2) passes int64
     for levels in (10**12, 1100):
@@ -612,3 +653,28 @@ def test_grid_sized_configs_check_physical_memory(monkeypatch):
         monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", nbytes - 1)
         with pytest.raises(bd.ValidationError, match="past physical memory"):
             config()
+
+
+def test_event_record_is_capped_by_physical_memory(monkeypatch):
+    # the record holds 84 bytes an event at its peak, so a path of n events
+    # fits in 84 * (n + 1) bytes, and simulate and every replica of a driver
+    # refuse a longer one
+    spec = bd.ChainSpec(bd.path_graph(2), np.zeros((2, 2)), np.zeros((2, 2)), 4, 4)
+    traj = bd.simulate(spec, [0, 0], 20.0, seed=1)
+    n = traj.num_events
+    fluid = _fluid_config(
+        graph=bd.path_graph(2), birth_matrix=np.zeros((2, 2)),
+        death_matrix=np.zeros((2, 2)),
+        schedule=bd.geometric_schedule("fluid", [0.0, 0.0], 2), t=20.0, ode_dt=0.1,
+    )
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 84 * (n + 1))
+    assert np.array_equal(bd.simulate(spec, [0, 0], 20.0, seed=1).times, traj.times)
+    with pytest.raises(bd.BudgetExceededError, match=f"max_events={n} "):
+        bd.simulate(spec, [0, 0], 20.0, seed=1, max_events=n)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 84 * n)
+    with pytest.raises(bd.BudgetExceededError, match=rf"physical memory \({84 * n} bytes\)"):
+        bd.simulate(spec, [0, 0], 20.0, seed=1)
+    # 320 events a replica at the coarsest level, and an RK4 grid of 4.8 kB
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 84 * 100)
+    with pytest.raises(bd.BudgetExceededError, match=r"physical memory \(8400 bytes\)"):
+        bd.run_fluid_experiment(fluid)

@@ -118,6 +118,9 @@ def test_sample_path_validation():
         bd.SamplePath(times=np.array([0.0, 1.0, 0.5]), states=np.zeros((3, 1)))
     with pytest.raises(bd.ValidationError):
         bd.SamplePath(times=np.array([0.5, 1.0]), states=np.zeros((2, 1)))
+    for times, states in (([0.0, 1.0], np.zeros((3, 1))), ([[0.0, 1.0]], np.zeros((2, 1)))):
+        with pytest.raises(bd.ValidationError, match="do not line up"):
+            bd.SamplePath(times=np.array(times), states=states)
     path = bd.SamplePath(times=np.array([0.0, 1.0]), states=np.array([[0.0], [2.0]]))
     assert path.at([0.5])[0, 0] == pytest.approx(1.0)
     for times in ([2.0], [-0.5], [np.nan], [0.5, np.nan]):

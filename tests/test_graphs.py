@@ -51,6 +51,17 @@ def test_bad_edges_rejected(edges):
         bd.build_graph(3, edges)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda: bd.Graph(0, []), "num_vertices must be positive, got 0"),
+     (lambda: bd.cycle_graph(2), "cycle needs at least 3 vertices")],
+    ids=["no-vertices", "two-cycle"],
+)
+def test_graphs_below_their_smallest_size_rejected(make, message):
+    with pytest.raises(bd.InvalidEdgeError, match=message):
+        make()
+
+
 def test_adjacency_of_two_path():
     assert np.array_equal(
         bd.path_graph(2).adjacency_matrix(), np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -186,6 +197,8 @@ def test_graph_text_errors():
         bd.parse_graph_text("n 2\nwhat 0 1\n")
     with pytest.raises(bd.InvalidEdgeError):
         bd.parse_graph_text("# only a comment\n")
+    with pytest.raises(bd.InvalidEdgeError, match="line 3: repeated 'n' line"):
+        bd.parse_graph_text("n 2\ne 0 1\nn 2\n")
     for text, line in (("n x\n", 1), ("n 2\ne 0 1.5\n", 2), ("n 2\ne a 1\n", 2)):
         with pytest.raises(bd.InvalidEdgeError, match=f"line {line}: non-integer"):
             bd.parse_graph_text(text)

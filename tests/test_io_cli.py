@@ -2,10 +2,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdlimits as bd
 from bdlimits import io as bio
@@ -98,6 +101,8 @@ def test_parse_matrix_forms():
             "dense": "dense:0,0.3;0.3,0",
             "bad": "sparse:1",
             "badpattern": "dense:0,0;0,0;0,0",
+            "shortdiag": "diag:1",
+            "garbled": "dense:0,x;0.3,0",
         }
     )
     assert np.array_equal(bio.parse_matrix(view, "z", g), np.zeros((2, 2)))
@@ -109,6 +114,73 @@ def test_parse_matrix_forms():
         bio.parse_matrix(view, "bad", g)
     with pytest.raises(bd.DimensionMismatchError):
         bio.parse_matrix(view, "badpattern", g)
+    with pytest.raises(bd.ConfigError, match="diag needs 2 entries, got 1"):
+        bio.parse_matrix(view, "shortdiag", g)
+    with pytest.raises(bd.ConfigError, match="field 'garbled': could not parse"):
+        bio.parse_matrix(view, "garbled", g)
+
+
+# text that reaches the number parsers more often than arbitrary text does
+_NUMBER_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789.,;:-+eE xinfaINFAN_"),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.lists(st.floats().map(repr)).map(",".join),
+)
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.tuples(st.text(), st.text())).map(
+            lambda pairs: "schema=1\n" + "\n".join(f"{k}={v}" for k, v in pairs)
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_read_config_parses_or_raises_config_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            entries = bio.read_config(path)
+        except bd.ConfigError:
+            return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in entries.items())
+
+
+@given(_NUMBER_TEXT, st.sampled_from(["get_int", "get_float", "get_vector"]))
+@settings(max_examples=300, deadline=None)
+def test_config_view_getters_parse_or_raise_validation_error(raw, getter):
+    try:
+        value = getattr(bio.ConfigView({"k": raw}), getter)("k")
+    except bd.ValidationError:
+        return
+    if getter == "get_int":
+        assert isinstance(value, int)
+    else:
+        assert np.isfinite(value).all() and np.ndim(value) == (getter == "get_vector")
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.tuples(st.sampled_from(["zero", "alpha_beta", "diag", "dense"]), _NUMBER_TEXT).map(
+            ":".join
+        ),
+    ),
+    st.sampled_from([bd.single_vertex(), bd.path_graph(2), bd.path_graph(3)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_matrix_parses_or_raises_validation_error(raw, graph):
+    try:
+        matrix = bio.parse_matrix(bio.ConfigView({"m": raw}), "m", graph)
+    except bd.ValidationError:
+        return
+    n = graph.num_vertices
+    assert matrix.shape == (n, n) and np.isfinite(matrix).all()
 
 
 def test_csv_float_formatting_is_repr(tmp_path):
@@ -208,6 +280,8 @@ def test_non_finite_interaction_entry_exits_one(tmp_path, capsys, raw):
 def test_missing_config_exits_one(capsys):
     assert run_cli(["gibbs", "--config", "/nonexistent/x.cfg"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert run_cli(["gibbs"]) == 1
+    assert "error: missing required flag --config" in capsys.readouterr().err
 
 
 def test_bad_graph_or_config_file_exits_one(tmp_path, capsys):
@@ -371,6 +445,9 @@ _REFUSED_CONFIGS = {
     "bump-past-the-box": (
         "gen-check", "radius = 1e308\nlevels = 2\n", 1, "half-width 4.0 at level 0",
     ),
+    "bump-radius-below-the-floor": (
+        "gen-check", "radius = 1e-200\nlevels = 2\n", 1, "radius=1e-200",
+    ),
     "diffusion-replicas-past-float": (
         "exp-diffusion", f"u = 1.0\nt = 0.5\nlevels = 2\nreplicas = {'9' * 400}\n", 2,
         "projected",
@@ -421,6 +498,16 @@ def test_classify_graph_past_physical_memory_exits_one(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error:") and "200 bytes, past physical memory" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_record_past_physical_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # sim_two_site.cfg runs 103 events; a record of 84 bytes an event stops at 50
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 84 * 50)
+    cfg = os.path.join(CONFIG_DIR, "sim_two_site.cfg")
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "physical memory (4200 bytes)" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_deterministic_csv(tmp_path, capsys):
@@ -675,6 +762,26 @@ def test_optional_keys_default_to_the_library(tmp_path, capsys):
     for table, out in ((fluid, "f/fluid_table.csv"), (gen, "g/generator_table.csv")):
         bio.write_table_csv(tmp_path / "api.csv", table)
         assert (tmp_path / out).read_bytes() == (tmp_path / "api.csv").read_bytes()
+
+
+def test_spectral_config_route_matches_the_flags(tmp_path, capsys):
+    # graph, alpha and beta from a config give the summary line and CSV bytes
+    # of the same values as flags, and neither route may leave one out
+    star = os.path.join(CONFIG_DIR, "star5.g")
+    cfg = write(tmp_path, "c.cfg", f"schema=1\ngraph = {star}\nalpha = -3\nbeta = 1\n")
+    flags = ["--graph", star, "--alpha", "-3", "--beta", "1"]
+    for sub in ("classify", "spectrum"):
+        assert run_cli([sub, "--config", cfg, "--out", tmp_path / sub / "c"]) == 0
+        assert run_cli([sub, *flags, "--out", tmp_path / sub / "f"]) == 0
+        via_config, via_flags = capsys.readouterr().out.splitlines()
+        assert via_config == via_flags and via_config.startswith(f"{sub} ok pd=true ")
+        for name in SPECTRAL_CSVS:
+            assert (tmp_path / sub / "c" / name).read_bytes() == (
+                tmp_path / sub / "f" / name
+            ).read_bytes()
+    assert run_cli(["classify", "--graph", star, "--alpha", "-3", "--out", tmp_path / "o"]) == 1
+    assert "need --graph, --alpha and --beta" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_spectral_flags_still_parse_the_config_values(tmp_path, capsys):

@@ -484,3 +484,25 @@ def test_ten_decade_rates_are_solved_or_refused():
     except bd.NumericError:
         return
     assert np.abs(pi - oracle).max() < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the pinned solve puts 0.999 on state 80 where GTH puts 0.641 on "
+    "state 0, and raises no error",
+)
+def test_irreversible_law_0_64_off_is_solved_or_refused():
+    # the worst of 293 random irreversible specs on path(2) at l = r = 4
+    spec = bd.ChainSpec(
+        bd.path_graph(2),
+        [[0.66, 0.993], [2.552, 0.968]],
+        [[-4.075, -1.736], [-0.598, 2.142]],
+        l=4,
+        r=4,
+    )
+    oracle = _gth(bd.build_generator(spec).toarray())
+    try:
+        pi = bd.stationary_solve(spec)
+    except bd.NumericError:
+        return
+    assert np.abs(pi - oracle).max() < 1e-9
