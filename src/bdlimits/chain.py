@@ -42,6 +42,7 @@ from .errors import (
     ValidationError,
     check_exponents,
     require_integer,
+    require_real,
     seeded_rng,
     thread_map,
 )
@@ -118,13 +119,20 @@ class ChainSpec:
 
     def validate_configuration(self, spins) -> np.ndarray:
         """Return spins as a fresh int64 vector, checked against the box."""
-        xi = np.asarray(spins)
+        try:
+            xi = np.asarray(spins)
+        except ValueError:  # a ragged sequence
+            raise ValidationError(f"configuration {spins!r} is a ragged sequence") from None
         if xi.shape != (self.num_vertices,):
             raise ValidationError(
                 f"configuration shape {xi.shape} does not match "
                 f"{self.num_vertices} vertices"
             )
-        if not np.all(xi == np.floor(xi)):
+        try:  # np.floor refuses complex numbers, words and None
+            integral = np.all(xi == np.floor(xi))
+        except TypeError:
+            integral = False
+        if not integral:
             raise ValidationError("configuration must be integer-valued")
         # before the cast, which would wrap a value past int64
         if xi.min() < -self.l or xi.max() > self.r:
@@ -178,7 +186,7 @@ class Trajectory:
 
     def states_at(self, sample_times) -> np.ndarray:
         """States at the given times (right-continuous path), shape (T, n)."""
-        ts = np.atleast_1d(np.asarray(sample_times, dtype=float))
+        ts = np.atleast_1d(errors._reals("sample times", sample_times))
         if not ((ts >= 0) & (ts <= self.t_end)).all():  # nan fails it too
             raise ValidationError("sample times must lie in [0, t_end]")
         idx = np.searchsorted(self.times, ts, side="right")
@@ -238,8 +246,8 @@ def _start(spec: ChainSpec, initial, t_end: float) -> np.ndarray:
     MAX_EXPONENT; the event loops check every exponent they change.
     """
     xi0 = spec.validate_configuration(initial)
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValidationError(f"t_end must be finite and nonnegative, got {t_end}")
+    if require_real("t_end", t_end) < 0:
+        raise ValidationError(f"t_end must be nonnegative, got {t_end}")
     check_exponents(spec.birth_matrix @ xi0)
     check_exponents(spec.death_matrix @ xi0)
     return xi0

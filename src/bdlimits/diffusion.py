@@ -29,8 +29,10 @@ from .errors import (
     NotHurwitzError,
     NumericError,
     ValidationError,
+    real_array,
     require_integer,
     require_memory,
+    require_real,
     seeded_rng,
     thread_map,
 )
@@ -137,8 +139,8 @@ def exact_transition(a, u0, t: float) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_square_matrix(a)
     u = as_state(m, u0)
-    if not 0.0 <= t < math.inf:
-        raise ValidationError(f"t must be finite and nonnegative, got {t}")
+    if require_real("t", t) < 0:
+        raise ValidationError(f"t must be nonnegative, got {t}")
     d = m.shape[0]
     scaled = float(np.abs(m).sum(axis=0).max(initial=0.0)) * t
     doublings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
@@ -179,7 +181,7 @@ def stationary_gaussian(a) -> tuple[np.ndarray, np.ndarray]:
 def lyapunov_residual(a, cov) -> float:
     """Max-norm of A S + S A' + 2I; zero for the exact stationary covariance."""
     m = as_square_matrix(a)
-    s = np.asarray(cov, dtype=float)
+    s = real_array("cov", cov)
     return float(np.abs(m @ s + s @ m.T + 2.0 * np.eye(m.shape[0])).max())
 
 

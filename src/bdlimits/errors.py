@@ -3,7 +3,8 @@
 Two branches matter for callers (and for CLI exit codes): ValidationError
 for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.  Each rule has one check here: require_integer for
-counts, require_seed for seeds (the CLI's too), seeded_rng for the seeds
+counts, require_real and real_array for finite real numbers and arrays of
+them, require_seed for seeds (the CLI's too), seeded_rng for the seeds
 the simulators hand to numpy, check_exponents for the bound on the rate
 exponents that the chain and the fluid field share, require_memory for the
 arrays sized by an input (the graph's adjacency, the RK4 grid, the fluid
@@ -13,6 +14,8 @@ that runs work on more than one CPU: the simulators hand it random-number
 fills, which numpy runs without the GIL when given out=.
 """
 
+import math
+import numbers
 import os
 import threading
 
@@ -50,6 +53,39 @@ def require_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(name: str, value) -> float:
+    """value as a float if it is a finite real number; bools, strings, None,
+    complex numbers, sequences, nan and +-inf raise ValidationError."""
+    try:
+        if isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a fresh float array, nan and inf allowed, if numpy reads it as
+    ints or floats; anything else raises ValidationError naming name."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged sequence
+        raise ValidationError(f"{name} must be real numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be real numbers, not {a.dtype}")
+    return a.astype(float)
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """_reals(name, value) with every entry finite; a nan or infinite entry
+    raises ValidationError naming name and its index."""
+    a = _reals(name, value)
+    if not np.isfinite(a).all():
+        index = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+        raise ValidationError(f"non-finite {name}: {float(a[index])!r} at {index} is not finite")
+    return a
 
 
 def require_seed(value) -> int:

@@ -32,10 +32,13 @@ from .chain import ChainSpec, _rate_blocks, _run_replicas
 from .diffusion import exact_transition
 from .errors import (
     BudgetExceededError,
+    NumericError,
     SupportNotCoveredError,
     ValidationError,
+    real_array,
     require_integer,
     require_memory,
+    require_real,
     require_seed,
 )
 from .fluid import DEFAULT_DT, rk4_integrate
@@ -66,20 +69,18 @@ class ScalingSchedule:
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
+        eps = real_array("epsilons", self.epsilons)
+        u = np.atleast_1d(real_array("initial_point", self.initial_point))
         try:
-            eps = np.array(self.epsilons, dtype=float)
             raw = None if self.box_sizes is None else np.asarray(self.box_sizes)
-            u = np.atleast_1d(np.array(self.initial_point, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"schedule entries must be numbers: {exc}") from None
+        except ValueError:  # a ragged sequence
+            raise ValidationError("box sizes must be finite integers") from None
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if eps.ndim != 1 or eps.size == 0:
             raise ValidationError("epsilons must be a nonempty 1-d sequence")
         if u.ndim != 1:
             raise ValidationError("initial_point must be a 1-d vector")
-        if not (np.isfinite(eps).all() and np.isfinite(u).all()):
-            raise ValidationError("epsilons and initial_point must be finite")
         if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValidationError("epsilons must be positive and strictly decreasing")
         if raw is None:
@@ -195,7 +196,7 @@ class _ScaledModel:
     death_matrix: np.ndarray
     schedule: ScalingSchedule
 
-    def __post_init__(self):
+    def __post_init__(self, regime: str):
         for name in ("birth_matrix", "death_matrix"):
             matrix = validate_interaction(self.graph, getattr(self, name))
             object.__setattr__(self, name, matrix)
@@ -203,14 +204,8 @@ class _ScaledModel:
             raise ValidationError(
                 "schedule initial point does not match the number of vertices"
             )
-
-    def _require(self, regime: str, **finite) -> None:
-        """The schedule's regime, and the named values being finite."""
         if self.schedule.regime != regime:
             raise ValidationError(f"schedule regime must be {regime!r}")
-        for name, value in finite.items():
-            if not np.isfinite(value).all():
-                raise ValidationError(f"{name} must be finite, got {value}")
 
     def _level_chain(self, level: int) -> tuple[ChainSpec, np.ndarray]:
         """ChainSpec at one level (matrices times eps^2 in the diffusion
@@ -284,10 +279,9 @@ class DiffusionExperimentConfig(_ScaledModel):
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        super().__post_init__()
-        self._require("diffusion", t=self.t)
+        super().__post_init__("diffusion")
         # the tabled covariance and standard errors divide by replicas - 1
-        if self.t <= 0 or require_integer("replicas", self.replicas) < 2:
+        if require_real("t", self.t) <= 0 or require_integer("replicas", self.replicas) < 2:
             raise ValidationError("need t > 0 and at least two replicas")
         _require_seed_and_budget(self.seed, self.event_budget)
 
@@ -334,11 +328,11 @@ class FluidExperimentConfig(_ScaledModel):
     event_budget: int = DEFAULT_EVENT_BUDGET
 
     def __post_init__(self):
-        super().__post_init__()
-        self._require("fluid", t=self.t, ode_dt=self.ode_dt)
+        super().__post_init__("fluid")
+        require_real("ode_dt", self.ode_dt)
         replicas = require_integer("replicas", self.replicas)
         grid_points = require_integer("grid_points", self.grid_points)
-        if self.t <= 0 or replicas < 1 or grid_points < 2:
+        if require_real("t", self.t) <= 0 or replicas < 1 or grid_points < 2:
             raise ValidationError("need t > 0, replicas >= 1, grid_points >= 2")
         _require_seed_and_budget(self.seed, self.event_budget)
         # the grid, the reference and each replica's states on it peak at
@@ -378,7 +372,8 @@ def _bump_frame(points, center, radius: float):
     g = 1 - |s|^2 and f = exp(-1/g) as columns; no term overflows before 1/rho^2 does."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     s = (p - np.asarray(center, dtype=float).reshape(-1)) / radius
-    g = 1.0 - (s**2).sum(axis=1)
+    with np.errstate(over="ignore"):  # |s|^2 = inf puts the point outside, as it is
+        g = 1.0 - (s**2).sum(axis=1)
     inside = g > 1e-8  # exp(-1/g) underflows to 0 long before this floor
     g = g[inside][:, None]
     return inside, s[inside], g, np.exp(-1.0 / g)
@@ -418,14 +413,13 @@ class GeneratorCheckConfig(_ScaledModel):
     grid_points: int = 41
 
     def __post_init__(self):
-        super().__post_init__()
+        super().__post_init__("diffusion")
         c = np.zeros(self.graph.num_vertices) if self.center is None else self.center
-        c = np.atleast_1d(np.array(c, dtype=float))
-        self._require("diffusion", center=c, radius=self.radius)
+        c = np.atleast_1d(real_array("center", c))
         if c.shape[0] != self.graph.num_vertices:
             raise ValidationError("bump center does not match the number of vertices")
         grid_points = require_integer("grid_points", self.grid_points)
-        if not (self.radius >= 1e-150 and grid_points >= 3):
+        if not (require_real("radius", self.radius) >= 1e-150 and grid_points >= 3):
             raise ValidationError(
                 f"need radius >= 1e-150 and grid_points >= 3, got radius={self.radius!r}, "
                 f"grid_points={grid_points}"
@@ -457,7 +451,7 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
     limit operator sum_x f''_xx + sum_x (A u)_x f'_x.  Also reports
     E_n / eps_n, which stays bounded under the first-order error expansion.
     Raises RateOverflowError if a rate exponent on the grid exceeds
-    MAX_EXPONENT.
+    MAX_EXPONENT, and NumericError if E_n or E_n / eps_n is not finite.
     """
     d = config.graph.num_vertices
     a = config.birth_matrix - config.death_matrix
@@ -487,6 +481,11 @@ def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTabl
             ln[down] += (f_down - f0[down]) * down_rate
         ln /= eps**2
         sup_error = float(np.abs(ln - limit_values).max())
+        if not math.isfinite(sup_error / eps):
+            raise NumericError(
+                f"generator check at level {level} (eps={eps!r}, radius={rho!r}): "
+                f"sup error {sup_error!r} or its ratio to eps is not finite"
+            )
         table.add(level, eps, "sup_error", sup_error, 0.0, sup_error, None)
         table.add(level, eps, "error_ratio", sup_error / eps, None, None, None)
     return table

@@ -9,7 +9,6 @@ the adjacency matrix and vertex degrees count true edges only).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Iterable
 
@@ -20,10 +19,11 @@ from .errors import (
     DisconnectedGraphError,
     InvalidEdgeError,
     PatternViolationError,
-    ValidationError,
     read_text,
+    real_array,
     require_integer,
     require_memory,
+    require_real,
 )
 
 
@@ -133,16 +133,11 @@ def validate_interaction(g: Graph, matrix) -> np.ndarray:
     Every entry must be finite, and off-diagonal entries must vanish at
     non-adjacent pairs.  Returns a read-only float copy.
     """
-    m = np.array(matrix, dtype=float)
+    m = real_array("matrix", matrix)
     n = g.num_vertices
     if m.shape != (n, n):
         raise DimensionMismatchError(
             f"matrix shape {m.shape} does not match {n} vertices"
-        )
-    if not np.isfinite(m).all():
-        x, y = np.argwhere(~np.isfinite(m))[0]
-        raise ValidationError(
-            f"matrix entry {float(m[x, y])!r} at ({x}, {y}) is not finite"
         )
     adj = g.adjacency_matrix()
     allowed = adj + np.eye(n)
@@ -154,15 +149,9 @@ def validate_interaction(g: Graph, matrix) -> np.ndarray:
     return m
 
 
-def require_finite_coefficients(alpha: float, beta: float) -> None:
-    # a nan eigenvalue of -A sorts last, so a PD verdict would read the others
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValidationError(f"alpha and beta must be finite, got {alpha}, {beta}")
-
-
 def alpha_beta_matrix(g: Graph, alpha: float, beta: float) -> np.ndarray:
     """The interaction matrix alpha*E + beta*adjacency(g)."""
-    require_finite_coefficients(alpha, beta)
+    alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
     n = g.num_vertices
     m = alpha * np.eye(n) + beta * g.adjacency_matrix()
     m.setflags(write=False)

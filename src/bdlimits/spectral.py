@@ -22,9 +22,11 @@ from .errors import (
     DimensionMismatchError,
     InconclusiveSpectrumError,
     ValidationError,
+    real_array,
     require_integer,
+    require_real,
 )
-from .graphs import Graph, alpha_beta_matrix, require_finite_coefficients
+from .graphs import Graph, alpha_beta_matrix
 
 PD_TOLERANCE = 1e-10
 
@@ -35,28 +37,24 @@ GENERAL_SPECTRUM_DIM_CAP = 500
 
 
 def as_square_matrix(matrix) -> np.ndarray:
-    """matrix as a float array, checked to be square, non-empty and with
-    finite entries."""
-    m = np.asarray(matrix, dtype=float)
+    """matrix as a fresh float array, checked to have finite entries and to
+    be square and non-empty."""
+    m = real_array("matrix", matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has non-finite entries")
     return m
 
 
 def as_state(matrix: np.ndarray, u) -> np.ndarray:
-    """u as a flat float vector, checked to be finite and as long as the
-    square matrix is wide."""
-    v = np.asarray(u, dtype=float).reshape(-1)
+    """u as a fresh flat float vector, checked to be finite and as long as
+    the square matrix is wide."""
+    v = real_array("state", u).reshape(-1)
     if v.shape[0] != matrix.shape[0]:
         raise DimensionMismatchError(
             f"state length {v.shape[0]} does not match dimension {matrix.shape[0]}"
         )
-    if not np.isfinite(v).all():
-        raise ValidationError("state has non-finite entries")
     return v
 
 
@@ -81,9 +79,7 @@ def matrix_exp(matrix, t: float = 1.0) -> np.ndarray:
     import scipy.linalg
 
     m = as_square_matrix(matrix)
-    if not math.isfinite(t):
-        raise ValidationError(f"t must be finite, got {t}")
-    return scipy.linalg.expm(m * float(t))
+    return scipy.linalg.expm(m * require_real("t", t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +125,7 @@ def star_spectrum(m: int, alpha: float, beta: float) -> SpectralReport:
     """
     if require_integer("m", m) < 2:
         raise ValidationError(f"star criterion needs m >= 2 leaves, got {m}")
-    require_finite_coefficients(alpha, beta)
+    alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
     root = math.sqrt(m)
     eigs = np.concatenate(
         [
@@ -151,7 +147,7 @@ def path_spectrum(n: int, alpha: float, beta: float) -> SpectralReport:
     """
     if require_integer("n", n) < 0:
         raise ValidationError(f"path parameter must be >= 0, got {n}")
-    require_finite_coefficients(alpha, beta)
+    alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
     k = np.arange(1, n + 3, dtype=float)
     eigs = -alpha - 2.0 * beta * np.cos(k * math.pi / (n + 3))
     return _report(eigs, "closed_form_path")

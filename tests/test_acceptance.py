@@ -165,6 +165,92 @@ def test_diffusion_scaling_limit():
     )
 
 
+def _exact_chain_laws(config):
+    """{level: (mean, cov)} of eps * xi(t / eps^2) under the chain's exact
+    law, expm_multiply(Q^T t / eps^2) e_start (Al-Mohy & Higham 2011), on
+    the spec each level runs: matrices times eps^2, boxes l = r = ceil(eps^-2)
+    and the start u / eps rounded."""
+    from scipy.sparse.linalg import expm_multiply
+
+    laws = {}
+    for level, eps in enumerate(config.schedule.epsilons.tolist()):
+        box = int(np.ceil(eps**-2.0))
+        spec = bd.ChainSpec(
+            config.graph, eps**2 * config.birth_matrix, eps**2 * config.death_matrix, box, box
+        )
+        p0 = np.zeros(spec.num_states())
+        p0[bd.state_index(spec, np.rint(config.schedule.initial_point / eps))] = 1.0
+        p = expm_multiply(bd.build_generator(spec).T.tocsr() * (config.t / eps**2), p0)
+        x = eps * bd.enumerate_states(spec)
+        mean = p @ x
+        laws[level] = (mean, (x - mean).T @ ((x - mean) * p[:, None]))
+    return laws
+
+
+def _ou_fixture(**kw):
+    """The acceptance fixture: one vertex, A_d = 1, u = 1, t = 1, eps 2^-2 .. 2^-5."""
+    schedule = bd.geometric_schedule("diffusion", [1.0], 4)
+    return bd.DiffusionExperimentConfig(
+        graph=bd.single_vertex(), birth_matrix=[[0.0]], death_matrix=[[1.0]],
+        schedule=schedule, t=1.0, **kw,
+    )
+
+
+def test_exact_chain_law_is_first_order_in_eps():
+    # no sampling: the chain's own law against the OU law, level by level
+    start = time.monotonic()
+    config = _ou_fixture()
+    mean_ou, cov_ou = bd.exact_transition([[-1.0]], [1.0], 1.0)
+    laws = _exact_chain_laws(config)
+    eps = config.schedule.epsilons
+    mean_rate = np.array([abs(laws[k][0][0] - mean_ou[0]) for k in laws]) / eps
+    var_rate = np.array([abs(laws[k][1][0, 0] - cov_ou[0, 0]) for k in laws]) / eps
+    assert np.all((mean_rate >= 0.30) & (mean_rate <= 0.35)), mean_rate
+    assert np.all((var_rate >= 0.06) & (var_rate <= 0.09)), var_rate
+    _report(
+        "exact chain law first order",
+        f"|mean - OU|/eps {np.round(mean_rate, 4).tolist()}, |var - OU|/eps "
+        f"{np.round(var_rate, 4).tolist()}, {time.monotonic() - start:.2f}s",
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda seed=seed: _ou_fixture(replicas=2000, seed=seed) for seed in (0, 1, 2)),
+        lambda: bd.DiffusionExperimentConfig(
+            graph=bd.path_graph(2), birth_matrix=np.zeros((2, 2)),
+            death_matrix=[[1.0, -0.3], [-0.3, 1.0]],
+            schedule=bd.geometric_schedule("diffusion", [0.5, -0.5], 2),
+            t=1.0, replicas=2000, seed=0,
+        ),
+    ],
+    ids=["single-seed0", "single-seed1", "single-seed2", "path2-seed0"],
+)
+def test_replicas_match_the_exact_chain_law(make):
+    # the Monte-Carlo experiment against the chain it simulates, not against
+    # the OU limit, so the O(eps) scaling bias does not enter: the lockstep
+    # (one vertex) and the _simulate_vector replicas (path(2)) at every level
+    start = time.monotonic()
+    config = make()
+    table = bd.run_diffusion_experiment(config)
+    laws = _exact_chain_laws(config)
+    z = []
+    for row in table.rows:
+        kind, *index = row.statistic.split("_")
+        if kind in ("mean", "cov"):
+            mean, cov = laws[row.level]
+            exact = mean[int(index[0])] if kind == "mean" else cov[int(index[0]), int(index[1])]
+            z.append(abs(row.empirical - exact) / row.mc_stderr)
+    assert len(z) == config.schedule.num_levels * (2 if config.graph.num_vertices == 1 else 5)
+    assert max(z) < 4.0
+    _report(
+        "replicas against the exact chain law",
+        f"{config.graph.num_vertices} vertex(es), seed {config.seed}: max |z| {max(z):.2f} "
+        f"over {len(z)} statistics, {time.monotonic() - start:.1f}s",
+    )
+
+
 # pilot-calibrated fixture: per-path sup distance fluctuates at the
 # sqrt(eps) scale, so reaching 0.05 on one path needs eps near 2^-13;
 # verified stable across 20 seeds before freezing seed 0

@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdlimits as bd
 from bdlimits import experiments
@@ -435,6 +437,31 @@ def test_generator_check_runs_at_the_radius_floor():
             assert np.isfinite(sups).all() and (sups > 1e290).all()
 
 
+def test_generator_check_refuses_a_non_finite_error_ratio():
+    # E_n near 7.7e300 at the radius floor is finite, but E_n / eps at
+    # eps = 2^-28 passes the float range; the table must not hold inf
+    config = _generator_config(
+        radius=1e-150,
+        schedule=bd.geometric_schedule("diffusion", [0.0], 2, coarsest_log2_eps=-28),
+    )
+    with pytest.raises(bd.NumericError, match=r"level 0 \(eps=3.7.*radius=1e-150\)"):
+        bd.generator_convergence_check(config)
+
+
+def test_far_neighbours_lie_outside_the_bump():
+    # |s|^2 overflows to inf 1e155 radii out; the point is outside, not an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = np.array([[1e5], [-1e5], [0.0]])
+        assert bump_value(pts, [0.0], 1e-150).tolist() == [0.0, 0.0, np.exp(-1.0)]
+        assert bump_value([[1e5, 1e5]], [0.0, 0.0], 1e-150).tolist() == [0.0]
+        config = _generator_config(
+            radius=1e-150,
+            schedule=bd.ScalingSchedule([1e5, 1e4], [1, 100], [0.0], "diffusion"),
+        )
+        assert np.isfinite(bd.generator_convergence_check(config).errors("sup_error")).all()
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -622,6 +649,61 @@ def test_geometric_schedule_refuses_before_it_allocates():
         with pytest.raises(bd.ValidationError, match="step_log2 must be positive"):
             bd.geometric_schedule("diffusion", [0.0], 10**12, step_log2=step)
         assert bd.geometric_schedule("diffusion", [0.0], 1, step_log2=step).num_levels == 1
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.complex_numbers(),
+    st.text(max_size=3),
+)
+
+_VECTORS = st.one_of(
+    _JUNK,
+    st.lists(st.one_of(st.floats(), st.integers(), _JUNK), max_size=4),
+    st.lists(st.lists(st.floats(), max_size=2), max_size=3),
+    st.lists(st.floats(min_value=1e-12, max_value=2.0), min_size=1, max_size=4).map(
+        lambda v: sorted(v, reverse=True)
+    ),
+    st.lists(st.integers(min_value=-2, max_value=2**64), min_size=1, max_size=4).map(sorted),
+)
+
+
+def _check_schedule(sched):
+    eps, boxes, u = sched.epsilons, sched.box_sizes, sched.initial_point
+    assert eps.dtype == float and eps.ndim == 1 and np.isfinite(eps).all()
+    assert (eps > 0).all() and (np.diff(eps) < 0).all()
+    assert boxes.dtype == np.int64 and boxes.shape == eps.shape and (boxes >= 1).all()
+    assert (np.diff(eps * boxes) > 0).all()
+    assert u.dtype == float and u.ndim == 1 and np.isfinite(u).all()
+
+
+@given(_VECTORS, st.one_of(st.none(), _VECTORS), _VECTORS,
+       st.sampled_from(["diffusion", "fluid", "ballistic"]))
+@settings(max_examples=300, deadline=None)
+def test_schedule_is_built_or_refused_with_a_validation_error(
+    epsilons, box_sizes, initial_point, regime
+):
+    try:
+        sched = bd.ScalingSchedule(epsilons, box_sizes, initial_point, regime)
+    except bd.ValidationError:
+        return
+    _check_schedule(sched)
+
+
+@given(st.sampled_from(["diffusion", "fluid"]), _VECTORS,
+       st.one_of(st.integers(), _JUNK), st.one_of(st.integers(), _JUNK),
+       st.one_of(st.integers(), _JUNK))
+@settings(max_examples=300, deadline=None)
+def test_geometric_schedule_is_built_or_refused_with_a_validation_error(
+    regime, initial_point, num_levels, coarsest_log2_eps, step_log2
+):
+    try:
+        sched = bd.geometric_schedule(
+            regime, initial_point, num_levels, coarsest_log2_eps, step_log2
+        )
+    except bd.ValidationError:
+        return
+    _check_schedule(sched)
+    assert sched.num_levels == num_levels
 
 
 def test_geometric_schedule_refuses_fractional_exponents():

@@ -448,6 +448,10 @@ _REFUSED_CONFIGS = {
     "bump-radius-below-the-floor": (
         "gen-check", "radius = 1e-200\nlevels = 2\n", 1, "radius=1e-200",
     ),
+    "gen-check-non-finite-ratio": (
+        "gen-check", "radius = 1e-150\nlevels = 2\ncoarsest_log2_eps = -28\n", 2,
+        "ratio to eps is not finite",
+    ),
     "diffusion-replicas-past-float": (
         "exp-diffusion", f"u = 1.0\nt = 0.5\nlevels = 2\nreplicas = {'9' * 400}\n", 2,
         "projected",
@@ -486,6 +490,20 @@ def test_fluid_guard_overflow_exits_two_with_warnings_as_errors(tmp_path, capsys
         warnings.simplefilter("error")
         assert run_cli(["exp-fluid", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert "at t=0.05" in capsys.readouterr().err
+
+
+def test_gen_check_far_neighbours_exit_zero_with_warnings_as_errors(tmp_path, capsys):
+    # at eps = 1e5 the lattice neighbours lie 1e155 radii from the bump
+    (tmp_path / "s.g").write_text("n 1\n")
+    cfg = write(
+        tmp_path, "far.cfg",
+        "schema=1\ngraph = s.g\nab = zero\nad = diag:1\nradius = 1e-150\n"
+        "epsilons = 1e5,1e4\nbox_sizes = 1,100\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["gen-check", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().out.startswith("gen-check ok levels=2 ")
 
 
 def test_classify_graph_past_physical_memory_exits_one(tmp_path, capsys, monkeypatch):
