@@ -19,7 +19,6 @@ config = bd.GeneratorCheckConfig(
     birth_matrix=[[0.0]],
     death_matrix=[[1.0]],
     schedule=schedule,
-    center=[0.0],
     radius=2.0,
     grid_points=41,
 )

@@ -226,7 +226,6 @@ def _cmd_gen_check(args):
         birth_matrix=ab,
         death_matrix=ad,
         schedule=_schedule_from(view, "diffusion", center),
-        center=center,
         **view.optional(radius=float, grid_points=int),
     )
     view.reject_unknown()

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrixError,
+    DimensionMismatchError,
     NotHurwitzError,
     NumericError,
     ValidationError,
@@ -179,9 +180,11 @@ def stationary_gaussian(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lyapunov_residual(a, cov) -> float:
-    """Max-norm of A S + S A' + 2I; zero for the exact stationary covariance."""
+    """Max-norm of A S + S A' + 2I (S shaped like A); 0 for the stationary covariance."""
     m = as_square_matrix(a)
     s = real_array("cov", cov)
+    if s.shape != m.shape:
+        raise DimensionMismatchError(f"covariance shape {s.shape} does not match {m.shape}")
     return float(np.abs(m @ s + s @ m.T + 2.0 * np.eye(m.shape[0])).max())
 
 

@@ -138,9 +138,7 @@ def thread_map(fn, items) -> list:
     state.
     """
     items = list(items)
-    workers = min(len(items), _usable_cpus())
-    if workers <= 1:
-        return [fn(x) for x in items]
+    workers = max(1, min(len(items), _usable_cpus()))
     results = [None] * len(items)
     errors = []
 

@@ -56,10 +56,10 @@ _LOG2_EPS_FLOOR = -31.5
 class ScalingSchedule:
     """Finite prefix of a scaling sequence (eps_n, l_n = r_n) plus the start point.
 
-    eps_n must decrease strictly while l_n * eps_n increases strictly, so
-    the truncation box grows faster than the space rescaling shrinks it.
-    box_sizes None means l_n = ceil(eps_n^-2), which needs every eps_n
-    above 2^-31.5 to fit int64.
+    eps_n must decrease strictly while l_n * eps_n increases strictly, so the
+    truncation box grows faster than the space rescaling shrinks it.  box_sizes
+    None means l_n = ceil(eps_n^-2), which needs every eps_n above 2^-31.5 to
+    fit int64; eps_n^2 scales diffusion time, so there eps_n is below 2^512.
     """
 
     epsilons: np.ndarray
@@ -83,6 +83,12 @@ class ScalingSchedule:
             raise ValidationError("initial_point must be a 1-d vector")
         if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValidationError("epsilons must be positive and strictly decreasing")
+        too_coarse = eps[eps >= 2.0**512].tolist()
+        if self.regime == "diffusion" and too_coarse:
+            raise ValidationError(
+                f"epsilons {too_coarse} are at or above 2^512: their squares, "
+                "the diffusion time scale, pass the float range"
+            )
         if raw is None:
             too_fine = eps[~(np.log2(eps) > _LOG2_EPS_FLOOR)].tolist()
             if too_fine:
@@ -130,7 +136,7 @@ def geometric_schedule(
     (integral floats such as 1.0 too), for a step_log2 <= 0 over two or more
     levels (eps would not decrease), for a finest eps of 2^-31.5 or less,
     whose box would not fit int64, and for a coarsest eps past the float
-    range.
+    range; ScalingSchedule refuses a diffusion eps of 2^512 or more.
     """
     levels = require_integer("num_levels", num_levels)
     coarsest_log2_eps = require_integer("coarsest_log2_eps", coarsest_log2_eps)
@@ -405,19 +411,15 @@ def bump_second_diag(points, center, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorCheckConfig(_ScaledModel):
-    """Bump center, radius (at least 1e-150: the second partials carry 1/rho^2)
-    and mesh of the generator check; the bump must fit the coarsest scaled box."""
+    """Radius (at least 1e-150: the second partials carry 1/rho^2) and mesh of the
+    generator check; the bump around the schedule's start must fit the coarsest box."""
 
-    center: np.ndarray | None = None
     radius: float = 2.0
     grid_points: int = 41
 
     def __post_init__(self):
         super().__post_init__("diffusion")
-        c = np.zeros(self.graph.num_vertices) if self.center is None else self.center
-        c = np.atleast_1d(real_array("center", c))
-        if c.shape[0] != self.graph.num_vertices:
-            raise ValidationError("bump center does not match the number of vertices")
+        c = self.schedule.initial_point
         grid_points = require_integer("grid_points", self.grid_points)
         if not (require_real("radius", self.radius) >= 1e-150 and grid_points >= 3):
             raise ValidationError(
@@ -437,25 +439,23 @@ class GeneratorCheckConfig(_ScaledModel):
         require_memory(
             10 * 8 * grid_points**d * (d + 1), f"grid_points={grid_points} on {d} vertices"
         )
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
 
 
 def generator_convergence_check(config: GeneratorCheckConfig) -> ConvergenceTable:
     """Sup distance between the discrete and limit generators on a bump.
 
-    For each level: E_n = max over a grid of u in the bump's support of
-    |L_n f(eps * round(u/eps)) - L f(u)| where L_n applies the jump-rate
-    finite differences of the eps^2-scaled chain (the rates of the level's
-    ChainSpec, under the chain's exponent guard) and L is the
-    limit operator sum_x f''_xx + sum_x (A u)_x f'_x.  Also reports
+    For each level: E_n = max over a grid of u in the support of the bump
+    around the schedule's initial point of |L_n f(eps * round(u/eps)) - L f(u)|
+    where L_n applies the jump-rate finite differences of the eps^2-scaled
+    chain (the rates of the level's ChainSpec, under the chain's exponent
+    guard) and L is the limit operator sum_x f''_xx + sum_x (A u)_x f'_x.  Also reports
     E_n / eps_n, which stays bounded under the first-order error expansion.
     Raises RateOverflowError if a rate exponent on the grid exceeds
     MAX_EXPONENT, and NumericError if E_n or E_n / eps_n is not finite.
     """
     d = config.graph.num_vertices
     a = config.birth_matrix - config.death_matrix
-    c, rho = config.center, config.radius
+    c, rho = config.schedule.initial_point, config.radius
     axes = [
         np.linspace(c[x] - rho, c[x] + rho, config.grid_points) for x in range(d)
     ]

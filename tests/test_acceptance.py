@@ -292,7 +292,6 @@ def test_generator_convergence_first_order_band():
         birth_matrix=[[0.0]],
         death_matrix=[[1.0]],
         schedule=schedule,
-        center=[0.0],
         radius=2.0,
         grid_points=41,
     )

@@ -289,15 +289,20 @@ def test_lockstep_budget_is_the_running_total():
                     route(budget)
 
 
+@pytest.mark.parametrize("items", [0, 1, 10])
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_thread_map_keeps_item_order_on_every_worker_count(monkeypatch, cpus):
+def test_thread_map_keeps_item_order_on_every_worker_count(monkeypatch, cpus, items):
+    # no items start no thread, and one item or one CPU runs on the caller alone
     monkeypatch.setattr(errors, "_usable_cpus", lambda: cpus)
-    out = thread_map(lambda x: (x * x, threading.current_thread()), range(10))
-    assert [square for square, _ in out] == [x * x for x in range(10)]
-    assert len({thread for _, thread in out}) == cpus
-    assert out[0][1] is threading.current_thread()
-    with pytest.raises(ZeroDivisionError):
-        thread_map(lambda x: 1 / (x - 7), range(10))
+    before = threading.active_count()
+    out = thread_map(lambda x: (x * x, threading.current_thread()), range(items))
+    assert [square for square, _ in out] == [x * x for x in range(items)]
+    assert len({thread for _, thread in out}) == min(items, cpus)
+    assert all(thread is threading.current_thread() for _, thread in out[:1])
+    assert threading.active_count() == before
+    if items:
+        with pytest.raises(ZeroDivisionError):
+            thread_map(lambda x: 1 / (x - items + 1), range(items))
 
 
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):

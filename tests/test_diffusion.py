@@ -155,6 +155,12 @@ def test_lyapunov_residual_for_symmetric_closed_form():
     assert bd.lyapunov_residual(a, cov) < 1e-9
 
 
+@pytest.mark.parametrize("cov", [[[1.0, 2.0], [3.0, 4.0]], 1.0], ids=["2x2", "scalar"])
+def test_lyapunov_residual_refuses_a_covariance_of_another_shape(cov):
+    with pytest.raises(bd.DimensionMismatchError, match="covariance shape"):
+        bd.lyapunov_residual([[-1.0]], cov)
+
+
 def test_euler_maruyama_matches_exact_transition():
     a = np.array([[-1.0, 0.4], [0.4, -1.0]])
     u0 = np.array([1.0, -0.5])

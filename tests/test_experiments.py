@@ -91,6 +91,42 @@ def test_schedule_default_boxes_fit_int64():
             bd.ScalingSchedule([2.0**-31, 2.0**finest], None, [0.0], "diffusion")
 
 
+_COARSE_DIFFUSION_SCHEDULES = {
+    "explicit": lambda: bd.ScalingSchedule([1e160, 1e159], [1, 100], [0.0], "diffusion"),
+    "geometric": lambda: bd.geometric_schedule("diffusion", [0.0], 1, coarsest_log2_eps=512),
+}
+
+
+@pytest.mark.parametrize("schedule", _COARSE_DIFFUSION_SCHEDULES.values(),
+                         ids=_COARSE_DIFFUSION_SCHEDULES.keys())
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda schedule: _diffusion_config(schedule=schedule()),
+        lambda schedule: bd.generator_convergence_check(
+            _generator_config(radius=1e-150, schedule=schedule())
+        ),
+    ],
+    ids=["diffusion", "generator"],
+)
+def test_diffusion_epsilons_must_have_float_squares(make, schedule):
+    # eps^2 scales a diffusion level's rates and time; from 2^512 on it is no
+    # float, and the schedule refuses such epsilons before any level runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bd.ValidationError, match=r"epsilons \[.*\] are at or above 2\^512"):
+            make(schedule)
+
+
+def test_epsilons_just_below_2_to_the_512_and_fluid_epsilons_stay():
+    below = float(np.nextafter(2.0**512, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bd.ScalingSchedule([below], [1], [0.0], "diffusion").epsilons[0] == below
+        # the fluid regime scales by eps alone
+        assert bd.ScalingSchedule([1e160, 1e159], [1, 100], [0.0], "fluid").num_levels == 2
+
+
 def test_geometric_schedule_defaults():
     sched = bd.geometric_schedule("diffusion", [1.0], 4)
     assert np.allclose(sched.epsilons, [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5])
@@ -159,7 +195,7 @@ def test_generator_check_first_order():
     sched = bd.geometric_schedule("diffusion", [0.0], 4, coarsest_log2_eps=-3)
     cfg = bd.GeneratorCheckConfig(
         graph=g, birth_matrix=[[0.0]], death_matrix=[[1.0]],
-        schedule=sched, center=[0.0], radius=2.0, grid_points=41,
+        schedule=sched, radius=2.0, grid_points=41,
     )
     table = bd.generator_convergence_check(cfg)
     errs = table.errors("sup_error")
@@ -176,7 +212,7 @@ def test_generator_check_halving_rate():
     sched = bd.geometric_schedule("diffusion", [0.0], 7, coarsest_log2_eps=-3)
     cfg = bd.GeneratorCheckConfig(
         graph=g, birth_matrix=[[0.0]], death_matrix=[[1.0]],
-        schedule=sched, center=[0.0], radius=2.0, grid_points=41,
+        schedule=sched, radius=2.0, grid_points=41,
     )
     errs = bd.generator_convergence_check(cfg).errors("sup_error")
     factors = errs[1:] / errs[:-1]
@@ -192,7 +228,7 @@ def test_generator_check_drift_cancellation():
     sched = bd.geometric_schedule("diffusion", [0.0], 3, coarsest_log2_eps=-4)
     cfg = bd.GeneratorCheckConfig(
         graph=g, birth_matrix=m, death_matrix=m, schedule=sched,
-        center=[0.0], radius=2.0, grid_points=41,
+        radius=2.0, grid_points=41,
     )
     table = bd.generator_convergence_check(cfg)
     ratios = [r.empirical for r in table.statistic("error_ratio")]
@@ -205,7 +241,7 @@ def test_generator_check_two_vertices():
     cfg = bd.GeneratorCheckConfig(
         graph=g, birth_matrix=np.zeros((2, 2)),
         death_matrix=[[1.0, -0.3], [-0.3, 1.0]],
-        schedule=sched, center=[0.0, 0.0], radius=1.5, grid_points=21,
+        schedule=sched, radius=1.5, grid_points=21,
     )
     errs = bd.generator_convergence_check(cfg).errors("sup_error")
     assert errs[-1] < errs[0]
@@ -217,7 +253,7 @@ def test_generator_check_support_guard():
     with pytest.raises(bd.SupportNotCoveredError):
         bd.GeneratorCheckConfig(
             graph=g, birth_matrix=[[0.0]], death_matrix=[[1.0]],
-            schedule=sched, center=[0.0], radius=2.0,
+            schedule=sched, radius=2.0,
         )
 
 
@@ -227,12 +263,12 @@ def test_generator_check_support_guard():
      ([0.75], 0.5, False), ([-0.75], 0.5, False)],
 )
 def test_generator_check_support_is_checked_on_the_coarsest_box(center, radius, covered):
-    # scaled half-widths 1 then 2: the bump must fit in the first, and a
-    # radius of 1e308 is refused before its square overflows
-    sched = bd.ScalingSchedule([0.25, 0.125], [4, 16], [0.0], "diffusion")
+    # scaled half-widths 1 then 2: the bump around the schedule's start must
+    # fit in the first, and a radius of 1e308 is refused before its square overflows
+    sched = bd.ScalingSchedule([0.25, 0.125], [4, 16], center, "diffusion")
     build = partial(
         bd.GeneratorCheckConfig, graph=bd.single_vertex(), birth_matrix=[[0.0]],
-        death_matrix=[[1.0]], schedule=sched, center=center, radius=radius,
+        death_matrix=[[1.0]], schedule=sched, radius=radius,
     )
     if covered:
         assert bd.generator_convergence_check(build()).rows
@@ -396,7 +432,9 @@ def _generator_config(**kw):
             schedule=bd.geometric_schedule("diffusion", [0.0], 2), t=bad,
         ),
         lambda bad: _generator_config(radius=bad),
-        lambda bad: _generator_config(center=[bad]),
+        lambda bad: _generator_config(
+            schedule=bd.geometric_schedule("diffusion", [bad], 2, coarsest_log2_eps=-3)
+        ),
     ],
     ids=["fluid-t", "fluid-ode_dt", "diffusion-t", "gen-radius", "gen-center"],
 )
@@ -411,14 +449,13 @@ def test_experiment_configs_reject_non_finite(make, bad):
         (lambda: _fluid_config(t=0.0), "need t > 0"),
         (lambda: _fluid_config(replicas=0), "replicas >= 1"),
         (lambda: _fluid_config(grid_points=1), "grid_points >= 2"),
-        (lambda: _generator_config(center=[0.0, 0.0]), "bump center does not match"),
         (lambda: _generator_config(grid_points=2), "grid_points >= 3"),
         (lambda: _generator_config(radius=0.0), "radius >= 1e-150"),
         (lambda: _generator_config(radius=-1.0), r"radius=-1\.0"),
         (lambda: _generator_config(radius=1e-153), "radius=1e-153"),
         (lambda: _generator_config(radius=1e-200), "radius=1e-200"),
     ],
-    ids=["fluid-t", "fluid-replicas", "fluid-grid", "gen-center-shape", "gen-grid",
+    ids=["fluid-t", "fluid-replicas", "fluid-grid", "gen-grid",
          "gen-radius-zero", "gen-radius-negative", "gen-radius-1e-153", "gen-radius-1e-200"],
 )
 def test_experiment_configs_refuse_out_of_range_values(make, message):
@@ -522,11 +559,14 @@ CONFIG_RUNS = {
 @pytest.mark.parametrize("kind", sorted(CONFIG_RUNS))
 def test_configs_keep_their_own_copies(kind):
     make, run = CONFIG_RUNS[kind]
-    ab, ad, center = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1)
-    extra = {"center": center} if kind == "generator" else {}
+    ab, ad, point = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1)
+    # the generator check's bump is centred on its schedule's start point
+    extra = {}
+    if kind == "generator":
+        extra["schedule"] = bd.geometric_schedule("diffusion", point, 2, coarsest_log2_eps=-3)
     config = make(birth_matrix=ab, death_matrix=ad, **extra)
     before = run(config).rows
-    ab[0, 0], ad[0, 0], center[0] = 0.5, 5.0, 0.5
+    ab[0, 0], ad[0, 0], point[0] = 0.5, 5.0, 0.5
     assert run(config).rows == before
 
 
@@ -674,6 +714,8 @@ def _check_schedule(sched):
     assert boxes.dtype == np.int64 and boxes.shape == eps.shape and (boxes >= 1).all()
     assert (np.diff(eps * boxes) > 0).all()
     assert u.dtype == float and u.ndim == 1 and np.isfinite(u).all()
+    if sched.regime == "diffusion":
+        assert (eps < 2.0**512).all()
 
 
 @given(_VECTORS, st.one_of(st.none(), _VECTORS), _VECTORS,

@@ -448,6 +448,14 @@ _REFUSED_CONFIGS = {
     "bump-radius-below-the-floor": (
         "gen-check", "radius = 1e-200\nlevels = 2\n", 1, "radius=1e-200",
     ),
+    "diffusion-eps-square-past-float": (
+        "exp-diffusion", "u = 1.0\nt = 0.5\nepsilons = 1e160,1e159\nbox_sizes = 1,100\n", 1,
+        "epsilons [1e+160, 1e+159] are at or above 2^512",
+    ),
+    "gen-check-eps-square-past-float": (
+        "gen-check", "radius = 1e-150\nepsilons = 1e160,1e159\nbox_sizes = 1,100\n", 1,
+        "epsilons [1e+160, 1e+159] are at or above 2^512",
+    ),
     "gen-check-non-finite-ratio": (
         "gen-check", "radius = 1e-150\nlevels = 2\ncoarsest_log2_eps = -28\n", 2,
         "ratio to eps is not finite",

@@ -506,3 +506,47 @@ def test_irreversible_law_0_64_off_is_solved_or_refused():
     except bd.NumericError:
         return
     assert np.abs(pi - oracle).max() < 1e-9
+
+
+
+# (graph, alpha, beta) of A = alpha E + beta adjacency and its verdict, all
+# reversible, so that gibbs_measure gives the chain's stationary law in
+# closed form
+STATIONARY_LIMIT_ROWS = {
+    "single-hurwitz": (bd.single_vertex(), -1.0, 0.0, True),
+    "path2-hurwitz": (bd.path_graph(2), -1.0, 0.5, True),
+    "single-not-hurwitz": (bd.single_vertex(), 0.5, 0.0, False),
+    "path2-not-hurwitz": (bd.path_graph(2), -1.0, 1.5, False),
+}
+
+
+def _scaled_stationary_law(graph, a, eps):
+    """Covariance of eps * xi under the stationary law of the diffusion-scaled
+    chain (rates from eps^2 A, box ceil(eps^-2)), and its mass on the box edge."""
+    box = int(np.ceil(eps**-2))
+    spec = bd.ChainSpec(graph, eps**2 * a, np.zeros_like(a), box, box)
+    p = bd.gibbs_measure(spec).probabilities
+    states = bd.enumerate_states(spec)
+    centred = eps * states - p @ (eps * states)
+    cov = centred.T @ (centred * p[:, None])
+    return cov, float(p[(np.abs(states) == box).any(axis=1)].sum())
+
+
+@pytest.mark.parametrize("row", STATIONARY_LIMIT_ROWS.values(), ids=STATIONARY_LIMIT_ROWS.keys())
+def test_stationary_law_of_the_scaled_chain_follows_the_hurwitz_verdict(row):
+    # eps * xi under the stationary law tends to N(0, S), S from the Lyapunov
+    # equation, when A is Hurwitz; otherwise its mass stays on the box edge
+    # and its variance grows about 4x per halving of eps
+    graph, alpha, beta, hurwitz = row
+    a = bd.alpha_beta_matrix(graph, alpha, beta)
+    assert bd.classify_pd(graph, alpha, beta).positive_definite == hurwitz
+    assert bd.is_hurwitz(a) == hurwitz
+    laws = [_scaled_stationary_law(graph, a, 2.0**-k) for k in (1, 2, 3)]
+    if hurwitz:
+        _, target = bd.stationary_gaussian(a)
+        errors = [float(np.abs(cov - target).max()) for cov, _ in laws]
+        assert np.all(np.diff(errors) < 0) and errors[-1] < 1e-8, errors
+    else:
+        assert min(edge for _, edge in laws) >= 0.3
+        variances = np.array([np.diag(cov).max() for cov, _ in laws])
+        assert np.all(variances[1:] >= 3.0 * variances[:-1]), variances
