@@ -13,9 +13,13 @@ first, as the fluid integrator does, and one loop per event re-rates the
 entries the jump changes.
 The exact-law functions share _gibbs_table (states, Gibbs log weights) and
 _jumps (every jump and both its rates, from one pass of _rate_blocks).
-Lockstep replicas refill their exponential blocks on every usable CPU
-(errors.thread_map, on the threading module that numpy already loads), so
-importing this module loads no new module.
+Single-vertex replicas that need only their final state run in lockstep:
+numpy moves a chunk of them 64 events at a time, guessing the window's
+jumps at its start spin, walking the guesses with one cumulative sum and
+deciding again until the decisions equal the guesses, so every replica
+takes exactly simulate's path.  They refill their exponential blocks on
+every usable CPU (errors.thread_map, on the threading module that numpy
+already loads), so importing this module loads no new module.
 scipy.sparse is imported inside build_generator and stationary_solve, so
 importing this module, or simulating, loads no scipy module.
 """
@@ -67,6 +71,10 @@ _LOCKSTEP_CHUNK = 128
 # that many rows; it divides _RNG_BUFFER, so a replica that reaches the
 # block's end has drawn it whole
 _UNIFORM_ROWS = 512
+
+# rows a lockstep window decides at once; it divides _UNIFORM_ROWS, so no
+# window straddles a refill
+_WINDOW = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,19 +361,29 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     block of 8192 exponentials and then one of 8192 uniforms.  They fill its
     column of two Fortran-order buffers, (8192, chunk) for the exponentials
     and a ring of (_UNIFORM_ROWS, chunk) for the uniforms (8.9 MB at 128
-    replicas).  Every live replica of a chunk sits at the same row k, so one
-    numpy step moves all of them by one event; a replica drops out when its
-    next event would pass t_end, and the live ones refill when k reaches
-    8192.  The exponentials are drawn whole, since the ziggurat takes a
-    variable number of generator outputs, and a refill runs on the usable
-    CPUs (errors.thread_map): each replica's generator fills only its own
-    column, so every replica draws the same values whatever the CPU count.
-    The uniforms come in sub-blocks of _UNIFORM_ROWS rows, drawn serially
-    (too small to gain from a thread) into the ring for the replicas still
-    live when k reaches them and read at row k % _UNIFORM_ROWS: a float64
-    uniform is exactly one PCG64 output, so a replica that reaches row 8192
-    has drawn the same stream as one whole fill, and one that drops out
-    earlier never reads the rows it skipped.
+    replicas).  Every live replica of a chunk sits at the same row k, and
+    numpy moves them all by a window of _WINDOW rows, decided speculatively
+    and checked exactly: guess every row's jump at the window's start spin
+    (total(spin) * U < birth(spin)), walk the guesses with one cumulative
+    sum of +-1 steps clipped to the box, and decide every row again at the
+    spin the walk reached before it, until the decisions equal the guesses.
+    A pass leaves the rows before the first wrong one as they were and
+    corrects that one, so a window settles within _WINDOW passes; a walk
+    that agrees with its decisions never crosses a wall, where the blocked
+    rate decides.  The times are one cumulative sum of t and E / total(spin),
+    the sequential loop's order of additions; a replica takes the rows up to
+    its first time past t_end, and its hits are the wall landings among them.
+    The live replicas refill their exponentials when k reaches 8192, whole,
+    since the ziggurat takes a variable number of generator outputs, on the
+    usable CPUs (errors.thread_map): each replica's generator fills only its
+    own column, so the draws do not depend on the CPU count.  The uniforms
+    come serially (too small to gain from a thread) in sub-blocks of
+    _UNIFORM_ROWS rows, read at row k % _UNIFORM_ROWS, for the replicas
+    whose row-k event, on the sub-block's first row, is within t_end.  A
+    float64 uniform is one PCG64 output, so a replica that reaches row 8192
+    has drawn the same stream as one whole fill, and one that stops earlier
+    never reads the rows it skipped.  _WINDOW divides _UNIFORM_ROWS, so no
+    window straddles a refill.
     Rates come from per-spin tables of math.exp(b * spin) and
     math.exp(d * spin).  simulate instead adds b or d to the exponent at
     each jump; the two give the same floats whenever those multiples are
@@ -374,52 +392,50 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
 
     Raises BudgetExceededError once the replicas' events together reach
     max_events, and RateOverflowError (vertex 0, the birth exponent if both
-    pass) when a replica reaches a spin whose exponent passes MAX_EXPONENT.
-    The per-step check of the landed spins runs only when the table holds
-    such a spin.
+    pass) when a replica reaches a spin whose exponent passes MAX_EXPONENT;
+    the earliest row that reaches either decides, the overflow first within
+    a row and then the first such replica of the chunk, as in a row-by-row
+    loop.  The landed spins are checked only when the table holds an unsafe
+    spin.
     """
     xi0 = _start(spec, xi0, t_end)
     l, r = spec.l, spec.r
     b = float(spec.birth_matrix[0, 0])
     d = float(spec.death_matrix[0, 0])
-    # Tables are indexed by twice the spin's offset from -l.  A step adds 1
-    # to that index for a birth and 0 for a death, and next_t maps the sum
-    # to the index of the new spin, one gather in place of a select and an
-    # add.  An unsafe spin raises before its rates are read, so they stay 0.
-    values = range(-l, r + 1)
-    worst = [b * v if abs(b * v) > MAX_EXPONENT else d * v for v in values]
-    m = len(values)
-    unsafe = np.zeros(2 * m, dtype=bool)
-    birth_t = np.zeros(2 * m)
-    total_t = np.zeros(2 * m)
-    for i, v in enumerate(values):
-        unsafe[2 * i] = abs(worst[i]) > MAX_EXPONENT
-        if not unsafe[2 * i]:
-            birth = math.exp(b * v) if v < r else 0.0
-            death = math.exp(d * v) if v > -l else 0.0
-            birth_t[2 * i], total_t[2 * i] = birth, birth + death
+    # Tables are indexed by the spin's offset from -l.  An unsafe spin's
+    # rates stay 0: a replica that lands there raises before its next
+    # event, whose time E / 0 is past every t_end.
+    values = np.arange(-l, r + 1, dtype=float)
+    up, down = b * values, d * values
+    worst = np.where(np.abs(up) > MAX_EXPONENT, up, down)
+    unsafe = np.abs(worst) > MAX_EXPONENT
+    safe = ~unsafe
+    birth_t, death_t = np.zeros(values.size), np.zeros(values.size)
+    birth_t[safe] = list(map(math.exp, up[safe].tolist()))
+    death_t[safe] = list(map(math.exp, down[safe].tolist()))
+    top = values.size - 1
+    birth_t[top] = death_t[0] = 0.0
+    total_t = birth_t + death_t
     guarded = bool(unsafe.any())
-    next_t = np.empty(2 * m, dtype=np.int64)
-    next_t[0::2] = 2 * np.maximum(np.arange(m) - 1, 0)
-    next_t[1::2] = 2 * np.minimum(np.arange(m) + 1, m - 1)
-    hit_t = np.zeros(2 * m, dtype=np.int64)
-    hit_t[[0, 2 * m - 2]] = 1
+    wall = np.zeros(top + 1, dtype=bool)
+    wall[[0, top]] = True
 
-    # a buffer column is touched only once a replica fills it
+    # a buffer column is touched only once a replica fills it; the ring
+    # starts at 0, so a column no sub-block was drawn into holds no NaN
     ebuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
-    ubuf = np.empty((_UNIFORM_ROWS, _LOCKSTEP_CHUNK), order="F")
+    ubuf = np.zeros((_UNIFORM_ROWS, _LOCKSTEP_CHUNK), order="F")
     seeds = iter(seeds)
-    # per chunk, the final doubled index, events and hits of each replica
+    # per chunk, the final spin offset, events and hits of each replica
     chunks = []
     left = math.inf if max_events is None else max_events
     while rngs := [np.random.default_rng(s) for s in islice(seeds, _LOCKSTEP_CHUNK)]:
         count = len(rngs)
         out = np.empty((3, count), dtype=np.int64)
-        # the live replicas' columns (a slice until the first one drops out)
-        # and their state, compacted as they drop out
+        # the live replicas' columns (a slice until the first one stops)
+        # and their state, compacted after each window
         live = np.arange(count)
         cols = slice(0, count)
-        pos = np.full(count, 2 * (int(xi0[0]) + l))
+        pos = np.full(count, int(xi0[0]) + l)
         t = np.zeros(count)
         h = np.zeros(count, dtype=np.int64)
         step = used = 0
@@ -432,39 +448,72 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
                     lambda j: rngs[j].standard_exponential(out=ebuf[:, j]), live.tolist()
                 )
                 k = filled = 0
-            total = total_t[pos]
-            t_next = ebuf[k, cols] / total
-            t_next += t
-            go = t_next <= t_end
-            if np.count_nonzero(go) < go.size:
-                stop = ~go
+            if k == filled:
+                # a sub-block goes to the replicas whose row-k event is within
+                # t_end; the others stop on row k and never take a row of
+                # their stale ring column
+                first = ebuf[k, cols] / total_t[pos]
+                first += t
+                for j in live[first <= t_end].tolist():
+                    rngs[j].random(out=ubuf[:, j])
+                filled += _UNIFORM_ROWS
+            e = ebuf[k:k + _WINDOW, cols]
+            u = ubuf[k % _UNIFORM_ROWS:k % _UNIFORM_ROWS + _WINDOW, cols]
+            # walk[i] is the spin before row i's event, walk[_WINDOW] the last
+            walk = np.empty((_WINDOW + 1, live.size), dtype=np.int64)
+            walk[0] = pos
+            births = total_t[pos] * u < birth_t[pos]
+            while True:
+                np.cumsum(np.where(births, 1, -1), axis=0, out=walk[1:])
+                walk[1:] += pos
+                np.minimum(walk, top, out=walk)
+                np.maximum(walk, 0, out=walk)
+                before = walk[:-1]
+                total = total_t[before]
+                decided = total * u < birth_t[before]
+                if (decided == births).all():
+                    break
+                births = decided
+            times = np.empty((_WINDOW + 1, live.size))
+            times[0] = t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(e, total, out=times[1:])
+                np.cumsum(times, axis=0, out=times)
+            # times never decrease, so each replica takes a prefix of rows
+            go = times[1:] <= t_end
+            taken = go.sum(axis=0)
+            ran = int(taken.sum())
+            over = None
+            if guarded and (bad := unsafe[walk[1:]] & go).any():
+                row = int(bad.any(axis=1).argmax())
+                over = row, float(worst[walk[row + 1, bad[row].argmax()]])
+            if ran and used + ran >= left:
+                crossed = used + np.cumsum(go.sum(axis=1)) >= left
+                if over is None or crossed.argmax() < over[0]:
+                    raise BudgetExceededError(
+                        f"replicas reached the event budget ({left} left) before t_end"
+                    )
+            if over is not None:
+                raise RateOverflowError(0, over[1])
+            used += ran
+            h += (wall[walk[1:]] & go).sum(axis=0)
+            last = np.arange(live.size)
+            pos, t = walk[taken, last], times[taken, last]
+            if ran < _WINDOW * live.size:
+                stop = taken < _WINDOW
                 done = live[stop]
-                out[0, done], out[1, done], out[2, done] = pos[stop], step, h[stop]
-                live, pos, h, total, t_next = live[go], pos[go], h[go], total[go], t_next[go]
+                out[:, done] = pos[stop], step + taken[stop], h[stop]
+                keep = ~stop
+                live, pos, t, h = live[keep], pos[keep], t[keep], h[keep]
                 cols = live
                 if not live.size:
                     break
-            if k == filled:
-                filled += _UNIFORM_ROWS
-                for j in live.tolist():
-                    rngs[j].random(out=ubuf[:, j])
-            total *= ubuf[k % _UNIFORM_ROWS, cols]
-            pos = next_t[pos + (total < birth_t[pos])]
-            h += hit_t[pos]
-            t = t_next
-            k += 1
-            step += 1
-            if guarded and unsafe[pos].any():
-                raise RateOverflowError(0, worst[int(pos[unsafe[pos]][0]) // 2])
-            used += live.size
-            if used >= left:
-                raise BudgetExceededError(
-                    f"replicas reached the event budget ({left} left) before t_end"
-                )
+            k += _WINDOW
+            step += _WINDOW
         chunks.append(out)
         left -= used
     final, events, hits = np.concatenate(chunks, axis=1)
-    return final // 2 - l, events, hits
+    return final - l, events, hits
 
 
 def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:

@@ -59,7 +59,8 @@ class ScalingSchedule:
     eps_n must decrease strictly while l_n * eps_n increases strictly, so the
     truncation box grows faster than the space rescaling shrinks it.  box_sizes
     None means l_n = ceil(eps_n^-2), which needs every eps_n above 2^-31.5 to
-    fit int64; eps_n^2 scales diffusion time, so there eps_n is below 2^512.
+    fit int64 and every eps_n^-2 above the float underflow (eps_n below about
+    2^537.5); eps_n^2 scales diffusion time, so there eps_n is below 2^512.
     """
 
     epsilons: np.ndarray
@@ -97,6 +98,12 @@ class ScalingSchedule:
                     "their boxes ceil(eps^-2) pass int64"
                 )
             raw = np.ceil(eps**-2.0)
+            underflow = eps[raw == 0].tolist()
+            if underflow:
+                raise ValidationError(
+                    f"epsilons {underflow} are so coarse that eps^-2 underflows to 0: "
+                    "their boxes ceil(eps^-2) would be empty"
+                )
         # strings and bools cast cleanly, and ints past int64 not at all; a
         # cast that changes a value would run a box the caller did not ask for
         with np.errstate(invalid="ignore"):
@@ -136,7 +143,8 @@ def geometric_schedule(
     (integral floats such as 1.0 too), for a step_log2 <= 0 over two or more
     levels (eps would not decrease), for a finest eps of 2^-31.5 or less,
     whose box would not fit int64, and for a coarsest eps past the float
-    range; ScalingSchedule refuses a diffusion eps of 2^512 or more.
+    range; ScalingSchedule refuses a diffusion eps of 2^512 or more, and an
+    eps whose eps^-2 underflows to 0, which would give an empty box.
     """
     levels = require_integer("num_levels", num_levels)
     coarsest_log2_eps = require_integer("coarsest_log2_eps", coarsest_log2_eps)

@@ -2,18 +2,22 @@ import math
 import sys
 import threading
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdlimits as bd
-from bdlimits import errors
+from bdlimits import chain, errors
 from bdlimits.chain import (
     _LOCKSTEP_CHUNK,
     _RNG_BUFFER,
     _UNIFORM_ROWS,
+    _WINDOW,
     _rate_blocks,
     _run_replicas,
     _simulate_lockstep,
@@ -246,6 +250,9 @@ LOCKSTEP_CASES = {
     # often as those near -64, so they stop after 300 to 2 700 events, in
     # four or more of the 512-row uniform sub-blocks
     "uniform-ring": (2.0**-5, 2.0**-7, 64, 64, 0, 800.0, 20),
+    # the birth share 1 / (1 + e^(-1.1 v)) runs from 0.1 at v = -2 to 0.99 at
+    # v = 4, so a window's jumps guessed at its start spin are often wrong
+    "steep": (0.7, -0.4, 3, 5, 0, 60.0, 50),
 }
 
 
@@ -264,6 +271,166 @@ def test_lockstep_matches_sequential_simulate(case, base):
         assert events.min() > 8192
     if case == "uniform-ring":
         assert len(set((events // _UNIFORM_ROWS).tolist())) >= 4
+
+
+@pytest.mark.parametrize("row", [_WINDOW - 1, _WINDOW, _UNIFORM_ROWS - 1, _UNIFORM_ROWS])
+def test_lockstep_stops_on_window_and_ring_edges(row):
+    # t_end sits halfway between replica 0's own events row - 1 and row
+    # (counting from 0), so it takes exactly row events and stops on the
+    # last row of a window or uniform sub-block, or on the first of the next
+    b, d, l, r, start, _, _ = LOCKSTEP_CASES["chunk-boundary"]
+    spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
+    seeds = _seeds(9, 10)
+    times = bd.simulate(spec, [start], 1000.0, seed=seeds[0]).times
+    t_end = (times[row - 1] + times[row]) / 2
+    finals, events, hits = _simulate_lockstep(spec, np.array([start]), t_end, seeds)
+    expected = _sequential_finals(spec, start, t_end, seeds)
+    assert list(zip(finals.tolist(), events.tolist(), hits.tolist())) == expected
+    assert events[0] == row
+
+
+def test_lockstep_raises_the_earlier_of_budget_and_overflow_in_one_window():
+    # the birth exponent 17.5625 * 40 = 702.5 passes 700 at r = 40 only.
+    # A budget of m events raises BudgetExceededError on event m, and the
+    # landing on r raises RateOverflowError on its own event u, before the
+    # budget check of that event; so m < u raises the budget and m >= u the
+    # overflow.  Both routes must agree for a budget crossing before the
+    # landing, on its event and after it, all in the landing's window.
+    spec = bd.ChainSpec(bd.single_vertex(), [[17.5625]], [[17.5]], l=0, r=40)
+    seeds = _seeds(0, 1)
+    xi0 = np.array([0])
+
+    def sequential(budget):
+        try:
+            _run_replicas(spec, xi0, 50.0, seeds, budget, bd.Trajectory.final_state)
+        except bd.NumericError as exc:
+            return type(exc), getattr(exc, "vertex", None), getattr(exc, "exponent", None)
+        return None
+
+    landed = lambda m: sequential(m)[0] is RateOverflowError  # noqa: E731
+    u = 1 + bisect_left(range(1, 10_000), True, key=landed)
+    first = (u - 1) // _WINDOW * _WINDOW
+    assert first > 0 and first < u - 1
+    orders = {}
+    for budget in (u - 1, u, first + _WINDOW):
+        expected = sequential(budget)
+        got = None
+        try:
+            _simulate_lockstep(spec, xi0, 50.0, seeds, budget)
+        except bd.NumericError as exc:
+            got = type(exc), getattr(exc, "vertex", None), getattr(exc, "exponent", None)
+        assert got == expected, budget
+        orders[budget] = expected
+    assert orders[u - 1] == (BudgetExceededError, None, None)
+    assert orders[u] == orders[first + _WINDOW] == (RateOverflowError, 0, 702.5)
+
+
+def _lockstep_prediction(runs, budget, chunk):
+    """The error the lockstep must raise, or None, from each replica's
+    sequential run (events, RateOverflowError or None).  A chunk steps its
+    replicas row by row: on row i every replica with more than i events
+    takes one, and the earliest row whose step lands on an unsafe spin
+    (the first such replica) or brings the running total to what is left
+    of the budget decides, the landing first."""
+    left = budget
+    for first in range(0, len(runs), chunk):
+        part = runs[first:first + chunk]
+        rows = max(events for events, _ in part)
+        running = np.cumsum([sum(events > i for events, _ in part) for i in range(rows)])
+        crossed = np.flatnonzero(running >= left)
+        landings = [(events - 1, j) for j, (events, exc) in enumerate(part) if exc]
+        if landings and (not crossed.size or min(landings)[0] <= crossed[0]):
+            return part[min(landings)[1]][1]
+        if crossed.size:
+            return BudgetExceededError
+        left -= int(running[-1]) if rows else 0
+    return None
+
+
+def _sequential_run(spec, start, t_end, seed, cap):
+    """(events, RateOverflowError or None) of simulate on one seed with at
+    most cap events; a path that reaches cap events reports cap."""
+    def run(m):
+        try:
+            return bd.simulate(spec, [start], t_end, seed=seed, max_events=m).num_events
+        except (BudgetExceededError, RateOverflowError) as exc:
+            return exc
+
+    first = run(cap)
+    if isinstance(first, BudgetExceededError):
+        return cap, None
+    if isinstance(first, RateOverflowError):
+        # a budget below the landing's event raises first, one at it does not
+        landed = lambda m: isinstance(run(m), RateOverflowError)  # noqa: E731
+        return 1 + bisect_left(range(1, cap + 1), True, key=landed), first
+    return first, None
+
+
+# dyadic coefficients, whose multiples by a spin are exact, so the
+# lockstep's rate tables equal simulate's running exponents: small ones,
+# and the multiples of 1/16 just past 700 / v for v = 1..8, whose exponent
+# first passes 700 at spin v or -v
+_UNSAFE_AT = [math.ldexp(math.floor(math.ldexp(700.0 / v, 4)) + 1, -4) for v in range(1, 9)]
+_COEFFICIENTS = st.one_of(
+    st.builds(math.ldexp, st.integers(-40, 40), st.integers(-6, 2)),
+    st.sampled_from(_UNSAFE_AT + [-c for c in _UNSAFE_AT]),
+)
+
+
+@st.composite
+def _lockstep_draws(draw):
+    l, r = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    return dict(
+        b=draw(_COEFFICIENTS),
+        d=draw(_COEFFICIENTS),
+        l=l,
+        r=r,
+        start=draw(st.integers(-l, r)),
+        t_end=draw(st.floats(0.0, 40.0)),
+        replicas=draw(st.integers(1, 12)),
+        budget=draw(st.integers(0, 3_000)),
+        # a chunk of 3 puts chunk boundaries, and the budget left after
+        # each chunk, inside a dozen replicas
+        chunk=draw(st.sampled_from([3, _LOCKSTEP_CHUNK])),
+        base=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lockstep_draws())
+def test_lockstep_matches_per_seed_simulate_on_random_specs(draw):
+    spec = bd.ChainSpec(
+        bd.single_vertex(), [[draw["b"]]], [[draw["d"]]], l=draw["l"], r=draw["r"]
+    )
+    start, t_end, budget = draw["start"], draw["t_end"], draw["budget"]
+    seeds = _seeds(draw["base"], draw["replicas"])
+    xi0 = np.array([start])
+    try:
+        _start(spec, xi0, t_end)
+    except RateOverflowError as exc:
+        expected = exc
+    else:
+        runs = [_sequential_run(spec, start, t_end, seed, max(budget, 1)) for seed in seeds]
+        expected = _lockstep_prediction(runs, budget, draw["chunk"])
+    with mock.patch.object(chain, "_LOCKSTEP_CHUNK", draw["chunk"]):
+        if expected is None:
+            finals, hits, events = _run_replicas(spec, xi0, t_end, seeds, budget)
+            lockstep = _simulate_lockstep(spec, xi0, t_end, seeds, budget)
+        else:
+            with pytest.raises(bd.NumericError) as raised:
+                _run_replicas(spec, xi0, t_end, seeds, budget)
+    if expected is None:
+        per_seed = _sequential_finals(spec, start, t_end, seeds)
+        assert list(zip(*(a.tolist() for a in lockstep))) == per_seed
+        assert finals[:, 0].tolist() == [final for final, _, _ in per_seed]
+        assert hits == sum(h for _, _, h in per_seed)
+        assert events == sum(n for _, n, _ in per_seed)
+    elif expected is BudgetExceededError:
+        assert type(raised.value) is BudgetExceededError
+    else:
+        assert type(raised.value) is RateOverflowError
+        got = raised.value.vertex, raised.value.exponent
+        assert got == (expected.vertex, expected.exponent)
 
 
 def test_lockstep_budget_is_the_running_total():

@@ -127,6 +127,26 @@ def test_epsilons_just_below_2_to_the_512_and_fluid_epsilons_stay():
         assert bd.ScalingSchedule([1e160, 1e159], [1, 100], [0.0], "fluid").num_levels == 2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bd.geometric_schedule("fluid", [0.0], 1, coarsest_log2_eps=600),
+        lambda: bd.ScalingSchedule([2.0**600, 2.0**538], None, [0.0], "fluid"),
+    ],
+    ids=["geometric", "explicit"],
+)
+def test_default_boxes_refuse_epsilons_whose_inverse_square_underflows(make):
+    # eps^-2 rounds to 0 from eps = 2^537.5 on, so the default box
+    # ceil(eps^-2) would be empty; 2^-1074, the least float, still gives 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        refusal = r"epsilons \[.*\] are so coarse that eps\^-2 underflows to 0"
+        with pytest.raises(bd.ValidationError, match=refusal):
+            make()
+        least = bd.geometric_schedule("fluid", [0.0], 1, coarsest_log2_eps=537)
+        assert least.box_sizes.tolist() == [1]
+
+
 def test_geometric_schedule_defaults():
     sched = bd.geometric_schedule("diffusion", [1.0], 4)
     assert np.allclose(sched.epsilons, [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5])
