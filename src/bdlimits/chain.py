@@ -19,7 +19,8 @@ jumps at its start spin, walking the guesses with one cumulative sum and
 deciding again until the decisions equal the guesses, so every replica
 takes exactly simulate's path.  They refill their exponential blocks on
 every usable CPU (errors.thread_map, on the threading module that numpy
-already loads), so importing this module loads no new module.
+already loads), so importing this module loads no new module, and every
+live replica draws its uniforms at each 512-row sub-block.
 scipy.sparse is imported inside build_generator and stationary_solve, so
 importing this module, or simulating, loads no scipy module.
 """
@@ -194,7 +195,7 @@ class Trajectory:
 
     def states_at(self, sample_times) -> np.ndarray:
         """States at the given times (right-continuous path), shape (T, n)."""
-        ts = np.atleast_1d(errors._reals("sample times", sample_times))
+        ts = errors._sample_times(sample_times)
         if not ((ts >= 0) & (ts <= self.t_end)).all():  # nan fails it too
             raise ValidationError("sample times must lie in [0, t_end]")
         idx = np.searchsorted(self.times, ts, side="right")
@@ -361,29 +362,31 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     block of 8192 exponentials and then one of 8192 uniforms.  They fill its
     column of two Fortran-order buffers, (8192, chunk) for the exponentials
     and a ring of (_UNIFORM_ROWS, chunk) for the uniforms (8.9 MB at 128
-    replicas).  Every live replica of a chunk sits at the same row k, and
-    numpy moves them all by a window of _WINDOW rows, decided speculatively
-    and checked exactly: guess every row's jump at the window's start spin
-    (total(spin) * U < birth(spin)), walk the guesses with one cumulative
-    sum of +-1 steps clipped to the box, and decide every row again at the
-    spin the walk reached before it, until the decisions equal the guesses.
-    A pass leaves the rows before the first wrong one as they were and
-    corrects that one, so a window settles within _WINDOW passes; a walk
-    that agrees with its decisions never crosses a wall, where the blocked
-    rate decides.  The times are one cumulative sum of t and E / total(spin),
-    the sequential loop's order of additions; a replica takes the rows up to
-    its first time past t_end, and its hits are the wall landings among them.
-    The live replicas refill their exponentials when k reaches 8192, whole,
-    since the ziggurat takes a variable number of generator outputs, on the
-    usable CPUs (errors.thread_map): each replica's generator fills only its
-    own column, so the draws do not depend on the CPU count.  The uniforms
-    come serially (too small to gain from a thread) in sub-blocks of
-    _UNIFORM_ROWS rows, read at row k % _UNIFORM_ROWS, for the replicas
-    whose row-k event, on the sub-block's first row, is within t_end.  A
-    float64 uniform is one PCG64 output, so a replica that reaches row 8192
-    has drawn the same stream as one whole fill, and one that stops earlier
-    never reads the rows it skipped.  _WINDOW divides _UNIFORM_ROWS, so no
-    window straddles a refill.
+    replicas).  Every live replica of a chunk has taken the same number of
+    rows, the chunk's one row counter, and sits at row k = row % 8192 of its
+    blocks; numpy moves them all by a window of _WINDOW rows, decided
+    speculatively and checked exactly: guess every row's jump at the
+    window's start spin (total(spin) * U < birth(spin)), walk the guesses
+    with one cumulative sum of +-1 steps clipped to the box, and decide
+    every row again at the spin the walk reached before it, until the
+    decisions equal the guesses.  A pass leaves the rows before the first
+    wrong one as they were and corrects that one, so a window settles within
+    _WINDOW passes; a walk that agrees with its decisions never crosses a
+    wall, where the blocked rate decides.  The times are one cumulative sum
+    of t and E / total(spin), the sequential loop's order of additions; a
+    replica takes the rows up to its first time past t_end, and its hits are
+    the wall landings among them.
+    The live replicas refill their exponentials at k = 0, whole, since the
+    ziggurat takes a variable number of generator outputs, on the usable
+    CPUs (errors.thread_map): each replica's generator fills only its own
+    column, so the draws do not depend on the CPU count.  At every
+    sub-block of _UNIFORM_ROWS rows, every live replica draws its uniforms,
+    serially (too small to gain from a thread), into a ring read at row
+    k % _UNIFORM_ROWS.  A float64 uniform is one PCG64 output, so a replica
+    that reaches row 8192 has drawn the same stream as one whole fill; one
+    that stops inside a sub-block has drawn uniforms it never reads, and its
+    generator is dropped with the chunk.  _WINDOW divides _UNIFORM_ROWS, so
+    no window straddles a refill.
     Rates come from per-spin tables of math.exp(b * spin) and
     math.exp(d * spin).  simulate instead adds b or d to the exponent at
     each jump; the two give the same floats whenever those multiples are
@@ -420,10 +423,8 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     wall = np.zeros(top + 1, dtype=bool)
     wall[[0, top]] = True
 
-    # a buffer column is touched only once a replica fills it; the ring
-    # starts at 0, so a column no sub-block was drawn into holds no NaN
     ebuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
-    ubuf = np.zeros((_UNIFORM_ROWS, _LOCKSTEP_CHUNK), order="F")
+    ubuf = np.empty((_UNIFORM_ROWS, _LOCKSTEP_CHUNK), order="F")
     seeds = iter(seeds)
     # per chunk, the final spin offset, events and hits of each replica
     chunks = []
@@ -431,34 +432,25 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     while rngs := [np.random.default_rng(s) for s in islice(seeds, _LOCKSTEP_CHUNK)]:
         count = len(rngs)
         out = np.empty((3, count), dtype=np.int64)
-        # the live replicas' columns (a slice until the first one stops)
-        # and their state, compacted after each window
+        # the live replicas' columns and their state, compacted after each
+        # window; every live replica has taken row events
         live = np.arange(count)
-        cols = slice(0, count)
         pos = np.full(count, int(xi0[0]) + l)
         t = np.zeros(count)
         h = np.zeros(count, dtype=np.int64)
-        step = used = 0
-        # ubuf holds rows [filled - _UNIFORM_ROWS, filled) of the live
-        # replicas' uniform blocks, row k at k % _UNIFORM_ROWS
-        k = filled = _RNG_BUFFER
+        row = used = 0
         while True:
-            if k == _RNG_BUFFER:
+            k = row % _RNG_BUFFER
+            if k == 0:
                 thread_map(
                     lambda j: rngs[j].standard_exponential(out=ebuf[:, j]), live.tolist()
                 )
-                k = filled = 0
-            if k == filled:
-                # a sub-block goes to the replicas whose row-k event is within
-                # t_end; the others stop on row k and never take a row of
-                # their stale ring column
-                first = ebuf[k, cols] / total_t[pos]
-                first += t
-                for j in live[first <= t_end].tolist():
+            ring = k % _UNIFORM_ROWS
+            if ring == 0:
+                for j in live.tolist():
                     rngs[j].random(out=ubuf[:, j])
-                filled += _UNIFORM_ROWS
-            e = ebuf[k:k + _WINDOW, cols]
-            u = ubuf[k % _UNIFORM_ROWS:k % _UNIFORM_ROWS + _WINDOW, cols]
+            e = ebuf[k:k + _WINDOW, live]
+            u = ubuf[ring:ring + _WINDOW, live]
             # walk[i] is the spin before row i's event, walk[_WINDOW] the last
             walk = np.empty((_WINDOW + 1, live.size), dtype=np.int64)
             walk[0] = pos
@@ -501,15 +493,12 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
             pos, t = walk[taken, last], times[taken, last]
             if ran < _WINDOW * live.size:
                 stop = taken < _WINDOW
-                done = live[stop]
-                out[:, done] = pos[stop], step + taken[stop], h[stop]
+                out[:, live[stop]] = pos[stop], row + taken[stop], h[stop]
                 keep = ~stop
                 live, pos, t, h = live[keep], pos[keep], t[keep], h[keep]
-                cols = live
                 if not live.size:
                     break
-            k += _WINDOW
-            step += _WINDOW
+            row += _WINDOW
         chunks.append(out)
         left -= used
     final, events, hits = np.concatenate(chunks, axis=1)

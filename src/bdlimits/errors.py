@@ -4,14 +4,15 @@ Two branches matter for callers (and for CLI exit codes): ValidationError
 for rejected inputs, NumericError for computations that failed or refused
 to proceed at runtime.  Each rule has one check here: require_integer for
 counts, require_real and real_array for finite real numbers and arrays of
-them, require_seed for seeds (the CLI's too), seeded_rng for the seeds
-the simulators hand to numpy, check_exponents for the bound on the rate
-exponents that the chain and the fluid field share, require_memory for the
-arrays sized by an input (the graph's adjacency, the RK4 grid, the fluid
-experiment's observation grid and the generator check's mesh), and
-read_text for the config and graph files.  thread_map is the one place
-that runs work on more than one CPU: the simulators hand it random-number
-fills, which numpy runs without the GIL when given out=.
+them, _sample_times for the times a path is read at, require_seed for
+seeds (the CLI's too), seeded_rng for the seeds the simulators hand to
+numpy, check_exponents for the bound on the rate exponents that the chain
+and the fluid field share, require_memory for the arrays sized by an input
+(the graph's adjacency, the RK4 grid, the fluid experiment's observation
+grid and the generator check's mesh), and read_text for the config and
+graph files.  thread_map is the one place that runs work on more than one
+CPU: the simulators hand it random-number fills, which numpy runs without
+the GIL when given out=.
 """
 
 import math
@@ -76,6 +77,15 @@ def _reals(name: str, value) -> np.ndarray:
     if a.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be real numbers, not {a.dtype}")
     return a.astype(float)
+
+
+def _sample_times(value) -> np.ndarray:
+    """value as a 1-D float array of times, nan and inf allowed (a scalar is
+    one time); an array of more than one dimension raises ValidationError."""
+    ts = np.atleast_1d(_reals("sample times", value))
+    if ts.ndim > 1:
+        raise ValidationError(f"sample times must be a scalar or 1-D, got shape {ts.shape}")
+    return ts
 
 
 def real_array(name: str, value) -> np.ndarray:

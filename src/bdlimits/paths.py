@@ -3,12 +3,11 @@ time-gridded vector path that the fluid integrator returns."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _reals, require_real
+from .errors import ValidationError, _sample_times, require_real
 
 # the step of both integrators, and of the fluid experiment's reference path
 DEFAULT_DT = 1e-3
@@ -16,11 +15,12 @@ DEFAULT_DT = 1e-3
 
 def step_count(dt: float, t_end: float) -> int:
     """Fixed steps of size dt that cover [0, t_end]; needs 0 < dt <= t_end,
-    t_end / dt finite, and dt to divide t_end, to within 1e-9 of t_end."""
+    t_end / dt below 2^63 (an int64 count), and dt to divide t_end, to
+    within 1e-9 of t_end."""
     dt, t_end = require_real("dt", dt), require_real("t_end", t_end)
-    if not (0 < dt <= t_end and t_end / dt < math.inf):
+    if not (0 < dt <= t_end and t_end / dt < 2**63):
         raise ValidationError(
-            f"need 0 < dt <= t_end and t_end / dt finite, got dt={dt}, t_end={t_end}"
+            f"need 0 < dt <= t_end and t_end / dt below 2^63, got dt={dt}, t_end={t_end}"
         )
     steps = int(round(t_end / dt))
     if abs(steps * dt - t_end) > 1e-9 * t_end:
@@ -64,7 +64,7 @@ class SamplePath:
 
     def at(self, sample_times) -> np.ndarray:
         """Linear interpolation of each component at the given times."""
-        ts = np.atleast_1d(_reals("sample times", sample_times))
+        ts = _sample_times(sample_times)
         if not ((ts >= 0) & (ts <= self.times[-1])).all():  # nan fails it too
             raise ValidationError("sample times outside the path's time range")
         out = np.empty((ts.shape[0], self.dimension))

@@ -206,6 +206,14 @@ def test_states_at_rejects_times_outside_the_path(times):
         traj.states_at(times)
 
 
+@pytest.mark.parametrize("times", [[[0.1, 0.2], [0.3, 0.4]], [[0.5]], np.zeros((1, 1, 1))])
+def test_states_at_refuses_sample_times_of_more_than_one_dimension(times):
+    spec = bd.ChainSpec(bd.single_vertex(), [[0.0]], [[0.0]], l=1, r=1)
+    traj = bd.simulate(spec, [0], 10.0, seed=3)
+    with pytest.raises(bd.ValidationError, match="sample times"):
+        traj.states_at(times)
+
+
 def test_simulate_deterministic_given_seed():
     g = bd.path_graph(3)
     spec = bd.ChainSpec(
@@ -702,11 +710,11 @@ def _reference_simulate_vector(spec, xi0, t_end, rng, max_events):
     )
 
 
-def _outcome(run, spec, xi0, seed):
+def _outcome(run, spec, xi0, seed, t_end=20.0, max_events=5_000):
     """The (times, vertices, signs) of run on one draw, or the class,
     vertex and exponent of the error it raises."""
     try:
-        traj = run(spec, xi0, 20.0, np.random.default_rng(seed), 5_000)
+        traj = run(spec, xi0, t_end, np.random.default_rng(seed), max_events)
     except bd.NumericError as exc:
         return type(exc), getattr(exc, "vertex", None), getattr(exc, "exponent", None)
     return traj.times.tolist(), traj.vertices.tolist(), traj.signs.tolist()
@@ -739,6 +747,40 @@ def test_event_loop_matches_reference_loop():
         outcomes.add(got[0] if isinstance(got[0], type) else "path")
     # the draws reach all three outcomes
     assert outcomes == {"path", RateOverflowError, BudgetExceededError}
+
+
+_BUDGET_GRAPHS = {
+    "single": bd.single_vertex(),
+    "path2": bd.path_graph(2),
+    "path5": bd.path_graph(5),
+    "cycle12": bd.cycle_graph(12),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=st.sampled_from(sorted(_BUDGET_GRAPHS)),
+       scale=st.sampled_from([0.01, 0.3, 3.0, 150.0]),
+       l=st.integers(0, 5), r=st.integers(1, 5), t_end=st.floats(0.0, 20.0),
+       max_events=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_reference_loop_under_any_event_budget(
+    graph, scale, l, r, t_end, max_events, seed
+):
+    # the path, or the class, vertex and exponent of the error, under a
+    # budget small enough to stop many paths early
+    g = _BUDGET_GRAPHS[graph]
+    n = g.num_vertices
+    rng = np.random.default_rng(seed)
+    pattern = np.eye(n) + g.adjacency_matrix()
+    ab = scale * rng.standard_normal((n, n)) * pattern
+    ad = scale * rng.standard_normal((n, n)) * pattern
+    spec = bd.ChainSpec(g, ab, ad, l=l, r=r)
+    try:
+        xi0 = _start(spec, rng.integers(-l, r + 1, size=n), t_end)
+    except bd.RateOverflowError:
+        return
+    # simulate takes the generator as its seed and draws from it unchanged
+    got = _outcome(bd.simulate, spec, xi0, seed, t_end, max_events)
+    assert got == _outcome(_reference_simulate_vector, spec, xi0, seed, t_end, max_events)
 
 
 def test_state_index_is_exact_past_int64():

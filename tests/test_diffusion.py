@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 import bdlimits as bd
-from bdlimits.diffusion import _EM_GROUP
+from bdlimits import errors
+from bdlimits.diffusion import _EM_GROUP, _EM_GROUP_BYTES
 
 
 def test_drift_examples():
@@ -92,6 +93,22 @@ def test_exact_transition_overflow_is_a_numeric_error():
     # e^{1000 t} passes the float range; the law is refused, not returned as inf
     with pytest.raises(bd.NumericError, match="transition law overflows at t=10.0"):
         bd.exact_transition([[1000.0]], [1.0], 10.0)
+    # and at a horizon where ||A||_1 t passes the float range
+    with pytest.raises(bd.NumericError, match="transition law overflows at t=1e"):
+        bd.exact_transition([[0.5]], [0.0], 1e308)
+
+
+@pytest.mark.parametrize(
+    "a", [[[-1.0]], [[-2.0]], [[-2.0, 1.0], [1.0, -2.0]], [[-1.0, 0.3], [0.2, -0.7]]]
+)
+def test_exact_transition_at_the_largest_horizons_is_the_stationary_law(a):
+    # ||A||_1 t passes 2^1024 for every a here; the doublings are counted
+    # from log2 ||A||_1 + log2 t, so the product never has to fit a float
+    _, stat = bd.stationary_gaussian(a)
+    for t in (1e308, np.finfo(float).max):
+        mean, cov = bd.exact_transition(a, np.ones(len(a)), t)
+        assert np.array_equal(mean, np.zeros(len(a)))
+        assert np.abs(cov - stat).max() <= 1e-15 * np.abs(stat).max()
 
 
 def test_exact_transition_covariance_symmetric_psd():
@@ -265,6 +282,16 @@ def test_euler_maruyama_refuses_paths_past_memory_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_euler_maruyama_counts_each_group_generator_against_memory(monkeypatch):
+    # 64 000 paths at d = 1 hold 512 000 bytes of terminal rows, which fit a
+    # 10^6-byte memory, but their 1 000 groups' generators do not
+    monkeypatch.setattr(errors, "_PHYSICAL_MEMORY", 10**6)
+    n_paths = 1000 * _EM_GROUP
+    assert 8 * n_paths < 10**6 < 8 * n_paths + 1000 * _EM_GROUP_BYTES
+    with pytest.raises(bd.ValidationError, match="1000 generators: .* past physical memory"):
+        bd.euler_maruyama_terminal([[-1.0]], [0.0], dt=1.0, t_end=1.0, n_paths=n_paths, seed=0)
 
 
 def test_log_density_values():

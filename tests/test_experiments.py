@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from functools import partial
 
@@ -822,3 +823,48 @@ def test_event_record_is_capped_by_physical_memory(monkeypatch):
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 84 * 100)
     with pytest.raises(bd.BudgetExceededError, match=r"physical memory \(8400 bytes\)"):
         bd.run_fluid_experiment(fluid)
+
+
+def _budget_configs():
+    """Small single-vertex and path(2) configs of both drivers, each with its
+    driver, at the default event budget."""
+    one, two = bd.single_vertex(), bd.path_graph(2)
+    ab2 = [[0.0, 0.5], [0.5, 0.0]]
+
+    def schedule(regime, u):
+        coarsest = -2 if regime == "diffusion" else -3
+        return bd.geometric_schedule(regime, u, 2, coarsest_log2_eps=coarsest)
+
+    diffusion = partial(bd.DiffusionExperimentConfig, t=0.5, replicas=12)
+    fluid = partial(bd.FluidExperimentConfig, t=1.0, replicas=2, grid_points=20, ode_dt=0.01)
+    return [
+        (bd.run_diffusion_experiment,
+         diffusion(one, [[0.0]], [[1.0]], schedule("diffusion", [1.0]))),
+        (bd.run_diffusion_experiment,
+         diffusion(two, ab2, np.eye(2), schedule("diffusion", [1.0, -0.5]))),
+        (bd.run_fluid_experiment, fluid(one, [[0.0]], [[1.0]], schedule("fluid", [1.0]))),
+        (bd.run_fluid_experiment, fluid(two, ab2, np.eye(2), schedule("fluid", [1.0, -0.5]))),
+    ]
+
+
+_BUDGET_CONFIGS = _budget_configs()
+_DEFAULT_TABLES = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, len(_BUDGET_CONFIGS) - 1), seed=st.integers(0, 2),
+       share=st.floats(0.0, 2.0))
+def test_an_event_budget_refuses_a_run_or_leaves_its_table_unchanged(case, seed, share):
+    # a run under any budget either raises BudgetExceededError or returns
+    # exactly the default-budget table, whose events stay below the budget
+    run, config = _BUDGET_CONFIGS[case]
+    if (case, seed) not in _DEFAULT_TABLES:
+        _DEFAULT_TABLES[case, seed] = run(dataclasses.replace(config, seed=seed))
+    default = _DEFAULT_TABLES[case, seed]
+    budget = int(share * default.statistic("events")[-1].empirical)
+    try:
+        table = run(dataclasses.replace(config, seed=seed, event_budget=budget))
+    except bd.BudgetExceededError:
+        return
+    assert table.rows == default.rows
+    assert table.statistic("events")[-1].empirical < budget

@@ -44,6 +44,9 @@ def test_rk4_rejects_a_step_that_misses_the_horizon(dt):
 def test_step_count_past_the_float_range_is_refused(integrate):
     with pytest.raises(bd.ValidationError, match=r"dt=0.001, t_end=1e\+308"):
         integrate(dt=1e-3, t_end=1e308)
+    # 10^300 steps: a finite ratio, past any int64 step count
+    with pytest.raises(bd.ValidationError, match=r"dt=1e-300, t_end=1.0"):
+        integrate(dt=1e-300, t_end=1.0)
 
 
 def test_rk4_grid_ends_exactly_at_the_horizon():
@@ -123,8 +126,10 @@ def test_sample_path_validation():
             bd.SamplePath(times=np.array(times), states=states)
     path = bd.SamplePath(times=np.array([0.0, 1.0]), states=np.array([[0.0], [2.0]]))
     assert path.at([0.5])[0, 0] == pytest.approx(1.0)
-    for times in ([2.0], [-0.5], [np.nan], [0.5, np.nan]):
-        with pytest.raises(bd.ValidationError):
+    bad = ([2.0], [-0.5], [np.nan], [0.5, np.nan],
+           [[0.1, 0.2], [0.3, 0.4]], [[0.5]], np.zeros((1, 1, 1)))
+    for times in bad:
+        with pytest.raises(bd.ValidationError, match="sample times"):
             path.at(times)
 
 
