@@ -11,8 +11,8 @@ and the fluid field share, require_memory for the arrays sized by an input
 (the graph's adjacency, the RK4 grid, the fluid experiment's observation
 grid and the generator check's mesh), and read_text for the config and
 graph files.  thread_map is the one place that runs work on more than one
-CPU: the simulators hand it random-number fills, which numpy runs without
-the GIL when given out=.
+CPU: the lockstep chain simulator hands it its exponential refills, which
+numpy runs without the GIL when given out=.
 """
 
 import math

@@ -1,12 +1,13 @@
+import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import bdlimits as bd
-from bdlimits import errors
-from bdlimits.diffusion import _EM_GROUP, _EM_GROUP_BYTES
 
 
 def test_drift_examples():
@@ -96,6 +97,26 @@ def test_exact_transition_overflow_is_a_numeric_error():
     # and at a horizon where ||A||_1 t passes the float range
     with pytest.raises(bd.NumericError, match="transition law overflows at t=1e"):
         bd.exact_transition([[0.5]], [0.0], 1e308)
+
+
+def test_exact_transition_at_a_tiny_drift_and_a_huge_horizon():
+    # ||A||_1 t = 1 takes no doubling; the block's noise entry 2t = 2e300 is
+    # held at 2 and the covariance scaled by t after, so the law is finite
+    a, t = 1e-300, 1e300
+    mean, cov = bd.exact_transition([[a]], [1.0], t)
+    assert mean[0] == pytest.approx(math.exp(a * t), rel=1e-12)
+    assert cov[0, 0] == pytest.approx(math.expm1(2.0 * a * t) / a, rel=1e-12)
+
+
+def test_exact_transition_of_zero_drift_is_brownian_up_to_the_float_range():
+    mean, cov = bd.exact_transition(np.zeros((2, 2)), [3.0, -1.0], 1e300)
+    assert np.array_equal(mean, [3.0, -1.0])
+    assert np.allclose(cov, 2e300 * np.eye(2), rtol=1e-12, atol=0.0)
+    # 2t passes the float range: refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bd.NumericError, match="transition law overflows at t=1e"):
+            bd.exact_transition(np.zeros((1, 1)), [1.0], 1e308)
 
 
 @pytest.mark.parametrize(
@@ -195,22 +216,15 @@ def test_euler_maruyama_matches_exact_transition():
             assert abs(emp_cov[i, j] - cov[i, j]) < 4 * se
 
 
-def per_step_em(a, u0, dt, steps, n_paths, seed):
-    """The Euler-Maruyama recursion one step and one normal draw at a time,
-    per group of _EM_GROUP paths: group 0 draws from default_rng(seed) and
-    group g >= 1 from the generator's (g - 1)-th spawned child."""
+def per_step_law(a, u0, dt, steps):
+    """Mean and covariance of the Euler-Maruyama recursion one step at a
+    time: m_{k+1} = B m_k and C_{k+1} = B C_k B' + 2 dt I, B = I + dt A."""
     m = np.asarray(a, dtype=float)
-    rng = np.random.default_rng(seed)
-    amp = np.sqrt(2.0 * dt)
-    groups = -(-n_paths // _EM_GROUP)
-    parts = []
-    for g, group_rng in enumerate([rng, *rng.spawn(groups - 1)]):
-        width = min(_EM_GROUP, n_paths - g * _EM_GROUP)
-        states = np.tile(np.asarray(u0, dtype=float), (width, 1))
-        for _ in range(steps):
-            states = states + dt * (states @ m.T) + amp * group_rng.standard_normal(states.shape)
-        parts.append(states)
-    return np.concatenate(parts)
+    b = np.eye(len(m)) + dt * m
+    mean, cov = np.asarray(u0, dtype=float), np.zeros_like(m)
+    for _ in range(steps):
+        mean, cov = b @ mean, b @ cov @ b.T + 2.0 * dt * np.eye(len(m))
+    return mean, cov
 
 
 _NON_SYMMETRIC = np.array([[-1.0, 0.7, 0.0], [-0.3, -2.0, 0.5], [0.2, 0.0, -0.5]])
@@ -226,35 +240,67 @@ _D513 = -2.0 * np.eye(513) + 0.01 * np.random.default_rng(6).standard_normal((51
         ([[0.3]], [-2.0], 64, 1),
         (_NON_SYMMETRIC, [1.0, -0.5, 2.0], 150, 1),
         (_NON_SYMMETRIC, [1.0, -0.5, 2.0], 130, 40),
-        # 2^16 normals hold 51 steps of a 64-path group in 20 dimensions:
-        # two blocks of 51 steps and a tail of 18, in groups of 64 and 36
         (_D20, np.linspace(-1.0, 1.0, 20), 120, 100),
-        # more than 2^15 normals per step of a 64-path group: blocks of one
-        # step, in groups of 64 and 6
         (_D513, np.linspace(-1.0, 1.0, 513), 3, 70),
-        # 12 x 12 weights per step: two blocks of 64 steps and a tail of 22
         (_WIDE, np.linspace(-1.0, 1.0, 12), 150, 50),
     ],
     ids=[
         "d1",
-        "d1-one-block",
+        "d1-growing-power-of-two-steps",
         "d3-one-path",
-        "d3-tail",
-        "d20-short-block-two-groups",
-        "d513-unit-block-two-groups",
-        "d12-tail",
+        "d3",
+        "d20",
+        "d513",
+        "d12",
     ],
 )
-def test_blocked_euler_maruyama_matches_per_step_loop(a, u0, steps, n_paths):
+def test_euler_maruyama_draws_the_per_step_law(a, u0, steps, n_paths):
     dt = 1e-2
     seed = 17
-    blocked = bd.euler_maruyama_terminal(
-        a, u0, dt=dt, t_end=steps * dt, n_paths=n_paths, seed=seed
-    )
-    reference = per_step_em(a, u0, dt, steps, n_paths, seed)
-    assert blocked.shape == reference.shape == (n_paths, len(u0))
-    # the same normals, summed in another order: equal up to rounding
-    assert np.abs(blocked - reference).max() <= 1e-12 * np.abs(reference).max()
+    d = len(u0)
+
+    def run(start, n):
+        return bd.euler_maruyama_terminal(a, start, dt=dt, t_end=steps * dt, n_paths=n, seed=seed)
+
+    mean, cov = per_step_law(a, u0, dt, steps)
+    shift = run(u0, n_paths) - run(np.zeros(d), n_paths)
+    assert shift.shape == (n_paths, d)
+    assert np.abs(shift - mean).max() <= 1e-12 * np.abs(mean).max()
+    # the rows from 0 are Z L' with Z the seed's (n, d) standard normals and
+    # L L' the covariance; 4 d rows keep Z well conditioned
+    n = max(n_paths, 4 * d)
+    z = np.random.default_rng(seed).standard_normal((n, d))
+    root = np.linalg.lstsq(z, run(np.zeros(d), n), rcond=None)[0]
+    assert np.abs(root.T @ root - cov).max() <= 1e-12 * np.abs(cov).max()
+
+
+def test_euler_maruyama_takes_10_to_the_15_steps_in_about_50_products():
+    start = time.perf_counter()
+    out = bd.euler_maruyama_terminal([[-1.0]], [0.0], dt=1e-9, t_end=1e6, n_paths=3, seed=0)
+    assert time.perf_counter() - start < 0.5
+    # the law is the recursion's stationary one, variance 1 / (1 - dt / 2);
+    # B = 1 - 1e-9 holds dt to about 1e-7
+    z = np.random.default_rng(0).standard_normal((3, 1))
+    assert np.isfinite(out).all()
+    assert np.abs(out / z - 1.0).max() < 1e-6
+
+
+def test_euler_maruyama_growth_past_the_float_range_is_a_numeric_error():
+    # B^K = 1.001^(10^7) passes the float range: refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bd.NumericError, match="law overflows at t_end=10000.0"):
+            bd.euler_maruyama_terminal([[1.0]], [0.0], dt=1e-3, t_end=1e4, n_paths=3, seed=0)
+
+
+def test_euler_maruyama_refused_cholesky_is_a_numeric_error(monkeypatch):
+    def refuse(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    with pytest.raises(bd.NumericError, match="not positive definite") as raised:
+        bd.euler_maruyama_terminal([[-1.0]], [0.0], dt=0.1, t_end=1.0, n_paths=3, seed=0)
+    assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_euler_maruyama_temporaries_stay_within_the_block_buffers():
@@ -282,16 +328,6 @@ def test_euler_maruyama_refuses_paths_past_memory_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_euler_maruyama_counts_each_group_generator_against_memory(monkeypatch):
-    # 64 000 paths at d = 1 hold 512 000 bytes of terminal rows, which fit a
-    # 10^6-byte memory, but their 1 000 groups' generators do not
-    monkeypatch.setattr(errors, "_PHYSICAL_MEMORY", 10**6)
-    n_paths = 1000 * _EM_GROUP
-    assert 8 * n_paths < 10**6 < 8 * n_paths + 1000 * _EM_GROUP_BYTES
-    with pytest.raises(bd.ValidationError, match="1000 generators: .* past physical memory"):
-        bd.euler_maruyama_terminal([[-1.0]], [0.0], dt=1.0, t_end=1.0, n_paths=n_paths, seed=0)
 
 
 def test_log_density_values():

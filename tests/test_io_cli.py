@@ -500,6 +500,33 @@ def test_fluid_guard_overflow_exits_two_with_warnings_as_errors(tmp_path, capsys
     assert "at t=0.05" in capsys.readouterr().err
 
 
+def test_zero_drift_diffusion_past_the_float_range_exits_two(tmp_path, capsys):
+    # the exact law of du = sqrt(2) dW at t = 1e308 has variance 2e308
+    (tmp_path / "s.g").write_text("n 1\n")
+    cfg = write(
+        tmp_path, "free.cfg",
+        "schema=1\ngraph = s.g\nab = zero\nad = zero\nu = 1.0\nt = 1e308\nlevels = 2\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["exp-diffusion", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: transition law overflows at t=1e+308")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub", ["stationary", "gibbs", "balance-check"])
+def test_chain_subcommands_past_an_explicit_cap_exit_one(tmp_path, capsys, sub):
+    # two_site.cfg has 4 states
+    body = open(os.path.join(CONFIG_DIR, "two_site.cfg")).read()
+    graph = os.path.abspath(os.path.join(CONFIG_DIR, "path2.g"))
+    cfg = write(tmp_path, "capped.cfg", body.replace("path2.g", graph) + "cap = 3\n")
+    assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4 configurations exceed the cap of 3")
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_check_far_neighbours_exit_zero_with_warnings_as_errors(tmp_path, capsys):
     # at eps = 1e5 the lattice neighbours lie 1e155 radii from the bump
     (tmp_path / "s.g").write_text("n 1\n")

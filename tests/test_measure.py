@@ -165,6 +165,31 @@ def _random_symmetric_spec(seed: int, zero_death_diagonal: bool) -> bd.ChainSpec
     return bd.ChainSpec(graph, sym + split, split, l=l, r=r)
 
 
+_EXACT_LAWS = (
+    bd.enumerate_states,
+    bd.build_generator,
+    bd.stationary_solve,
+    bd.gibbs_measure,
+    bd.check_detailed_balance,
+)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=50, deadline=None)
+def test_every_exact_law_keeps_the_state_cap(seed):
+    # the per-spec tables are cached on (spec, cap): a spec solved under a
+    # larger cap must still be refused under a smaller one
+    spec = _random_symmetric_spec(seed, zero_death_diagonal=seed % 2 == 0)
+    count = spec.num_states()
+    for function in _EXACT_LAWS:
+        for cap in (count + 1, count, count - 1, count + 1, count - 1):
+            if cap >= count:
+                function(spec, cap=cap)
+            else:
+                with pytest.raises(bd.StateSpaceTooLargeError, match=f"{count} configurations"):
+                    function(spec, cap=cap)
+
+
 def test_detailed_balance_residual_tiny_for_symmetric_specs():
     for seed in range(8):
         spec = _random_symmetric_spec(seed, zero_death_diagonal=seed % 2 == 0)
