@@ -24,12 +24,10 @@ from .chain import (
     stationary_solve,
 )
 from .diffusion import (
-    drift,
     euler_maruyama_terminal,
     exact_transition,
     lyapunov_residual,
     stationary_gaussian,
-    stationary_log_density_unnormalized,
 )
 from .errors import (
     AsymmetricMatrixError,
@@ -61,7 +59,7 @@ from .experiments import (
     run_diffusion_experiment,
     run_fluid_experiment,
 )
-from .fluid import rk4_integrate, vector_field
+from .fluid import rk4_integrate
 from .graphs import (
     Graph,
     alpha_beta_matrix,

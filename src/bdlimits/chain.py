@@ -123,9 +123,6 @@ class ChainSpec:
         """Total number of configurations, as an exact Python int."""
         return self.num_spin_values ** self.num_vertices
 
-    def spin_values(self) -> np.ndarray:
-        return np.arange(-self.l, self.r + 1)
-
     def validate_configuration(self, spins) -> np.ndarray:
         """Return spins as a fresh int64 vector, checked against the box."""
         try:

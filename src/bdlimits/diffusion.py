@@ -1,7 +1,7 @@
 """The linear additive-noise limit SDE du = A u dt + sqrt(2) dW.
 
-A is the net interaction matrix A_b - A_d.  The module provides the drift,
-an Euler-Maruyama ensemble, the exact Gaussian transition law (mean and
+A is the net interaction matrix A_b - A_d.  The module provides an
+Euler-Maruyama ensemble, the exact Gaussian transition law (mean and
 covariance from one block matrix exponential), and the stationary Gaussian
 law for Hurwitz A (a Lyapunov solve).  The Euler-Maruyama recursion
 x_{k+1} = B x_k + sqrt(2 dt) z_k, B = I + dt A, is linear in Gaussian
@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .errors import (
-    AsymmetricMatrixError,
     DimensionMismatchError,
     NotHurwitzError,
     NumericError,
@@ -33,13 +32,7 @@ from .errors import (
     seeded_rng,
 )
 from .paths import DEFAULT_DT, step_count
-from .spectral import as_square_matrix, as_state, is_hurwitz, is_symmetric, matrix_exp
-
-
-def drift(a, u) -> np.ndarray:
-    """A u; componentwise this is b(x, u) - d(x, u) for the source matrices."""
-    m = as_square_matrix(a)
-    return m @ as_state(m, u)
+from .spectral import as_square_matrix, as_state, is_hurwitz, matrix_exp
 
 
 def euler_maruyama_terminal(
@@ -166,16 +159,3 @@ def lyapunov_residual(a, cov) -> float:
     if s.shape != m.shape:
         raise DimensionMismatchError(f"covariance shape {s.shape} does not match {m.shape}")
     return float(np.abs(m @ s + s @ m.T + 2.0 * np.eye(m.shape[0])).max())
-
-
-def stationary_log_density_unnormalized(a, u) -> float:
-    """(1/2)(A u, u): log of the invariant density up to a constant.
-
-    Requires symmetric A; its gradient A u is exactly the drift, which is
-    the Langevin/gradient-flow form of the SDE.
-    """
-    m = as_square_matrix(a)
-    v = as_state(m, u)
-    if not is_symmetric(m):
-        raise AsymmetricMatrixError("log-density form requires symmetric A")
-    return 0.5 * float(v @ (m @ v))

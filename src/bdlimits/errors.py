@@ -8,11 +8,11 @@ them, _sample_times for the times a path is read at, require_seed for
 seeds (the CLI's too), seeded_rng for the seeds the simulators hand to
 numpy, check_exponents for the bound on the rate exponents that the chain
 and the fluid field share, require_memory for the arrays sized by an input
-(the graph's adjacency, the RK4 grid, the fluid experiment's observation
-grid and the generator check's mesh), and read_text for the config and
-graph files.  thread_map is the one place that runs work on more than one
-CPU: the lockstep chain simulator hands it its exponential refills, which
-numpy runs without the GIL when given out=.
+(the graph's adjacency, the closed-form spectra, the RK4 grid, the fluid
+experiment's observation grid and the generator check's mesh), and
+read_text for the config and graph files.  thread_map is the one place that
+runs work on more than one CPU: the lockstep chain simulator hands it its
+exponential refills, which numpy runs without the GIL when given out=.
 """
 
 import math

@@ -8,8 +8,8 @@ has exponents e + c dt [S, -S] r, r the previous stage's rates.  Each step
 writes its four stages into buffers made once per call and is guarded by
 one dot product over all of their exponents, sum e.e <= 700^2, which implies
 |e_i| <= 700.  Only when it fails (or is nan) does the step go through
-_check_stages, which vector_field calls on every evaluation: births, then
-deaths, stage by stage, so the first exponent past the bound is named.
+_check_stages: births, then deaths, stage by stage, so the first exponent
+past the bound is named.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ from .paths import DEFAULT_DT, SamplePath, step_count
 from .spectral import as_square_matrix, as_state
 
 
-def _system(birth_matrix, death_matrix, gamma):
-    """(S, gamma): the stacked exponent matrix S = [A_b; A_d] and gamma as a
-    flat float array, after checking that both matrices are square of one
-    size with finite entries and that gamma is finite and of that length."""
-    ab = as_square_matrix(birth_matrix)
-    ad = as_square_matrix(death_matrix)
-    if ab.shape != ad.shape:
-        raise DimensionMismatchError(f"matrix shapes {ab.shape} and {ad.shape} differ")
-    return np.concatenate([ab, ad]), as_state(ab, gamma)
-
-
 def _check_stages(exponents, times) -> None:
     """check_exponents on the births and then the deaths of each row of
     exponents, row by row, naming that row's time."""
@@ -39,16 +28,6 @@ def _check_stages(exponents, times) -> None:
     for e, time in zip(exponents, times):
         check_exponents(e[:n], time=time)
         check_exponents(e[n:], time=time)
-
-
-def vector_field(birth_matrix, death_matrix, gamma, time: float | None = None) -> np.ndarray:
-    """Componentwise exp((A_b gamma)_x) - exp((A_d gamma)_x)."""
-    stacked, g = _system(birth_matrix, death_matrix, gamma)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        e = stacked.dot(g)
-    _check_stages(e[None], (time,))
-    rates, n = np.exp(e), g.shape[0]
-    return rates[:n] - rates[n:]
 
 
 def rk4_integrate(
@@ -75,7 +54,10 @@ def rk4_integrate(
     same scheme with a fresh array and a guard per stage, as at 851a78d.
     A grid larger than physical memory raises ValidationError.
     """
-    stacked, g = _system(birth_matrix, death_matrix, gamma0)
+    ab, ad = as_square_matrix(birth_matrix), as_square_matrix(death_matrix)
+    if ab.shape != ad.shape:
+        raise DimensionMismatchError(f"matrix shapes {ab.shape} and {ad.shape} differ")
+    stacked, g = np.concatenate([ab, ad]), as_state(ab, gamma0)
     steps, n = step_count(dt, t_end), g.shape[0]
     # the states and the times
     require_memory((steps + 1) * (n + 1) * 8, f"dt={dt} needs {steps} RK4 steps")

@@ -27,6 +27,14 @@ from .errors import (
 )
 
 
+def _require_adjacency(num_vertices: int) -> None:
+    """Refuse a dense adjacency whose 8 n^2 bytes pass physical memory.  The
+    named graphs call it before they build their n or n^2 / 2 edges, and
+    leave a count below 1 to Graph."""
+    n = max(num_vertices, 0)
+    require_memory(8 * n**2, f"the dense adjacency of {num_vertices} vertices")
+
+
 class Graph:
     """Finite connected simple graph on vertices 0..num_vertices-1.
 
@@ -65,9 +73,7 @@ class Graph:
             raise DisconnectedGraphError(
                 f"{len(seen)} edges cannot connect {num_vertices} vertices"
             )
-        require_memory(
-            8 * num_vertices**2, f"the dense adjacency of {num_vertices} vertices"
-        )
+        _require_adjacency(num_vertices)
         self.num_vertices = num_vertices
         self.edges = frozenset(seen)
         self._check_connected()
@@ -160,12 +166,14 @@ def alpha_beta_matrix(g: Graph, alpha: float, beta: float) -> np.ndarray:
 def path_graph(num_vertices: int) -> Graph:
     """Path 0-1-...-(k-1)."""
     num_vertices = require_integer("num_vertices", num_vertices)
+    _require_adjacency(num_vertices)
     return Graph(num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])
 
 
 def star_graph(num_leaves: int) -> Graph:
     """Star with center 0 and leaves 1..m."""
     num_leaves = require_integer("num_leaves", num_leaves)
+    _require_adjacency(num_leaves + 1)
     return Graph(num_leaves + 1, [(0, i) for i in range(1, num_leaves + 1)])
 
 
@@ -173,6 +181,7 @@ def cycle_graph(num_vertices: int) -> Graph:
     """Cycle on k >= 3 vertices."""
     if require_integer("num_vertices", num_vertices) < 3:
         raise InvalidEdgeError("cycle needs at least 3 vertices")
+    _require_adjacency(num_vertices)
     edges = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
     return Graph(num_vertices, edges)
 
@@ -180,6 +189,7 @@ def cycle_graph(num_vertices: int) -> Graph:
 def complete_graph(num_vertices: int) -> Graph:
     """Complete graph on k vertices."""
     num_vertices = require_integer("num_vertices", num_vertices)
+    _require_adjacency(num_vertices)
     edges = [
         (i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)
     ]

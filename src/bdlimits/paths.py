@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _sample_times, require_real
+from .errors import ValidationError, _sample_times, real_array, require_real
 
 # the step of both integrators, and of the fluid experiment's reference path
 DEFAULT_DT = 1e-3
@@ -33,7 +33,8 @@ class SamplePath:
     """States sampled on an increasing time grid starting at 0.
 
     times has shape (T,), states has shape (T, d); row k is the state at
-    times[k].  The grid is uniform unless an integrator documents
+    times[k].  Both are read as fresh float copies of finite entries
+    (errors.real_array).  The grid is uniform unless an integrator documents
     otherwise.
     """
 
@@ -41,8 +42,8 @@ class SamplePath:
     states: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        times = real_array("times", self.times)
+        states = np.atleast_2d(real_array("states", self.states))
         if times.ndim != 1 or states.shape[0] != times.shape[0]:
             raise ValidationError(
                 f"times {times.shape} and states {states.shape} do not line up"

@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     real_array,
     require_integer,
+    require_memory,
     require_real,
 )
 from .graphs import Graph, alpha_beta_matrix
@@ -122,10 +123,12 @@ def star_spectrum(m: int, alpha: float, beta: float) -> SpectralReport:
 
     -alpha with multiplicity m-1 plus the pair -alpha -+ beta*sqrt(m); the
     matrix is positive definite iff alpha < 0 and alpha + |beta|*sqrt(m) < 0.
+    An m whose m + 1 eigenvalues pass physical memory raises ValidationError.
     """
     if require_integer("m", m) < 2:
         raise ValidationError(f"star criterion needs m >= 2 leaves, got {m}")
     alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
+    require_memory(8 * (m + 1), f"the {m + 1} eigenvalues of the star with {m} leaves")
     root = math.sqrt(m)
     eigs = np.concatenate(
         [
@@ -143,11 +146,13 @@ def path_spectrum(n: int, alpha: float, beta: float) -> SpectralReport:
     -A is tridiagonal Toeplitz with diagonal -alpha and off-diagonal -beta,
     so the eigenvalues are -alpha - 2 beta cos(k pi / (n+3)), k = 1..n+2,
     all simple.  Positive definite iff alpha < 0 and
-    alpha + 2|beta|cos(pi/(n+3)) < 0.
+    alpha + 2|beta|cos(pi/(n+3)) < 0.  An n whose n + 2 eigenvalues pass
+    physical memory raises ValidationError.
     """
     if require_integer("n", n) < 0:
         raise ValidationError(f"path parameter must be >= 0, got {n}")
     alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
+    require_memory(8 * (n + 2), f"the {n + 2} eigenvalues of the path on {n + 2} vertices")
     k = np.arange(1, n + 3, dtype=float)
     eigs = -alpha - 2.0 * beta * np.cos(k * math.pi / (n + 3))
     return _report(eigs, "closed_form_path")

@@ -481,7 +481,6 @@ def test_thread_map_keeps_item_order_on_every_worker_count(monkeypatch, cpus, it
 
 
 def test_results_do_not_depend_on_the_worker_count(monkeypatch):
-    a = bd.alpha_beta_matrix(bd.path_graph(3), -2.0, 0.5)
     b, d, l, r, start, t_end, _ = LOCKSTEP_CASES["chunk-boundary"]
     spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
     seeds = _seeds(8, _LOCKSTEP_CHUNK + 1)
@@ -493,12 +492,7 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     try:
         for cpus in (1, 4):
             monkeypatch.setattr(errors, "_usable_cpus", lambda: cpus)
-            # 300 paths are five groups of 64 or fewer
-            terminal = bd.euler_maruyama_terminal(
-                a, np.ones(3), dt=1e-2, t_end=2.0, n_paths=300, seed=11
-            )
-            lockstep = _simulate_lockstep(spec, np.array([start]), t_end, seeds)
-            runs.append((terminal, *lockstep))
+            runs.append(_simulate_lockstep(spec, np.array([start]), t_end, seeds))
     finally:
         sys.setswitchinterval(interval)
     for one, four in zip(*runs):

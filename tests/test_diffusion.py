@@ -10,26 +10,6 @@ import scipy.linalg
 import bdlimits as bd
 
 
-def test_drift_examples():
-    assert np.array_equal(bd.drift(-np.eye(2), [0.0, 0.0]), [0.0, 0.0])
-    assert np.array_equal(bd.drift(-np.eye(2), [1.0, 2.0]), [-1.0, -2.0])
-    a = np.array([[-1.0, 0.5], [0.5, -1.0]])
-    assert np.allclose(bd.drift(a, [2.0, 0.0]), [-2.0, 1.0])
-
-
-def test_drift_dimension_mismatch():
-    with pytest.raises(bd.DimensionMismatchError):
-        bd.drift(-np.eye(2), [1.0, 2.0, 3.0])
-
-
-def test_drift_equals_rate_exponent_difference():
-    g = bd.path_graph(2)
-    ab = bd.validate_interaction(g, [[-0.5, 0.2], [0.2, -0.5]])
-    ad = bd.validate_interaction(g, [[0.3, 0.0], [0.0, 0.3]])
-    u = np.array([0.7, -1.2])
-    assert np.allclose(bd.drift(ab - ad, u), ab @ u - ad @ u)
-
-
 def noise_free_euler(a, u0, dt, t_end):
     """Explicit Euler for du/dt = A u at t_end.  The scheme is linear in its
     start, so two runs on one seed, from u0 and from 0, differ by the
@@ -303,8 +283,8 @@ def test_euler_maruyama_refused_cholesky_is_a_numeric_error(monkeypatch):
     assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_euler_maruyama_temporaries_stay_within_the_block_buffers():
-    n_paths, d, block = 300, 3, 64
+def test_euler_maruyama_peak_is_its_two_path_arrays():
+    n_paths, d = 300, 3
     a = bd.alpha_beta_matrix(bd.path_graph(d), -2.0, 0.5)
     # warm up numpy's lazy state (np.random, the BLAS) outside the trace
     bd.euler_maruyama_terminal(a, np.zeros(d), dt=1e-3, t_end=0.2, n_paths=n_paths, seed=1)
@@ -314,9 +294,10 @@ def test_euler_maruyama_temporaries_stay_within_the_block_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block_bytes = 8 * block * n_paths * d
+    # the (N, d) normals and the (N, d) terminal states; the d x d powers
+    # and the generator took about 3.5 KiB more, so 8 KiB is the slack
     state_bytes = 8 * n_paths * d
-    assert peak <= 2 * block_bytes + 8 * state_bytes
+    assert peak <= 2 * state_bytes + 8 * 1024
 
 
 def test_euler_maruyama_refuses_paths_past_memory_before_allocating():
@@ -328,40 +309,6 @@ def test_euler_maruyama_refuses_paths_past_memory_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_log_density_values():
-    assert bd.stationary_log_density_unnormalized(-np.eye(2), [0.0, 0.0]) == 0.0
-    assert bd.stationary_log_density_unnormalized(-np.eye(2), [1.0, 1.0]) == pytest.approx(-1.0)
-    with pytest.raises(bd.AsymmetricMatrixError):
-        bd.stationary_log_density_unnormalized([[0.0, 1.0], [0.0, 0.0]], [1.0, 1.0])
-
-
-def test_log_density_matches_gaussian_up_to_constant():
-    a = np.array([[-2.0, 1.0], [1.0, -2.0]])
-    _, cov = bd.stationary_gaussian(a)
-    prec = np.linalg.inv(cov)
-    rng = np.random.default_rng(2)
-    us = rng.normal(size=(5, 2))
-    vals = np.array([bd.stationary_log_density_unnormalized(a, u) for u in us])
-    quad = np.array([-0.5 * u @ prec @ u for u in us])
-    assert np.abs((vals - quad) - (vals - quad)[0]).max() < 1e-12
-
-
-def test_gradient_of_log_density_is_drift():
-    # central differences with step 1e-5
-    a = bd.alpha_beta_matrix(bd.path_graph(3), -2.0, 0.5)
-    u = np.array([0.4, -0.8, 1.1])
-    h = 1e-5
-    grad = np.empty(3)
-    for x in range(3):
-        e = np.zeros(3)
-        e[x] = h
-        grad[x] = (
-            bd.stationary_log_density_unnormalized(a, u + e)
-            - bd.stationary_log_density_unnormalized(a, u - e)
-        ) / (2 * h)
-    assert np.abs(grad - bd.drift(a, u)).max() < 1e-6
 
 
 def test_pd_verdict_consistent_with_stationary_gaussian():

@@ -120,15 +120,16 @@ ENTRY_POINTS = {
     "eigen_sym": ("matrix", bd.eigen_sym),
     "is_hurwitz": ("matrix", bd.is_hurwitz),
     "matrix_exp": ("t", lambda bad: bd.matrix_exp([[0.0]], bad)),
-    "drift": ("state", lambda bad: bd.drift([[-1.0]], bad)),
     "euler_maruyama_terminal": (
         "dt", lambda bad: bd.euler_maruyama_terminal([[-1.0]], [0.0], bad, n_paths=2, seed=0),
     ),
     "exact_transition": ("t", lambda bad: bd.exact_transition([[-1.0]], [1.0], bad)),
     "stationary_gaussian": ("matrix", bd.stationary_gaussian),
     "lyapunov_residual": ("cov", lambda bad: bd.lyapunov_residual([[-1.0]], bad)),
-    "vector_field": ("state", lambda bad: bd.vector_field([[0.0]], [[1.0]], bad)),
     "rk4_integrate": ("t_end", lambda bad: bd.rk4_integrate([[0.0]], [[1.0]], [1.0], t_end=bad)),
+    "rk4_integrate-state": ("state", lambda bad: bd.rk4_integrate([[0.0]], [[1.0]], bad)),
+    "SamplePath-times": ("times", lambda bad: bd.SamplePath(bad, [[0.0], [1.0]])),
+    "SamplePath-states": ("states", lambda bad: bd.SamplePath([0.0, 1.0], bad)),
     "ScalingSchedule": (
         "epsilons", lambda bad: bd.ScalingSchedule(bad, [4, 16], [0.0], "diffusion"),
     ),

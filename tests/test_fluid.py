@@ -7,28 +7,6 @@ import bdlimits as bd
 from bdlimits.errors import check_exponents
 
 
-def test_field_cancels_for_equal_matrices():
-    m = np.array([[0.4, -0.1], [-0.1, 0.4]])
-    g = np.array([0.7, -2.0])
-    assert np.array_equal(bd.vector_field(m, m, g), np.zeros(2))
-
-
-def test_field_vanishes_at_origin():
-    ab = np.array([[0.5, 0.2], [0.2, 0.5]])
-    ad = np.array([[-0.3, 0.0], [0.0, -0.3]])
-    assert np.array_equal(bd.vector_field(ab, ad, [0.0, 0.0]), np.zeros(2))
-
-
-def test_field_hand_value():
-    assert bd.vector_field([[0.0]], [[1.0]], [np.log(2.0)])[0] == pytest.approx(-1.0)
-
-
-def test_field_overflow():
-    with pytest.raises(bd.RateOverflowError) as exc:
-        bd.vector_field([[1000.0]], [[0.0]], [1.0])
-    assert exc.value.vertex == 0
-
-
 @pytest.mark.parametrize("dt", [0.3, 0.6])
 def test_rk4_rejects_a_step_that_misses_the_horizon(dt):
     with pytest.raises(bd.ValidationError, match=f"dt={dt} does not divide t_end=1.0"):
@@ -56,11 +34,11 @@ def test_rk4_grid_ends_exactly_at_the_horizon():
     assert path.at([0.9])[0, 0] == path.terminal[0]
 
 
-def test_field_dimension_checks():
+def test_rk4_dimension_checks():
+    with pytest.raises(bd.DimensionMismatchError, match="matrix shapes"):
+        bd.rk4_integrate(np.zeros((2, 2)), np.zeros((3, 3)), [0.0, 0.0])
     with pytest.raises(bd.DimensionMismatchError):
-        bd.vector_field(np.zeros((2, 2)), np.zeros((3, 3)), [0.0, 0.0])
-    with pytest.raises(bd.DimensionMismatchError):
-        bd.vector_field(np.zeros((2, 2)), np.zeros((2, 2)), [0.0, 0.0, 0.0])
+        bd.rk4_integrate(np.zeros((2, 2)), np.zeros((2, 2)), [0.0, 0.0, 0.0])
 
 
 def test_constant_path_for_equal_matrices():
@@ -103,12 +81,6 @@ def test_fixed_point_stays_fixed():
     assert np.abs(path.states).max() < 1e-10
 
 
-def test_field_sign_matches_negative_state():
-    for gamma in (-1.5, -0.2, 0.3, 2.0):
-        val = bd.vector_field([[0.0]], [[1.0]], [gamma])[0]
-        assert np.sign(val) == -np.sign(gamma)
-
-
 def test_overflow_reports_time_and_vertex():
     # explosive field: gamma' = e^gamma, blows past exp range in finite time
     with pytest.raises(bd.RateOverflowError) as exc:
@@ -124,6 +96,10 @@ def test_sample_path_validation():
     for times, states in (([0.0, 1.0], np.zeros((3, 1))), ([[0.0, 1.0]], np.zeros((2, 1)))):
         with pytest.raises(bd.ValidationError, match="do not line up"):
             bd.SamplePath(times=np.array(times), states=states)
+    for times, states, name in (([0.0, 1.0], [[np.nan], [1.0]], "states"),
+                                ([0.0, np.inf], [[0.0], [1.0]], "times")):
+        with pytest.raises(bd.ValidationError, match=f"non-finite {name}"):
+            bd.SamplePath(times=times, states=states)
     path = bd.SamplePath(times=np.array([0.0, 1.0]), states=np.array([[0.0], [2.0]]))
     assert path.at([0.5])[0, 0] == pytest.approx(1.0)
     bad = ([2.0], [-0.5], [np.nan], [0.5, np.nan],
@@ -153,10 +129,17 @@ def _stage_four_crossing():
     return ab, ad, [1.0, 0.0], 10.0
 
 
+def _births_and_deaths_past_the_bound():
+    # vertex 1's birth exponent (1000) and vertex 0's death exponent (2000)
+    # both pass 700 at the first stage: the births are checked first
+    return [[0.0, 0.0], [0.0, 1000.0]], [[2000.0, 0.0], [0.0, 0.0]], [1.0, 1.0], 1.0
+
+
 @pytest.mark.parametrize(
     "spec, vertex, time",
-    [(lambda: ([[1000.0]], [[0.0]], [1.0], 1.0), 0, 0.0), (_stage_four_crossing, 1, 6.1)],
-    ids=["first-stage", "fourth-stage"],
+    [(lambda: ([[1000.0]], [[0.0]], [1.0], 1.0), 0, 0.0), (_stage_four_crossing, 1, 6.1),
+     (_births_and_deaths_past_the_bound, 1, 0.0)],
+    ids=["first-stage", "fourth-stage", "births-before-deaths"],
 )
 def test_overflow_reports_its_stage_time(spec, vertex, time):
     ab, ad, gamma0, t_end = spec()
@@ -172,15 +155,14 @@ def test_rk4_rejects_non_finite_horizon(t_end):
         bd.rk4_integrate([[0.0]], [[1.0]], [1.0], t_end=t_end)
 
 
-@pytest.mark.parametrize("entry", [bd.rk4_integrate, bd.vector_field])
 @pytest.mark.parametrize(
     "ab, ad, gamma",
     [([[np.nan]], [[0.0]], [1.0]), ([[0.0]], [[0.0]], [np.nan]), ([[np.inf]], [[0.0]], [0.0])],
     ids=["nan-birth", "nan-start", "inf-birth"],
 )
-def test_non_finite_input_is_rejected(entry, ab, ad, gamma):
+def test_non_finite_input_is_rejected(ab, ad, gamma):
     with pytest.raises(bd.ValidationError, match="non-finite"):
-        entry(ab, ad, gamma)
+        bd.rk4_integrate(ab, ad, gamma)
 
 
 def _per_stage_rk4(ab, ad, gamma0, dt, steps):
@@ -230,7 +212,6 @@ def test_exponents_within_bound_with_large_norm_integrate():
     gamma0 = [600.0, 600.0]
     path = bd.rk4_integrate(m, m, gamma0, dt=0.1, t_end=1.0)
     assert np.array_equal(path.states, np.full((11, 2), 600.0))
-    assert np.array_equal(bd.vector_field(m, m, gamma0), np.zeros(2))
 
 
 def test_check_exponents_raises_on_nan():
@@ -296,18 +277,12 @@ def test_rk4_path_is_bit_identical_to_reference_loop(spec, dt, t_end):
     assert np.array_equal(path.states, states)
 
 
-@pytest.mark.parametrize(
-    "entry, time",
-    [(lambda: bd.rk4_integrate([[1.0]], [[0.0]], [699.9], dt=0.1, t_end=1.0), 0.05),
-     (lambda: bd.vector_field([[1.0]], [[0.0]], [1e200]), None)],
-    ids=["rk4", "vector_field"],
-)
-def test_guard_overflow_is_a_rate_overflow_under_strict_float_errors(entry, time):
-    # e^699.9 puts the second stage's exponent near 1e303 and 1e200 is past
-    # 1e154, so each guard's dot product overflows; that must be neither a
-    # warning nor a FloatingPointError, but the exponent check's verdict
+def test_guard_overflow_is_a_rate_overflow_under_strict_float_errors():
+    # e^699.9 puts the second stage's exponent near 1e303, past 1e154, so the
+    # guard's dot product overflows; that must be neither a warning nor a
+    # FloatingPointError, but the exponent check's verdict
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         with pytest.raises(bd.RateOverflowError) as exc:
-            entry()
-    assert (exc.value.vertex, exc.value.time) == (0, time)
+            bd.rk4_integrate([[1.0]], [[0.0]], [699.9], dt=0.1, t_end=1.0)
+    assert (exc.value.vertex, exc.value.time) == (0, 0.05)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,33 @@ def test_adjacency_past_physical_memory_is_refused(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 72)
     assert bd.path_graph(3).degrees.tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(bd.path_graph, 10**5), (bd.star_graph, 10**5), (bd.cycle_graph, 10**5),
+     (bd.complete_graph, 400)],
+    ids=["path", "star", "cycle", "complete"],
+)
+def test_named_graphs_refuse_before_building_their_edge_lists(monkeypatch, build, size):
+    # under an 80 kB cap every size's adjacency is refused, and its edge
+    # list of 10^5 or 79 800 pairs would have taken megabytes first
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 8 * 10**4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(bd.ValidationError, match="dense adjacency of .* past physical memory"):
+            build(size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_named_graphs_of_huge_negative_size_are_invalid():
+    # a count below 1 passes the memory check, for Graph to refuse it
+    for build in (bd.path_graph, bd.star_graph, bd.complete_graph):
+        with pytest.raises(bd.InvalidEdgeError, match="must be positive"):
+            build(-10**20)
 
 
 @pytest.mark.parametrize(

@@ -518,7 +518,8 @@ def test_zero_drift_diffusion_past_the_float_range_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("sub", ["stationary", "gibbs", "balance-check"])
 def test_chain_subcommands_past_an_explicit_cap_exit_one(tmp_path, capsys, sub):
     # two_site.cfg has 4 states
-    body = open(os.path.join(CONFIG_DIR, "two_site.cfg")).read()
+    with open(os.path.join(CONFIG_DIR, "two_site.cfg")) as fh:
+        body = fh.read()
     graph = os.path.abspath(os.path.join(CONFIG_DIR, "path2.g"))
     cfg = write(tmp_path, "capped.cfg", body.replace("path2.g", graph) + "cap = 3\n")
     assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == 1

@@ -94,7 +94,7 @@ def test_single_vertex_product_formula_oracle():
         b, d = rng.uniform(-0.8, 0.8, size=2)
         l, r = int(rng.integers(0, 3)), int(rng.integers(1, 3))
         spec = bd.ChainSpec(bd.single_vertex(), [[b]], [[d]], l=l, r=r)
-        values = spec.spin_values()
+        values = np.arange(-l, r + 1)
         w = [1.0]
         for k in values[:-1]:
             w.append(w[-1] * np.exp(b * k) / np.exp(d * (k + 1)))
@@ -347,16 +347,15 @@ PUBLIC_NAMES = [
     "StateSpaceTooLargeError", "SupportNotCoveredError", "Trajectory",
     "ValidationError", "alpha_beta_matrix", "build_generator", "build_graph", "chain",
     "check_detailed_balance", "classify_pd", "complete_graph", "cycle_graph",
-    "diffusion", "drift", "eigen_sym", "enumerate_states", "errors",
+    "diffusion", "eigen_sym", "enumerate_states", "errors",
     "euler_maruyama_terminal", "exact_transition", "experiments", "fluid",
     "generator_convergence_check", "geometric_schedule", "gibbs_measure",
     "graphs", "is_hurwitz", "load_graph", "lyapunov_residual",
     "matrix_exp", "numeric_report", "parse_graph_text", "path_graph", "path_spectrum",
     "paths", "rk4_integrate", "run_diffusion_experiment",
     "run_fluid_experiment", "simulate", "single_vertex", "spectral", "star_graph",
-    "star_spectrum", "state_index", "stationary_gaussian",
-    "stationary_log_density_unnormalized", "stationary_solve",
-    "validate_interaction", "vector_field",
+    "star_spectrum", "state_index", "stationary_gaussian", "stationary_solve",
+    "validate_interaction",
 ]
 
 

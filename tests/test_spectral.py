@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,10 +30,8 @@ EMPTY_MATRIX_CALLS = {
     "euler_maruyama_terminal": lambda: bd.euler_maruyama_terminal(
         _EMPTY, _NO_STATE, dt=0.1, n_paths=2, seed=0
     ),
-    "vector_field": lambda: bd.vector_field(_EMPTY, _EMPTY, _NO_STATE),
     "lyapunov_residual": lambda: bd.lyapunov_residual(_EMPTY, _EMPTY),
     "eigen_sym": lambda: bd.eigen_sym(_EMPTY),
-    "drift": lambda: bd.drift(_EMPTY, _NO_STATE),
     "exact_transition": lambda: bd.exact_transition(_EMPTY, _NO_STATE, 1.0),
     "rk4_integrate": lambda: bd.rk4_integrate(_EMPTY, _EMPTY, _NO_STATE, dt=0.1),
 }
@@ -42,6 +42,23 @@ def test_empty_matrix_is_refused(call):
     # a 0 x 0 matrix is square, but no entry point has a dimension to work in
     with pytest.raises(bd.DimensionMismatchError, match="non-empty"):
         call()
+
+
+@pytest.mark.parametrize(
+    "spectrum, fits", [(bd.star_spectrum, 9999), (bd.path_spectrum, 9998)], ids=["star", "path"]
+)
+def test_closed_form_spectra_refuse_past_physical_memory(monkeypatch, spectrum, fits):
+    # an 80 kB cap holds 10^4 eigenvalues: m + 1 of the star, n + 2 of the path
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 8 * 10**4)
+    assert spectrum(fits, -3.0, 1.0).eigenvalues.size == 10**4
+    tracemalloc.start()
+    try:
+        with pytest.raises(bd.ValidationError, match="eigenvalues of the .* past physical memory"):
+            spectrum(10**5, -3.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_eigen_sym_against_lapack():
