@@ -81,6 +81,26 @@ def test_fixed_point_stays_fixed():
     assert np.abs(path.states).max() < 1e-10
 
 
+def test_origin_is_fixed_for_coupled_matrices():
+    # every exponent is 0 at the origin, so each stage's rates cancel exactly
+    ab = np.array([[0.5, 0.2], [0.2, 0.5]])
+    ad = np.array([[-0.3, 0.0], [0.0, -0.3]])
+    path = bd.rk4_integrate(ab, ad, [0.0, 0.0], dt=0.1, t_end=2.0)
+    assert np.array_equal(path.states, np.zeros((21, 2)))
+
+
+@pytest.mark.parametrize("gamma0", [-1.5, -0.2, 0.3, 2.0])
+def test_path_moves_toward_the_fixed_point_from_either_side(gamma0):
+    # gamma' = 1 - e^gamma has the sign of -gamma, so the path is monotone
+    # toward 0 and never crosses it; the closed form is met to 7.7e-9 at
+    # gamma0 = 2, where the field is steepest, and to 2e-11 elsewhere
+    path = bd.rk4_integrate([[0.0]], [[1.0]], [gamma0], dt=1e-2, t_end=3.0)
+    vals = path.states[:, 0]
+    assert np.all(np.sign(np.diff(vals)) == -np.sign(gamma0))
+    assert np.all(np.sign(vals) == np.sign(gamma0))
+    assert np.abs(vals - _decay(gamma0, path.times)).max() < 1e-8
+
+
 def test_overflow_reports_time_and_vertex():
     # explosive field: gamma' = e^gamma, blows past exp range in finite time
     with pytest.raises(bd.RateOverflowError) as exc:
