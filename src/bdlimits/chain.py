@@ -5,7 +5,8 @@ at rate exp((A_b xi)_x) and a spin above -l decreases by 1 at rate
 exp((A_d xi)_x), where A_b and A_d are interaction matrices on the graph.
 
 This module provides the event-driven simulator, the exact sparse generator
-and its stationary solve by sparse LU, the closed-form Gibbs measure (the
+and its stationary solve by sparse LU (for large reversible specs a float32
+factor refined in float64), the closed-form Gibbs measure (the
 stationary law of every spec with symmetric A_b - A_d), and the
 detailed-balance residual of that measure under the chain's own rates.
 The simulator keeps the 2n rate exponents [A_b; A_d] xi stacked, births
@@ -76,6 +77,26 @@ _UNIFORM_ROWS = 512
 # rows a lockstep window decides at once; it divides _UNIFORM_ROWS, so no
 # window straddles a refill
 _WINDOW = 64
+
+# stationary_solve factors a reversible spec's system in float32 and refines
+# in float64 at or past this bandwidth B = (l + r + 1)^(n - 1) and this many
+# vertices: below them the refinement steps cost more than the float32
+# factor saves (B = 169 to 441 on path(3) and cycle(3): 0.54-1.04 of the
+# float64 time; on path(2), whose fill is far below N B, B = 201 to 401:
+# 1.0-3.2 of it).  It refines for at most _REFINE_STEPS steps, and keeps the
+# law only within _SINGLE_GIBBS_GAP of the Gibbs law: half of 1e-12, so the
+# law is within 1e-12 of the float64 route's whenever that one is within
+# 5e-13 of the Gibbs law, and closer to the Gibbs law than it otherwise.
+_SINGLE_MIN_BLOCK = 200
+_SINGLE_MIN_VERTICES = 3
+_REFINE_STEPS = 30
+_SINGLE_GIBBS_GAP = 5e-13
+
+# bytes of an LU factor of the stationary system per state and unit of
+# bandwidth B, by the itemsize of its entries: nnz(L + U) was measured at
+# 0.43-0.68 N B, and a factor takes up to 23 bytes per nonzero in float64
+# and 0.71 of that in float32 (peak RSS, cycle(3), path(3) and cycle(4))
+_FACTOR_BYTES = {4: 11, 8: 16}
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,14 +530,20 @@ def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     digit and spin value -l first; every vector indexed by states in this
     module uses it.
     """
-    count = spec.num_states()
-    if count > require_integer("cap", cap):
-        raise StateSpaceTooLargeError(f"{count} configurations exceed the cap of {cap}")
+    count = _capped_count(spec, cap)
     n = spec.num_vertices
     base = spec.num_spin_values
     idx = np.arange(count, dtype=np.int64)[:, None]
     digits = (idx // base ** np.arange(n, dtype=np.int64)) % base
     return digits - spec.l
+
+
+def _capped_count(spec: ChainSpec, cap) -> int:
+    """spec.num_states(), or StateSpaceTooLargeError past the integer cap."""
+    count = spec.num_states()
+    if count > require_integer("cap", cap):
+        raise StateSpaceTooLargeError(f"{count} configurations exceed the cap of {cap}")
+    return count
 
 
 def state_index(spec: ChainSpec, spins) -> int:
@@ -603,22 +630,45 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     """Stationary distribution from pi Q = 0, sum(pi) = 1, by sparse LU.
 
     One state p is pinned to pi_p = 1: row p of Q^T becomes the unit row
-    e_p, column p moves to the right-hand side, and the N-system is factored
-    by SuperLU in symmetric mode under the MMD_AT_PLUS_A ordering (the
-    generator's pattern is the structurally symmetric grid; cleared of its
-    row and column, p is a lone diagonal entry and adds no fill), solved
-    with one step of iterative refinement, and normalised.  p is the mode
-    of the Gibbs weight exp((1/2)[(A_s xi, xi) - (alpha, xi)] - (delta, xi)),
-    with A_s the symmetric part of A = A_b - A_d: the exact mode for a
-    reversible spec and a guess otherwise.  A pin of low mass would scale the other
+    e_p, column p moves to the right-hand side, and the N-system M x = rhs
+    is factored by SuperLU in symmetric mode under the MMD_AT_PLUS_A
+    ordering (the generator's pattern is the structurally symmetric grid;
+    cleared of its row and column, p is a lone diagonal entry and adds no
+    fill), solved and normalised.  p is the mode of the Gibbs weight
+    exp((1/2)[(A_s xi, xi) - (alpha, xi)] - (delta, xi)), with A_s the
+    symmetric part of A = A_b - A_d: the exact mode for a reversible spec
+    and a guess otherwise.  A pin of low mass would scale the other
     unknowns past float64: on a single vertex with A_b = 0, A_d = 1 and
     l = r = 30, a pin at either end leaves an exactly singular factor.
     Works for any (possibly asymmetric) interaction matrices; the chain is
-    irreducible because all interior rates are positive.  Raises
-    SingularSystemError when the factor is singular, when the balance
-    residual max |Q^T pi| exceeds 1e-10, when an entry is below -1e-12, or,
-    for a reversible spec, when pi is more than 1e-9 off the Gibbs law,
-    which is exact there; the law returned is always the solve's own.
+    irreducible because all interior rates are positive.
+
+    Two routes factor M.  In canonical order the generator is banded, with
+    bandwidth B = (l + r + 1)^(n - 1), the states one level of the last
+    vertex spans.  A reversible spec with B >= 200 and n >= 3, whose
+    nonzero |entries| of M and rhs all lie in float32's normal range, takes
+    the float32 route first: M is factored in float32, and the solve is
+    refined in float64 (Langou et al. 2006).  Each step solves the float64
+    residual rhs - M x, scaled to unit max-norm, with the float32 factor
+    and adds the correction in float64, until a correction is not at most
+    half the one before, or for 30 steps.  Smaller or two-vertex specs
+    would lose more to the steps than the float32 factor saves.  A
+    RuntimeError from that factor, a non-finite step, or a law that fails
+    a gate, with the Gibbs gate at 5e-13, sends the call on to the float64
+    route.  That route, and the only route of every other spec, factors M
+    in float64 and takes one step of iterative refinement; its gate
+    failures raise.  Irreversible specs never take the float32 route: no
+    exact law would catch a float32 solve that settles off the law (one
+    random path(2) spec, l = 9, r = 6, came out 8.4e-9 off GTH, where the
+    float64 route is 3.5e-11 off).  Entries of the law below float32's
+    normal range (about 1e-38 of the largest) come out of the float32
+    route exact only to absolute rounding, which the absolute gates accept.
+
+    SingularSystemError is raised when the float64 factor is singular,
+    when the balance residual max |Q^T pi| exceeds 1e-10, when an entry is
+    below -1e-12, or, for a reversible spec, when pi is more than 1e-9 off
+    the Gibbs law, which is exact there; the law returned is always the
+    solve's own.
 
     Known limit: a metastable double well whose barrier passes float64
     defeats every pin, and the residual gate does not see it.  On a single
@@ -631,19 +681,31 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     -1.736], [-0.598, 2.142]], where the solve puts 0.999 on state 80 and
     the law is 0.641 on state 0.
 
-    Memory is set by the fill of the factor, not by N^2.  Measured on
-    cycle(4) with l = r and coefficients of the size used by the benchmark,
-    on a 2-vCPU host: L + U hold about 2.9 M nonzeros at 6561 states (a
-    0.45 s solve), and 12.4 M at 14 641 states (a 3.3 s solve, about
-    0.33 GB peak RSS).  The fill grows faster than N, so DEFAULT_STATE_CAP,
-    a count of states, does not bound this memory; a cap by memory is still open.
+    Memory is set by the fill of the factor, not by N^2: nnz(L + U) was
+    measured at 0.43-0.68 N B.  Before it enumerates a state, the call
+    counts the factor of the route that will run at _FACTOR_BYTES bytes
+    per state and unit of B (16 in float64, 11 in float32) and raises
+    StateSpaceTooLargeError, naming the bytes, past physical memory; a
+    fallback from the float32 route counts the float64 factor again before
+    it factors.  Measured on cycle(4) with l = r and coefficients of the
+    size used by the benchmark, on a 2-vCPU host, float64 route against
+    float32 route: 0.41-0.50 s against 0.24-0.26 s at 6561 states (peak RSS
+    111 against 93 MB), and 3.6 s against 1.9-2.2 s at 14 641 states (235
+    against 187 MB).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
+    count = _capped_count(spec, cap)
+    block = spec.num_spin_values ** (spec.num_vertices - 1)
+    single = (
+        block >= _SINGLE_MIN_BLOCK
+        and spec.num_vertices >= _SINGLE_MIN_VERTICES
+        and is_symmetric(spec.drift_matrix)
+    )
+    _require_factor_memory(count, block, np.float32 if single else np.float64)
     _, log_weight = _gibbs_table(spec, cap)
     rows, cols, rates = _generator_entries(spec, cap)
-    count = log_weight.size
     # (A xi, xi) = (A_s xi, xi), so the Gibbs log weight needs no A_s
     p = int(np.argmax(log_weight))
     # Q[i, j] is Q^T[j, i].  Row p of Q^T becomes e_p, and column p, times
@@ -654,8 +716,16 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     m.eliminate_zeros()
     rhs = np.bincount(cols, weights=np.where(from_p, -rates, 0.0), minlength=count)
     rhs[p] = 1.0
+    options = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    if single and _fits_float32(m.data) and _fits_float32(rhs):
+        pi = _refined_float32_solve(m, rhs, options)
+        if pi is not None and not _gate_failure(
+            spec, cap, rows, cols, rates, pi, _SINGLE_GIBBS_GAP
+        ):
+            return pi
+        _require_factor_memory(count, block, np.float64)
     try:
-        lu = splu(m, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        lu = splu(m, **options)
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
         raise SingularSystemError(
             "balance system is singular; the chain should be irreducible"
@@ -664,27 +734,91 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     # one step of iterative refinement sharpens ill-conditioned solves
     pi += lu.solve(rhs - m @ pi)
     pi /= pi.sum()
-    balance = np.bincount(cols, weights=rates * pi[rows], minlength=count)
+    failure = _gate_failure(spec, cap, rows, cols, rates, pi, 1e-9)
+    if failure:
+        raise SingularSystemError(failure)
+    return pi
+
+
+def _require_factor_memory(count: int, block: int, dtype) -> None:
+    """Raise StateSpaceTooLargeError, naming the bytes, if the LU factor of
+    count states at bandwidth block, in dtype, would pass physical memory."""
+    dtype = np.dtype(dtype)
+    nbytes = _FACTOR_BYTES[dtype.itemsize] * count * block
+    if nbytes > errors._PHYSICAL_MEMORY:
+        raise StateSpaceTooLargeError(
+            f"the {dtype.name} LU factor of {count} states at bandwidth {block} "
+            f"needs about {nbytes} bytes, past physical memory"
+        )
+
+
+def _fits_float32(values: np.ndarray) -> bool:
+    """True iff every nonzero |value| lies in float32's normal range."""
+    big = np.abs(values[values != 0])
+    info = np.finfo(np.float32)
+    return bool(big.min(initial=np.inf) >= info.tiny and big.max(initial=0.0) <= info.max)
+
+
+def _refined_float32_solve(m, rhs: np.ndarray, options: dict) -> np.ndarray | None:
+    """The normalised solution of m x = rhs from a float32 factor of m,
+    refined in float64 until a correction is not at most half the one
+    before, or for _REFINE_STEPS steps; None if the factor raises or a
+    step or the sum is not finite."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(m.astype(np.float32), **options)
+    except RuntimeError:
+        return None
+    x = np.zeros_like(rhs)
+    residual, last = rhs, np.inf
+    # an overflow past float32 or float64 shows as a non-finite step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_REFINE_STEPS):
+            # the residual is scaled to unit max-norm, so that its cast
+            # neither overflows nor flushes to zero
+            scale = np.abs(residual).max()
+            if scale == 0.0:
+                break
+            step = lu.solve((residual / scale).astype(np.float32)) * scale
+            size = float(np.abs(step).max())
+            if not math.isfinite(size):
+                return None
+            x += step
+            if not size <= last / 2:
+                break
+            last = size
+            residual = rhs - m @ x
+        total = x.sum()
+    return x / total if math.isfinite(total) else None
+
+
+def _gate_failure(spec, cap, rows, cols, rates, pi, gibbs_gap: float) -> str:
+    """Why the law pi fails a gate of stationary_solve, or "" if it passes:
+    a balance residual max |Q^T pi| past 1e-10, an entry below -1e-12, or,
+    for a reversible spec, a distance to the Gibbs law past gibbs_gap."""
+    balance = np.bincount(cols, weights=rates * pi[rows], minlength=pi.size)
     residual = float(np.abs(balance).max())
     if not residual <= 1e-10:
-        raise SingularSystemError(
+        return (
             f"stationary residual {residual:.3e} exceeds 1e-10; "
             "conditioning is off for this spec"
         )
     low = float(pi.min())
     if not low >= -1e-12:
-        raise SingularSystemError(
+        return (
             f"stationary entry {low:.3e} is below -1e-12; conditioning is off "
             "for this spec"
         )
     if is_symmetric(spec.drift_matrix):
         gap = float(np.abs(pi - gibbs_measure(spec, cap).probabilities).max())
-        if not gap <= 1e-9:
-            raise SingularSystemError(
+        if not gap <= gibbs_gap:
+            return (
                 f"stationary law is {gap:.3e} off the exact Gibbs law, past "
-                "1e-9; conditioning is off for this spec"
+                f"{np.format_float_scientific(gibbs_gap, trim='-', exp_digits=1)}; "
+                "conditioning is off for this spec"
             )
-    return pi
+    return ""
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,10 +108,12 @@ class SpectralReport:
 
 
 def _report(eigenvalues: np.ndarray, method: str) -> SpectralReport:
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    smallest = float(eigs[0])
+    """The report of a fresh float array of eigenvalues, which it sorts in
+    place and keeps."""
+    eigenvalues.sort()
+    smallest = float(eigenvalues[0])
     return SpectralReport(
-        eigenvalues=eigs,
+        eigenvalues=eigenvalues,
         positive_definite=smallest > PD_TOLERANCE,
         method=method,
         boundary=abs(smallest) <= PD_TOLERANCE,
@@ -130,13 +132,8 @@ def star_spectrum(m: int, alpha: float, beta: float) -> SpectralReport:
     alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
     require_memory(8 * (m + 1), f"the {m + 1} eigenvalues of the star with {m} leaves")
     root = math.sqrt(m)
-    eigs = np.concatenate(
-        [
-            [-alpha - beta * root],
-            np.full(m - 1, -alpha, dtype=float),
-            [-alpha + beta * root],
-        ]
-    )
+    eigs = np.full(m + 1, -alpha)
+    eigs[0], eigs[-1] = -alpha - beta * root, -alpha + beta * root
     return _report(eigs, "closed_form_star")
 
 
@@ -153,8 +150,13 @@ def path_spectrum(n: int, alpha: float, beta: float) -> SpectralReport:
         raise ValidationError(f"path parameter must be >= 0, got {n}")
     alpha, beta = require_real("alpha", alpha), require_real("beta", beta)
     require_memory(8 * (n + 2), f"the {n + 2} eigenvalues of the path on {n + 2} vertices")
-    k = np.arange(1, n + 3, dtype=float)
-    eigs = -alpha - 2.0 * beta * np.cos(k * math.pi / (n + 3))
+    # -alpha - 2 beta cos(k pi / (n + 3)), built in the one array
+    eigs = np.arange(1, n + 3, dtype=float)
+    eigs *= math.pi
+    eigs /= n + 3
+    np.cos(eigs, out=eigs)
+    eigs *= 2.0 * beta
+    np.subtract(-alpha, eigs, out=eigs)
     return _report(eigs, "closed_form_path")
 
 

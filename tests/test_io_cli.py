@@ -528,6 +528,20 @@ def test_chain_subcommands_past_an_explicit_cap_exit_one(tmp_path, capsys, sub):
     assert not (tmp_path / "o").exists()
 
 
+def test_stationary_past_physical_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # two_site.cfg: 4 states at bandwidth 2, whose float64 factor counts
+    # 16 bytes per state and unit of bandwidth
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 16 * 4 * 2 - 1)
+    cfg = os.path.join(CONFIG_DIR, "two_site.cfg")
+    assert run_cli(["stationary", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: the float64 LU factor of 4 states at bandwidth 2 needs about 128 bytes, "
+        "past physical memory"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_gen_check_far_neighbours_exit_zero_with_warnings_as_errors(tmp_path, capsys):
     # at eps = 1e5 the lattice neighbours lie 1e155 radii from the bump
     (tmp_path / "s.g").write_text("n 1\n")

@@ -574,3 +574,202 @@ def test_stationary_law_of_the_scaled_chain_follows_the_hurwitz_verdict(row):
         assert min(edge for _, edge in laws) >= 0.3
         variances = np.array([np.diag(cov).max() for cov, _ in laws])
         assert np.all(variances[1:] >= 3.0 * variances[:-1]), variances
+
+
+# the route constants that send every reversible spec to the float32 factor,
+# and those that keep every spec on the float64 factor
+_ALL_FLOAT32 = {"_SINGLE_MIN_BLOCK": 1, "_SINGLE_MIN_VERTICES": 1}
+_ALL_FLOAT64 = {"_SINGLE_MIN_BLOCK": 2**63}
+
+
+def _solve_under(spec, constants):
+    """stationary_solve(spec) with chain's route constants set: the law, or
+    the type and message of the error it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(chain, name, value)
+        try:
+            return bd.stationary_solve(spec)
+        except bd.BdlimitsError as exc:
+            return type(exc), str(exc)
+
+
+def _splu_dtypes(monkeypatch) -> list:
+    """The dtypes of the matrices splu factors from now on."""
+    import scipy.sparse.linalg
+
+    seen, real = [], scipy.sparse.linalg.splu
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return seen
+
+
+def _bench_recipe(graph, l, r, seed):
+    # the benchmark's reversible recipe: symmetric A, zero death diagonal,
+    # coefficients shrunk by 2 / max(l, r)
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    adj = graph.adjacency_matrix()
+    scale = 2.0 / max(l, r)
+    sym = rng.uniform(-0.75, 0.75, size=(n, n)) * scale
+    sym = 0.5 * (sym + sym.T) * (adj + np.eye(n))
+    split = rng.uniform(-0.5, 0.5, size=(n, n)) * scale * adj
+    return bd.ChainSpec(graph, sym + split, split, l=l, r=r)
+
+
+@st.composite
+def _small_specs(draw):
+    # up to 81 states on one vertex and 729 on two or three
+    graph = draw(st.sampled_from(
+        [bd.single_vertex(), bd.path_graph(2), bd.path_graph(3), bd.cycle_graph(3)]
+    ))
+    n = graph.num_vertices
+    width = {1: 80, 2: 26, 3: 8}[n]
+    l = draw(st.integers(0, width - 1))
+    r = draw(st.integers(1, width - l))
+    scale = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+    if draw(st.booleans()):
+        scale *= 2.0 / max(l, r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = graph.adjacency_matrix() + np.eye(n)
+    if draw(st.booleans()):
+        sym = rng.uniform(-scale, scale, size=(n, n))
+        split = rng.uniform(-scale, scale, size=(n, n)) * pattern
+        return bd.ChainSpec(graph, 0.5 * (sym + sym.T) * pattern + split, split, l=l, r=r)
+    ab, ad = rng.uniform(-scale, scale, size=(2, n, n)) * pattern
+    return bd.ChainSpec(graph, ab, ad, l=l, r=r)
+
+
+@given(_small_specs())
+@settings(max_examples=60, deadline=None)
+def test_float32_route_is_never_further_from_the_law_than_the_float64_route(spec):
+    single = _solve_under(spec, _ALL_FLOAT32)
+    double = _solve_under(spec, _ALL_FLOAT64)
+    if isinstance(single, tuple) or not chain.is_symmetric(spec.drift_matrix):
+        # a refusal, and every irreversible spec, is the float64 route's own
+        assert type(single) is type(double)
+        assert single == double if isinstance(single, tuple) else np.array_equal(single, double)
+        return
+    if isinstance(double, np.ndarray) and np.array_equal(single, double):
+        return  # the float32 route fell back to the float64 factor
+    gibbs = bd.gibbs_measure(spec).probabilities
+    off = np.abs(single - gibbs).max()
+    assert off <= 5e-13
+    if isinstance(double, tuple):
+        return  # the float64 route refused a law the float32 route found
+    # within 1e-12 of the float64 law, or else closer than it to the exact law
+    assert np.abs(single - double).max() <= 1e-12 or off < np.abs(double - gibbs).max()
+
+
+_HARD_SPECS = {
+    # FOUND 35: benchmark-style wide boxes the solve loses
+    "bench-rng1": lambda: _wide_bench_style_spec(1),
+    "bench-rng4": lambda: _wide_bench_style_spec(4),
+    "bench-rng5": lambda: _wide_bench_style_spec(5),
+    # FOUND 36: ten decades of rates
+    "ten-decades": lambda: bd.ChainSpec(
+        bd.path_graph(2), [[2.74, -0.81], [3.2, -0.88]], [[-1.27, -1.01], [-0.6, 2.46]], l=3, r=3
+    ),
+    "off-0.64": lambda: bd.ChainSpec(
+        bd.path_graph(2), [[0.66, 0.993], [2.552, 0.968]],
+        [[-4.075, -1.736], [-0.598, 2.142]], l=4, r=4,
+    ),
+    "double-well": lambda: bd.ChainSpec(bd.single_vertex(), [[0.1]], [[0.0]], l=40, r=40),
+    "box-30": lambda: bd.ChainSpec(bd.single_vertex(), [[0.0]], [[1.0]], l=30, r=30),
+    "box-60": lambda: bd.ChainSpec(bd.single_vertex(), [[0.0]], [[1.0]], l=60, r=60),
+    # a well holding 2.3e-11 of the mass behind a 1e-20 barrier (kappa(M) =
+    # 2.9e11): the float32 refinement stagnates with that well empty, 2.6e-11
+    # off the Gibbs law, where the float64 route is 1.6e-15 off
+    "stagnant-well": lambda: bd.ChainSpec(
+        bd.single_vertex(), [[0.04726495426156527]], [[-0.046711688152484755]], l=21, r=31
+    ),
+}
+
+
+@pytest.mark.parametrize("make", _HARD_SPECS.values(), ids=_HARD_SPECS.keys())
+def test_hard_specs_end_as_the_float64_route_does(make):
+    # with every spec sent to the float32 route, each ends as the float64
+    # route alone ends it: the same error, or the same law to 1e-12
+    single = _solve_under(make(), _ALL_FLOAT32)
+    double = _solve_under(make(), _ALL_FLOAT64)
+    if isinstance(double, tuple):
+        assert single == double
+    else:
+        assert np.abs(single - double).max() <= 1e-12
+
+
+@pytest.mark.parametrize("l, r", [(0, 90), (90, 1)], ids=["past-max", "below-tiny"])
+def test_rates_past_float32_take_the_float64_route_bit_for_bit(monkeypatch, l, r):
+    # rates e^xi up to e^90 = 1.2e39, past float32's 3.4e38, or down to
+    # e^-90 = 8.2e-40, below its smallest normal 1.2e-38
+    spec = bd.ChainSpec(bd.single_vertex(), [[1.0]], [[1.0]], l=l, r=r)
+    expected = _solve_under(spec, _ALL_FLOAT64)
+    for name, value in _ALL_FLOAT32.items():
+        monkeypatch.setattr(chain, name, value)
+    seen = _splu_dtypes(monkeypatch)
+    assert np.array_equal(bd.stationary_solve(spec), expected)
+    assert seen == [np.float64]
+
+
+def test_large_reversible_spec_takes_the_float32_factor(monkeypatch):
+    # the benchmark's 6561-state spec: B = 729, with no patched constant
+    spec = _bench_recipe(bd.cycle_graph(4), 4, 4, seed=0)
+    seen = _splu_dtypes(monkeypatch)
+    pi = bd.stationary_solve(spec)
+    assert seen == [np.float32]
+    assert np.abs(pi - bd.gibbs_measure(spec).probabilities).max() <= 1e-9
+
+
+def test_large_irreversible_spec_keeps_the_float64_factor(monkeypatch):
+    # B = 225 on cycle(3), but no exact law would check a float32 solve
+    graph = bd.cycle_graph(3)
+    rng = np.random.default_rng(2)
+    ab, ad = rng.uniform(-0.15, 0.15, size=(2, 3, 3)) * (graph.adjacency_matrix() + np.eye(3))
+    spec = bd.ChainSpec(graph, ab, ad, l=7, r=7)
+    seen = _splu_dtypes(monkeypatch)
+    pi = bd.stationary_solve(spec)
+    assert seen == [np.float64]
+    assert np.array_equal(pi, _solve_under(spec, _ALL_FLOAT64))
+
+
+def test_factor_past_physical_memory_is_refused_before_enumerating(monkeypatch):
+    # cycle(4) with l = r = 10 is under the default state cap, at 194 481
+    # states, but its float32 factor at bandwidth 9261 needs about 19.8 GB
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(chain, "enumerate_states", enumerate_nothing)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 8 * 2**30)
+    zero = np.zeros((4, 4))
+    spec = bd.ChainSpec(bd.cycle_graph(4), zero, zero, l=10, r=10)
+    assert spec.num_states() <= chain.DEFAULT_STATE_CAP
+    with pytest.raises(
+        bd.StateSpaceTooLargeError,
+        match=f"float32 LU factor of 194481 states at bandwidth 9261 needs about "
+        f"{11 * 194481 * 9261} bytes",
+    ):
+        bd.stationary_solve(spec)
+
+
+def test_factor_bytes_follow_the_route_that_runs(monkeypatch):
+    # path(3) with l = r = 2: 125 states at bandwidth 25, so 16 * 3125 bytes
+    # in float64 and 11 * 3125 in float32
+    spec = bd.ChainSpec(bd.path_graph(3), np.zeros((3, 3)), np.zeros((3, 3)), l=2, r=2)
+    for name, value in _ALL_FLOAT32.items():
+        monkeypatch.setattr(chain, name, value)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 3125)
+    bd.stationary_solve(spec)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 3125 - 1)
+    with pytest.raises(bd.StateSpaceTooLargeError, match="float32 .* 34375 bytes"):
+        bd.stationary_solve(spec)
+    # a fallback checks the float64 factor's bytes before it factors
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 3125)
+    monkeypatch.setattr(chain, "_refined_float32_solve", lambda *args: None)
+    with pytest.raises(bd.StateSpaceTooLargeError, match="float64 .* 50000 bytes"):
+        bd.stationary_solve(spec)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 16 * 3125)
+    assert np.array_equal(bd.stationary_solve(spec), _solve_under(spec, _ALL_FLOAT64))

@@ -61,6 +61,24 @@ def test_closed_form_spectra_refuse_past_physical_memory(monkeypatch, spectrum, 
     assert peak < 2**16
 
 
+@pytest.mark.parametrize(
+    "spectrum, size", [(bd.star_spectrum, 10**5 - 1), (bd.path_spectrum, 10**5 - 2)],
+    ids=["star", "path"],
+)
+def test_closed_form_spectra_peak_at_their_counted_bytes(spectrum, size):
+    # 10^5 eigenvalues in one array, built and sorted in place: the 800 kB
+    # that the memory check counts, and no temporary copy
+    spectrum(4, -3.0, 1.0)
+    tracemalloc.start()
+    try:
+        report = spectrum(size, -3.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.eigenvalues.nbytes == 8 * 10**5
+    assert peak <= 8 * 10**5 + 2**14
+
+
 def test_eigen_sym_against_lapack():
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 7, 20, 45):
