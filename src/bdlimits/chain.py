@@ -5,8 +5,9 @@ at rate exp((A_b xi)_x) and a spin above -l decreases by 1 at rate
 exp((A_d xi)_x), where A_b and A_d are interaction matrices on the graph.
 
 This module provides the event-driven simulator, the exact sparse generator
-and its stationary solve by sparse LU (for large reversible specs a float32
-factor refined in float64), the closed-form Gibbs measure (the
+and its stationary solve by sparse LU (one factor, refine and gate loop over
+the precisions of _PRECISIONS: float32 first for large reversible specs,
+then float64), the closed-form Gibbs measure (the
 stationary law of every spec with symmetric A_b - A_d), and the
 detailed-balance residual of that measure under the chain's own rates.
 The simulator keeps the 2n rate exponents [A_b; A_d] xi stacked, births
@@ -78,25 +79,31 @@ _UNIFORM_ROWS = 512
 # window straddles a refill
 _WINDOW = 64
 
-# stationary_solve factors a reversible spec's system in float32 and refines
-# in float64 at or past this bandwidth B = (l + r + 1)^(n - 1) and this many
-# vertices: below them the refinement steps cost more than the float32
-# factor saves (B = 169 to 441 on path(3) and cycle(3): 0.54-1.04 of the
-# float64 time; on path(2), whose fill is far below N B, B = 201 to 401:
-# 1.0-3.2 of it).  It refines for at most _REFINE_STEPS steps, and keeps the
-# law only within _SINGLE_GIBBS_GAP of the Gibbs law: half of 1e-12, so the
-# law is within 1e-12 of the float64 route's whenever that one is within
-# 5e-13 of the Gibbs law, and closer to the Gibbs law than it otherwise.
+# stationary_solve factors a reversible spec's system in float32 first at
+# or past this bandwidth B = (l + r + 1)^(n - 1) and this many vertices:
+# below them the refinement solves cost more than the float32 factor saves
+# (B = 169 to 441 on path(3) and cycle(3): 0.54-1.04 of the float64 time; on
+# path(2), whose fill is far below N B, B = 201 to 401: 1.0-3.2 of it)
 _SINGLE_MIN_BLOCK = 200
 _SINGLE_MIN_VERTICES = 3
-_REFINE_STEPS = 30
-_SINGLE_GIBBS_GAP = 5e-13
+
+# (most solves, Gibbs gate) of each precision stationary_solve factors in,
+# in the order it tries them.  The float32 gate is half of 1e-12, so a kept
+# law is within 1e-12 of the float64 route's whenever that one is within
+# 5e-13 of the Gibbs law, and closer to the Gibbs law than it otherwise.
+_PRECISIONS = {np.float32: (30, 5e-13), np.float64: (2, 1e-9)}
 
 # bytes of an LU factor of the stationary system per state and unit of
 # bandwidth B, by the itemsize of its entries: nnz(L + U) was measured at
 # 0.43-0.68 N B, and a factor takes up to 23 bytes per nonzero in float64
 # and 0.71 of that in float32 (peak RSS, cycle(3), path(3) and cycle(4))
 _FACTOR_BYTES = {4: 11, 8: 16}
+
+# bytes the exact-law functions hold per state at their peak, for each
+# vertex and one more: tracemalloc peaks at n = 1 to 16 reached at most 0.86
+# of this (build_generator 184-1144 per state, stationary_solve besides its
+# factor 253-860 at n <= 6, the other three less)
+_STATE_BYTES = 160
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,10 +546,17 @@ def enumerate_states(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
 
 
 def _capped_count(spec: ChainSpec, cap) -> int:
-    """spec.num_states(), or StateSpaceTooLargeError past the integer cap."""
+    """spec.num_states(), or StateSpaceTooLargeError past the integer cap or,
+    naming the bytes, when its exact-law arrays would pass physical memory."""
     count = spec.num_states()
     if count > require_integer("cap", cap):
         raise StateSpaceTooLargeError(f"{count} configurations exceed the cap of {cap}")
+    nbytes = _STATE_BYTES * (spec.num_vertices + 1) * count
+    if nbytes > errors._PHYSICAL_MEMORY:
+        raise StateSpaceTooLargeError(
+            f"the exact-law arrays of {count} states on {spec.num_vertices} vertices "
+            f"need about {nbytes} bytes, past physical memory"
+        )
     return count
 
 
@@ -643,32 +657,26 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     Works for any (possibly asymmetric) interaction matrices; the chain is
     irreducible because all interior rates are positive.
 
-    Two routes factor M.  In canonical order the generator is banded, with
-    bandwidth B = (l + r + 1)^(n - 1), the states one level of the last
-    vertex spans.  A reversible spec with B >= 200 and n >= 3, whose
-    nonzero |entries| of M and rhs all lie in float32's normal range, takes
-    the float32 route first: M is factored in float32, and the solve is
-    refined in float64 (Langou et al. 2006).  Each step solves the float64
-    residual rhs - M x, scaled to unit max-norm, with the float32 factor
-    and adds the correction in float64, until a correction is not at most
-    half the one before, or for 30 steps.  Smaller or two-vertex specs
-    would lose more to the steps than the float32 factor saves.  A
-    RuntimeError from that factor, a non-finite step, or a law that fails
-    a gate, with the Gibbs gate at 5e-13, sends the call on to the float64
-    route.  That route, and the only route of every other spec, factors M
-    in float64 and takes one step of iterative refinement; its gate
-    failures raise.  Irreversible specs never take the float32 route: no
-    exact law would catch a float32 solve that settles off the law (one
-    random path(2) spec, l = 9, r = 6, came out 8.4e-9 off GTH, where the
-    float64 route is 3.5e-11 off).  Entries of the law below float32's
-    normal range (about 1e-38 of the largest) come out of the float32
-    route exact only to absolute rounding, which the absolute gates accept.
+    M is factored in each precision of _PRECISIONS in turn; each law is
+    refined in float64 until a correction is not less than half the one
+    before (at most 30 solves in float32, 2 in float64), normalised and
+    gated, and the first law that passes is returned.  float32 comes first
+    only for a reversible spec of bandwidth B = (l + r + 1)^(n - 1) >= 200
+    (the states one level of the last vertex spans in canonical order) on
+    n >= 3 vertices whose nonzero |entries| of M and rhs lie in float32's
+    normal range (Langou et al. 2006), with its Gibbs gate at 5e-13: smaller
+    specs lose more to the solves than the float32 factor saves, and on an
+    irreversible spec no exact law would catch a float32 solve that settles
+    off the law (a random path(2) spec, l = 9, r = 6, came out 8.4e-9 off
+    GTH, the float64 factor 3.5e-11).  Entries of the law below float32's
+    normal range (about 1e-38 of the largest) come out of it exact only to
+    absolute rounding, which the absolute gates accept.
 
-    SingularSystemError is raised when the float64 factor is singular,
-    when the balance residual max |Q^T pi| exceeds 1e-10, when an entry is
-    below -1e-12, or, for a reversible spec, when pi is more than 1e-9 off
-    the Gibbs law, which is exact there; the law returned is always the
-    solve's own.
+    SingularSystemError is raised when the float64 factor is singular, or
+    when its law fails a gate: the balance residual max |Q^T pi| exceeds
+    1e-10, an entry is below -1e-12, or, for a reversible spec, pi is more
+    than 1e-9 off the Gibbs law, which is exact there; the law returned is
+    always the solve's own.
 
     Known limit: a metastable double well whose barrier passes float64
     defeats every pin, and the residual gate does not see it.  On a single
@@ -682,16 +690,14 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     the law is 0.641 on state 0.
 
     Memory is set by the fill of the factor, not by N^2: nnz(L + U) was
-    measured at 0.43-0.68 N B.  Before it enumerates a state, the call
-    counts the factor of the route that will run at _FACTOR_BYTES bytes
-    per state and unit of B (16 in float64, 11 in float32) and raises
-    StateSpaceTooLargeError, naming the bytes, past physical memory; a
-    fallback from the float32 route counts the float64 factor again before
-    it factors.  Measured on cycle(4) with l = r and coefficients of the
-    size used by the benchmark, on a 2-vCPU host, float64 route against
-    float32 route: 0.41-0.50 s against 0.24-0.26 s at 6561 states (peak RSS
-    111 against 93 MB), and 3.6 s against 1.9-2.2 s at 14 641 states (235
-    against 187 MB).
+    measured at 0.43-0.68 N B.  The first factor's bytes, _FACTOR_BYTES per
+    state and unit of B (11 in float32, 16 in float64), are counted before a
+    state is enumerated, and every factor's before it runs; past physical
+    memory StateSpaceTooLargeError names them.  On cycle(4) with l = r and
+    benchmark-sized coefficients (2-vCPU host), float64 alone against
+    float32 first took 0.41-0.50 s against 0.24-0.26 s at 6561 states (peak
+    RSS 111 against 93 MB), and 3.6 s against 1.9-2.2 s at 14 641 states
+    (235 against 187 MB).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -703,7 +709,9 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
         and spec.num_vertices >= _SINGLE_MIN_VERTICES
         and is_symmetric(spec.drift_matrix)
     )
-    _require_factor_memory(count, block, np.float32 if single else np.float64)
+    precisions = tuple(_PRECISIONS) if single else (np.float64,)
+    # the first factor's bytes, before a state is enumerated
+    _require_factor_memory(count, block, precisions[0])
     _, log_weight = _gibbs_table(spec, cap)
     rows, cols, rates = _generator_entries(spec, cap)
     # (A xi, xi) = (A_s xi, xi), so the Gibbs log weight needs no A_s
@@ -716,28 +724,22 @@ def stationary_solve(spec: ChainSpec, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     m.eliminate_zeros()
     rhs = np.bincount(cols, weights=np.where(from_p, -rates, 0.0), minlength=count)
     rhs[p] = 1.0
+    if single and not (_fits_float32(m.data) and _fits_float32(rhs)):
+        precisions = (np.float64,)
     options = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-    if single and _fits_float32(m.data) and _fits_float32(rhs):
-        pi = _refined_float32_solve(m, rhs, options)
-        if pi is not None and not _gate_failure(
-            spec, cap, rows, cols, rates, pi, _SINGLE_GIBBS_GAP
-        ):
+    for dtype in precisions:
+        _require_factor_memory(count, block, dtype)
+        solves, gibbs_gap = _PRECISIONS[dtype]
+        try:
+            lu = splu(m.astype(dtype, copy=False), **options)
+        except RuntimeError:  # SuperLU: the factor is exactly singular
+            failure = "balance system is singular; the chain should be irreducible"
+            continue
+        pi = _refined_solve(lu, m, rhs, dtype, solves)
+        failure = _gate_failure(spec, cap, rows, cols, rates, pi, gibbs_gap)
+        if not failure:
             return pi
-        _require_factor_memory(count, block, np.float64)
-    try:
-        lu = splu(m, **options)
-    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-        raise SingularSystemError(
-            "balance system is singular; the chain should be irreducible"
-        ) from exc
-    pi = lu.solve(rhs)
-    # one step of iterative refinement sharpens ill-conditioned solves
-    pi += lu.solve(rhs - m @ pi)
-    pi /= pi.sum()
-    failure = _gate_failure(spec, cap, rows, cols, rates, pi, 1e-9)
-    if failure:
-        raise SingularSystemError(failure)
-    return pi
+    raise SingularSystemError(failure)
 
 
 def _require_factor_memory(count: int, block: int, dtype) -> None:
@@ -759,38 +761,25 @@ def _fits_float32(values: np.ndarray) -> bool:
     return bool(big.min(initial=np.inf) >= info.tiny and big.max(initial=0.0) <= info.max)
 
 
-def _refined_float32_solve(m, rhs: np.ndarray, options: dict) -> np.ndarray | None:
-    """The normalised solution of m x = rhs from a float32 factor of m,
-    refined in float64 until a correction is not at most half the one
-    before, or for _REFINE_STEPS steps; None if the factor raises or a
-    step or the sum is not finite."""
-    from scipy.sparse.linalg import splu
-
-    try:
-        lu = splu(m.astype(np.float32), **options)
-    except RuntimeError:
-        return None
-    x = np.zeros_like(rhs)
-    residual, last = rhs, np.inf
-    # an overflow past float32 or float64 shows as a non-finite step
+def _refined_solve(lu, m, rhs: np.ndarray, dtype, solves: int) -> np.ndarray:
+    """The normalised solution of m x = rhs from lu, m's factor in dtype:
+    each solve after the first takes the float64 residual rhs - m x cast to
+    dtype and adds its correction in float64, for at most solves solves,
+    until a correction is not less than half the one before (an all-zero
+    one included).  An overflow shows as a non-finite law, which the
+    residual gate refuses."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_REFINE_STEPS):
-            # the residual is scaled to unit max-norm, so that its cast
-            # neither overflows nor flushes to zero
-            scale = np.abs(residual).max()
-            if scale == 0.0:
-                break
-            step = lu.solve((residual / scale).astype(np.float32)) * scale
-            size = float(np.abs(step).max())
-            if not math.isfinite(size):
-                return None
+        x = lu.solve(rhs.astype(dtype, copy=False)).astype(np.float64, copy=False)
+        last = np.inf
+        for _ in range(solves - 1):
+            step = lu.solve((rhs - m @ x).astype(dtype, copy=False))
             x += step
-            if not size <= last / 2:
+            size = np.abs(step).max()
+            if not size < last / 2:
                 break
             last = size
-            residual = rhs - m @ x
-        total = x.sum()
-    return x / total if math.isfinite(total) else None
+        x /= x.sum()
+    return x
 
 
 def _gate_failure(spec, cap, rows, cols, rates, pi, gibbs_gap: float) -> str:

@@ -528,9 +528,31 @@ def test_chain_subcommands_past_an_explicit_cap_exit_one(tmp_path, capsys, sub):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("sub", ["stationary", "gibbs", "balance-check"])
+def test_chain_subcommands_past_physical_memory_under_a_raised_cap_exit_one(
+    tmp_path, capsys, monkeypatch, sub
+):
+    # two_site.cfg's 4 states pass a raised cap, but not physical memory at
+    # 160 bytes per state for each of its 2 vertices and one more
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 160 * 3 * 4 - 1)
+    with open(os.path.join(CONFIG_DIR, "two_site.cfg")) as fh:
+        body = fh.read()
+    graph = os.path.abspath(os.path.join(CONFIG_DIR, "path2.g"))
+    cfg = write(tmp_path, "raised.cfg", body.replace("path2.g", graph) + "cap = 1000000000\n")
+    assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: the exact-law arrays of 4 states on 2 vertices need about 1920 bytes, "
+        "past physical memory"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_stationary_past_physical_memory_exits_one(tmp_path, capsys, monkeypatch):
     # two_site.cfg: 4 states at bandwidth 2, whose float64 factor counts
-    # 16 bytes per state and unit of bandwidth
+    # 16 bytes per state and unit of bandwidth; the factor's bytes alone,
+    # since the states' exact-law arrays count more
+    monkeypatch.setattr("bdlimits.chain._STATE_BYTES", 0)
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 16 * 4 * 2 - 1)
     cfg = os.path.join(CONFIG_DIR, "two_site.cfg")
     assert run_cli(["stationary", "--config", cfg, "--out", tmp_path / "o"]) == 1

@@ -190,6 +190,26 @@ def test_every_exact_law_keeps_the_state_cap(seed):
                     function(spec, cap=cap)
 
 
+@pytest.mark.parametrize("function", _EXACT_LAWS, ids=lambda f: f.__name__)
+def test_every_exact_law_counts_its_states_bytes_before_enumerating(monkeypatch, function):
+    # path(3) with l = r = 4: 729 states, far under a raised cap, whose
+    # exact-law arrays count 160 bytes per state for each vertex and one more
+    spec = bd.ChainSpec(bd.path_graph(3), np.zeros((3, 3)), np.zeros((3, 3)), l=4, r=4)
+    nbytes = 160 * 4 * 729
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", nbytes - 1)
+    with pytest.raises(
+        bd.StateSpaceTooLargeError, match=f"729 states on 3 vertices need about {nbytes} bytes"
+    ):
+        function(spec, cap=10**9)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", nbytes)
+    if function is bd.stationary_solve:
+        # its float64 factor at bandwidth 81 counts more than the arrays
+        with pytest.raises(bd.StateSpaceTooLargeError, match=f"float64 .* {16 * 729 * 81} bytes"):
+            function(spec, cap=10**9)
+    else:
+        function(spec, cap=10**9)
+
+
 def test_detailed_balance_residual_tiny_for_symmetric_specs():
     for seed in range(8):
         spec = _random_symmetric_spec(seed, zero_death_diagonal=seed % 2 == 0)
@@ -715,6 +735,21 @@ def test_rates_past_float32_take_the_float64_route_bit_for_bit(monkeypatch, l, r
     assert seen == [np.float64]
 
 
+def test_rates_past_float32_count_the_float64_factor_before_it_runs(monkeypatch):
+    # rates up to e^90 skip the float32 factor, so physical memory for it
+    # alone, 11 N B bytes, must refuse the float64 one (16 N B) unfactored
+    spec = bd.ChainSpec(bd.single_vertex(), [[1.0]], [[1.0]], l=0, r=90)
+    for name, value in _ALL_FLOAT32.items():
+        monkeypatch.setattr(chain, name, value)
+    # the factors' bytes alone: the 91 states' exact-law arrays count more
+    monkeypatch.setattr(chain, "_STATE_BYTES", 0)
+    monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 91)
+    seen = _splu_dtypes(monkeypatch)
+    with pytest.raises(bd.StateSpaceTooLargeError, match=f"float64 .* {16 * 91} bytes"):
+        bd.stationary_solve(spec)
+    assert seen == []
+
+
 def test_large_reversible_spec_takes_the_float32_factor(monkeypatch):
     # the benchmark's 6561-state spec: B = 729, with no patched constant
     spec = _bench_recipe(bd.cycle_graph(4), 4, 4, seed=0)
@@ -761,14 +796,17 @@ def test_factor_bytes_follow_the_route_that_runs(monkeypatch):
     spec = bd.ChainSpec(bd.path_graph(3), np.zeros((3, 3)), np.zeros((3, 3)), l=2, r=2)
     for name, value in _ALL_FLOAT32.items():
         monkeypatch.setattr(chain, name, value)
+    # the factors' bytes alone: the 125 states' exact-law arrays count more
+    monkeypatch.setattr(chain, "_STATE_BYTES", 0)
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 3125)
     bd.stationary_solve(spec)
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 3125 - 1)
     with pytest.raises(bd.StateSpaceTooLargeError, match="float32 .* 34375 bytes"):
         bd.stationary_solve(spec)
-    # a fallback checks the float64 factor's bytes before it factors
+    # a fallback checks the float64 factor's bytes before it factors; a
+    # float32 Gibbs gate below 0 refuses every float32 law
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 11 * 3125)
-    monkeypatch.setattr(chain, "_refined_float32_solve", lambda *args: None)
+    monkeypatch.setitem(chain._PRECISIONS, np.float32, (30, -1.0))
     with pytest.raises(bd.StateSpaceTooLargeError, match="float64 .* 50000 bytes"):
         bd.stationary_solve(spec)
     monkeypatch.setattr("bdlimits.errors._PHYSICAL_MEMORY", 16 * 3125)
