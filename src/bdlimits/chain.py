@@ -15,14 +15,17 @@ first, as the fluid integrator does, and one loop per event re-rates the
 entries the jump changes.
 The exact-law functions share _gibbs_table (states, Gibbs log weights) and
 _jumps (every jump and both its rates, from one pass of _rate_blocks).
+Both simulators draw by one rule: every 512 events take one
+rng.random(1024), whose first 512 values become the waiting-time
+exponentials by inversion, E = -log1p(-U) (Devroye 1986, II.2), and whose
+last 512 are the pick uniforms, so each draw is one PCG64 output and a
+path draws only the blocks it reads.
 Single-vertex replicas that need only their final state run in lockstep:
 numpy moves a chunk of them 64 events at a time, guessing the window's
 jumps at its start spin, walking the guesses with one cumulative sum and
 deciding again until the decisions equal the guesses, so every replica
-takes exactly simulate's path.  They refill their exponential blocks on
-every usable CPU (errors.thread_map, on the threading module that numpy
-already loads), so importing this module loads no new module, and every
-live replica draws its uniforms at each 512-row sub-block.
+takes exactly simulate's path.  At each 512-row block every live replica
+draws its block into its column of one (1024, chunk) ring.
 scipy.sparse is imported inside build_generator and stationary_solve, so
 importing this module, or simulating, loads no scipy module.
 """
@@ -51,32 +54,29 @@ from .errors import (
     require_integer,
     require_real,
     seeded_rng,
-    thread_map,
 )
 from .graphs import Graph, validate_interaction
 from .spectral import is_symmetric
 
 DEFAULT_STATE_CAP = 200_000
 
-_RNG_BUFFER = 8192
-
 # bytes an event of _simulate_vector's record holds at its peak, when its
 # lists become arrays: 84 in RSS over a 2 M-event path on path(2); the
 # arrays of boundary_hits and states_at peak lower (48, tracemalloc)
 _EVENT_BYTES = 84
 
-# replicas per lockstep chunk, enough for 100 in one: its (8192, chunk)
-# exponential and (512, chunk) uniform buffers then take 8.9 MB, where the
-# 20 000 replicas of the acceptance test at once would take 1.4 GB
+# replicas per lockstep chunk, enough for 100 in one: its (1024, chunk)
+# ring then takes 1.0 MB, where the 20 000 replicas of the acceptance test
+# at once would take 164 MB
 _LOCKSTEP_CHUNK = 128
 
-# rows of uniforms a lockstep replica draws at a time, held in a ring of
-# that many rows; it divides _RNG_BUFFER, so a replica that reaches the
-# block's end has drawn it whole
+# rows of one draw block in both simulators, a row being one event's
+# exponential and uniform: the block is one rng.random(2 * _UNIFORM_ROWS),
+# whose first half _exponentials turns into the exponentials
 _UNIFORM_ROWS = 512
 
 # rows a lockstep window decides at once; it divides _UNIFORM_ROWS, so no
-# window straddles a refill
+# window straddles a block
 _WINDOW = 64
 
 # stationary_solve factors a reversible spec's system in float32 first at
@@ -253,8 +253,11 @@ def simulate(
     updated locally: a jump at x changes only the exponents in column x of
     [A_b; A_d], which the adjacency pattern confines to x and its
     neighbours, so an event costs O(deg x) updates plus one O(n) running
-    sum.  Each event consumes one exponential and one uniform, drawn in
-    blocks of 8192 of each.  Deterministic given (spec, initial, seed).
+    sum.  Each event consumes one exponential and one uniform, drawn 512
+    events at a time as one rng.random(1024): the first 512 turned into
+    exponentials by inversion, the last 512 the uniforms, so a path of k
+    events takes 1024 * (k // 512 + 1) generator outputs.  Deterministic
+    given (spec, initial, seed).
 
     Raises ValidationError for a negative or non-finite t_end, a
     max_events that is neither None nor a nonnegative integer, or a seed
@@ -315,13 +318,14 @@ def _simulate_vector(spec, xi0, t_end, rng, max_events):
     verts: list[int] = []
     signs: list[int] = []
     t = 0.0
-    k = _RNG_BUFFER
+    k = _UNIFORM_ROWS
     while True:
         cum = list(accumulate(rates))
         total = cum[-1]
-        if k == _RNG_BUFFER:
-            ebuf = rng.standard_exponential(_RNG_BUFFER).tolist()
-            ubuf = rng.random(_RNG_BUFFER).tolist()
+        if k == _UNIFORM_ROWS:
+            block = rng.random(2 * _UNIFORM_ROWS)
+            ebuf = _exponentials(block[:_UNIFORM_ROWS]).tolist()
+            ubuf = block[_UNIFORM_ROWS:].tolist()
             k = 0
         t_next = t + ebuf[k] / total
         if t_next > t_end:
@@ -355,6 +359,13 @@ def _simulate_vector(spec, xi0, t_end, rng, max_events):
     )
 
 
+def _exponentials(u: np.ndarray) -> np.ndarray:
+    """u, uniforms on [0, 1), turned in place into standard exponentials by
+    inversion, -log1p(-u).  Both simulators call it on contiguous runs of
+    _UNIFORM_ROWS values, so their elementwise results are bit-identical."""
+    return np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+
+
 def _run_replicas(spec, xi0, t_end, seeds, budget, statistic=None):
     """(statistic(trajectory) per replica, boundary hits, events) of one
     replica per seed, each drawing as simulate does, until their events
@@ -383,35 +394,32 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     spec, one entry per seed, stepped in lockstep chunks of _LOCKSTEP_CHUNK.
     seeds may be any iterable; it is read one chunk at a time.
 
-    Replica j draws from default_rng(seeds[j]) exactly as simulate does: a
-    block of 8192 exponentials and then one of 8192 uniforms.  They fill its
-    column of two Fortran-order buffers, (8192, chunk) for the exponentials
-    and a ring of (_UNIFORM_ROWS, chunk) for the uniforms (8.9 MB at 128
-    replicas).  Every live replica of a chunk has taken the same number of
-    rows, the chunk's one row counter, and sits at row k = row % 8192 of its
-    blocks; numpy moves them all by a window of _WINDOW rows, decided
-    speculatively and checked exactly: guess every row's jump at the
-    window's start spin (total(spin) * U < birth(spin)), walk the guesses
-    with one cumulative sum of +-1 steps clipped to the box, and decide
-    every row again at the spin the walk reached before it, until the
-    decisions equal the guesses.  A pass leaves the rows before the first
-    wrong one as they were and corrects that one, so a window settles within
-    _WINDOW passes; a walk that agrees with its decisions never crosses a
-    wall, where the blocked rate decides.  The times are one cumulative sum
-    of t and E / total(spin), the sequential loop's order of additions; a
-    replica takes the rows up to its first time past t_end, and its hits are
-    the wall landings among them.
-    The live replicas refill their exponentials at k = 0, whole, since the
-    ziggurat takes a variable number of generator outputs, on the usable
-    CPUs (errors.thread_map): each replica's generator fills only its own
-    column, so the draws do not depend on the CPU count.  At every
-    sub-block of _UNIFORM_ROWS rows, every live replica draws its uniforms,
-    serially (too small to gain from a thread), into a ring read at row
-    k % _UNIFORM_ROWS.  A float64 uniform is one PCG64 output, so a replica
-    that reaches row 8192 has drawn the same stream as one whole fill; one
-    that stops inside a sub-block has drawn uniforms it never reads, and its
+    Replica j draws from default_rng(seeds[j]) exactly as simulate does:
+    one rng.random(1024) per 512-row block, into its column of one
+    Fortran-order (1024, chunk) ring, exponentials in rows 0-511 and
+    uniforms in rows 512-1023 (1.0 MB at 128 replicas).  Every live replica
+    of a chunk has taken the same number of rows, the chunk's one row
+    counter, and sits at row k = row % _UNIFORM_ROWS of its block; numpy
+    moves them all by a window of _WINDOW rows, decided speculatively and
+    checked exactly: guess every row's jump at the window's start spin
+    (total(spin) * U < birth(spin)), walk the guesses with one cumulative
+    sum of +-1 steps clipped to the box, and decide every row again at the
+    spin the walk reached before it, until the decisions equal the guesses.
+    A pass leaves the rows before the first wrong one as they were and
+    corrects that one, so a window settles within _WINDOW passes; a walk
+    that agrees with its decisions never crosses a wall, where the blocked
+    rate decides.  The times are one cumulative sum of t and E / total(spin),
+    the sequential loop's order of additions; a replica takes the rows up to
+    its first time past t_end, and its hits are the wall landings among them.
+    At k = 0 every live replica draws its block, serially, and one
+    _exponentials call inverts the ring's first half over the whole chunk:
+    each column is a contiguous run of _UNIFORM_ROWS values, as simulate's
+    is, so the exponentials are simulate's bit for bit.  The ring starts at
+    zero and a stopped replica's exponentials are zeroed, so the columns no
+    replica reads hold zeros there, which the inversion keeps.  A replica
+    that stops inside a block has drawn rows it never reads, and its
     generator is dropped with the chunk.  _WINDOW divides _UNIFORM_ROWS, so
-    no window straddles a refill.
+    no window straddles a block.
     Rates come from per-spin tables of math.exp(b * spin) and
     math.exp(d * spin).  simulate instead adds b or d to the exponent at
     each jump; the two give the same floats whenever those multiples are
@@ -448,14 +456,14 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
     wall = np.zeros(top + 1, dtype=bool)
     wall[[0, top]] = True
 
-    ebuf = np.empty((_RNG_BUFFER, _LOCKSTEP_CHUNK), order="F")
-    ubuf = np.empty((_UNIFORM_ROWS, _LOCKSTEP_CHUNK), order="F")
     seeds = iter(seeds)
     # per chunk, the final spin offset, events and hits of each replica
     chunks = []
     left = math.inf if max_events is None else max_events
     while rngs := [np.random.default_rng(s) for s in islice(seeds, _LOCKSTEP_CHUNK)]:
         count = len(rngs)
+        ring = np.zeros((2 * _UNIFORM_ROWS, count), order="F")
+        exps, unis = ring[:_UNIFORM_ROWS], ring[_UNIFORM_ROWS:]
         out = np.empty((3, count), dtype=np.int64)
         # the live replicas' columns and their state, compacted after each
         # window; every live replica has taken row events
@@ -465,17 +473,13 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
         h = np.zeros(count, dtype=np.int64)
         row = used = 0
         while True:
-            k = row % _RNG_BUFFER
+            k = row % _UNIFORM_ROWS
             if k == 0:
-                thread_map(
-                    lambda j: rngs[j].standard_exponential(out=ebuf[:, j]), live.tolist()
-                )
-            ring = k % _UNIFORM_ROWS
-            if ring == 0:
                 for j in live.tolist():
-                    rngs[j].random(out=ubuf[:, j])
-            e = ebuf[k:k + _WINDOW, live]
-            u = ubuf[ring:ring + _WINDOW, live]
+                    rngs[j].random(out=ring[:, j])
+                _exponentials(exps)
+            e = exps[k:k + _WINDOW, live]
+            u = unis[k:k + _WINDOW, live]
             # walk[i] is the spin before row i's event, walk[_WINDOW] the last
             walk = np.empty((_WINDOW + 1, live.size), dtype=np.int64)
             walk[0] = pos
@@ -519,6 +523,7 @@ def _simulate_lockstep(spec, xi0, t_end, seeds, max_events=None):
             if ran < _WINDOW * live.size:
                 stop = taken < _WINDOW
                 out[:, live[stop]] = pos[stop], row + taken[stop], h[stop]
+                exps[:, live[stop]] = 0.0
                 keep = ~stop
                 live, pos, t, h = live[keep], pos[keep], t[keep], h[keep]
                 if not live.size:

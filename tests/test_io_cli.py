@@ -735,8 +735,8 @@ def test_distribution_csv_needs_one_probability_per_state(tmp_path):
 # draws moves them; the exact-law columns come from scipy's expm, so another
 # numpy/scipy build may differ in the last digit.
 DIFFUSION_TABLE_SHA256 = {
-    None: "89c74609a5822506f49969d423d4fc78e537ffb99ccb810ff7edfa991c630aa4",
-    77: "89dcf388da28b2960cd09378415a6d4a0af8fb82bfb11e49d8be064b6ecebec5",
+    None: "270d1da606dd6c3d51c8eb58165967214ff9b79087ffab44c0c0a9f627e1f78d",
+    77: "83b1c12a56885bc9948c470408635914ee8dc4fbc3cbe9c5defd7fb74dd51fac",
 }
 
 
