@@ -15,6 +15,7 @@ from bdlimits.chain import (
     _LOCKSTEP_CHUNK,
     _UNIFORM_ROWS,
     _WINDOW,
+    _exponentials,
     _rate_blocks,
     _run_replicas,
     _simulate_lockstep,
@@ -222,7 +223,7 @@ def test_simulate_deterministic_given_seed():
     assert np.array_equal(a.signs, b.signs)
 
 
-@pytest.mark.parametrize("events", [0, 511, 512, 1024])
+@pytest.mark.parametrize("events", [0, 511, 512, 1023, 1024])
 def test_a_path_draws_only_the_blocks_it_reads(events):
     # a path of k events reads k + 1 rows, the last one's wait past t_end,
     # and each 512-row block it reaches is 1024 generator outputs: t_end = 0
@@ -238,6 +239,35 @@ def test_a_path_draws_only_the_blocks_it_reads(events):
     fresh = np.random.default_rng(seed)
     fresh.bit_generator.advance(1024 * math.ceil((events + 1) / 512))
     assert rng.random() == fresh.random()
+
+
+def test_exponentials_invert_uniforms_in_place():
+    # E = -log1p(-U) on [0, 1): zero maps to zero with no float warning, as
+    # the lockstep's zeroed columns need, and U near 1 to a large finite E
+    u = np.random.default_rng(5).random(_UNIFORM_ROWS)
+    u[:2] = 0.0, np.nextafter(1.0, 0.0)
+    expected = -np.log1p(-u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _exponentials(u)
+    assert out is u
+    assert np.array_equal(out, expected)
+    assert out[0] == 0.0 and np.isfinite(out[1]) and out[1] > 36.0
+    assert (out[2:] > 0.0).all()
+
+
+@pytest.mark.parametrize("count", [1, 3, _LOCKSTEP_CHUNK])
+def test_exponentials_of_a_chunk_slab_match_each_column(count):
+    # the lockstep inverts the (512, count) Fortran-order half of its ring in
+    # one call; each column must be what simulate's 1-D call gives, bit for bit
+    ring = np.zeros((2 * _UNIFORM_ROWS, count), order="F")
+    rngs = [np.random.default_rng(s) for s in range(count)]
+    for j, rng in enumerate(rngs):
+        rng.random(out=ring[:, j])
+    columns = [_exponentials(ring[:_UNIFORM_ROWS, j].copy()) for j in range(count)]
+    _exponentials(ring[:_UNIFORM_ROWS])
+    for j, column in enumerate(columns):
+        assert np.array_equal(ring[:_UNIFORM_ROWS, j], column)
 
 
 def _sequential_finals(spec, start, t_end, seeds):
